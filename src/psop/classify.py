@@ -23,16 +23,18 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .numerics import NEG_INF, exp_guarded
+from .numerics import NEG_INF, exp_guarded, log_nonneg
 from .operators import (
     Element,
     OperatorContractError,
     OperatorKind,
     OperatorSpec,
+    _float_element,
     check_column_log_norms,
     compute_orbit,
     hat_column_log_norms,
     symbol_log_norm_bounds,
+    toeplitz_matrix,
 )
 from .spaces import (
     GeometricEnvelope,
@@ -489,8 +491,7 @@ def _dual_evidence(space: SpaceSpec, beta: Symbol, grid: GridParams) -> dict:
         a = np.abs(np.array([complex(v) for v in pk.entries[:n_max]], dtype=complex))
         if len(a) < n_max:
             a = np.pad(a, (0, n_max - len(a)))
-        with np.errstate(divide="ignore"):
-            la = np.where(a > 0, np.log(np.maximum(a, 1e-320)), NEG_INF)
+        la = log_nonneg(a)
         for jq, q in enumerate(q_list):
             # log of sup_n |b^{*k}_{n-1}| / target_q(n)
             log_target = q * alpha_n if not space.is_finite_type else -alpha_n / q
@@ -1098,7 +1099,7 @@ def mean_ergodic_probe(op: OperatorSpec, x: Element,
                 best = (q, ratio)
         cesaro_ratio[p] = (best[0], math.exp(min(best[1], 700.0)))
     # successive Cesaro differences at the start element
-    cur = _as_float_element(x, space)
+    cur = _float_element(replace(x, space=space))
     acc = None
     prev_mean = None
     diffs = np.full((K - 1, len(ps)), NEG_INF)
@@ -1122,15 +1123,10 @@ def mean_ergodic_probe(op: OperatorSpec, x: Element,
     return ErgodicReport(cesaro_ratio, orbit_over_k, mean, diffs, triangle_ok, ps)
 
 
-def _as_float_element(x: Element, space: SpaceSpec) -> Element:
-    vals = tuple(complex(v) if isinstance(v, complex) else float(v) for v in x.values)
-    return replace(x, values=vals, space=space)
-
-
 def _cesaro_column_log_norms(op: OperatorSpec, K: int, n_max: int,
                              ps: Sequence[int]) -> np.ndarray:
     """log ||T^[k] e_n||_p tables via the symbol route for the pure kinds and
-    dense float truncations for the mixed kind."""
+    dense floating truncations (complex when a symbol is) for the mixed kind."""
     from .symbols import finite_symbol, float_prefix, readable_length
 
     space = op.space
@@ -1159,28 +1155,16 @@ def _cesaro_column_log_norms(op: OperatorSpec, K: int, n_max: int,
                     out[k - 1, j, :] = check_column_log_norms(space, mean, p, n_max)
         return out
     n_dense = min(n_max, 128)
-    M = np.zeros((n_dense, n_dense))
-    th = float_prefix(op.theta, n_dense)
-    be = float_prefix(op.beta, n_dense)
-    for i in range(n_dense):
-        for j in range(n_dense):
-            if i > j:
-                M[i, j] = th[i - j]
-            elif j > i:
-                M[i, j] = be[j - i]
-            else:
-                M[i, j] = th[0] + be[0]
+    M = toeplitz_matrix(op.theta, op.beta, n_dense)
     acc = np.zeros_like(M)
     cur = np.eye(n_dense)
     for k in range(1, K + 1):
         cur = cur @ M
         acc += cur
         mean = acc / k
-        absmean = np.abs(mean)
+        logm = log_nonneg(np.abs(mean))
         for j, p in enumerate(ps):
             logw = space.log_weights(1, n_dense, p)
-            with np.errstate(divide="ignore"):
-                logm = np.where(absmean > 0, np.log(np.maximum(absmean, 1e-320)), NEG_INF)
             col_log = logm + logw[:, None]
             mx = col_log.max(axis=0)
             with np.errstate(divide="ignore"):

@@ -214,10 +214,7 @@ class JobConfig:
         kind = self.operator["kind"]
         if self.operator.get("source") is not None:
             src = self.operator["source"]
-            annulus = src.get("annulus") or [0.0, float("inf")]
-            intended = "disc" if self.space.is_finite_type else "entire"
-            F = rational_symbol(src["rational"]["num"], src["rational"]["den"],
-                                float(annulus[0]), float(annulus[1]), intended)
+            F = _source_function(src, self.space)
             rep = toeplitz_from_function(F, self.space, float(src["radius"]),
                                          window=int(src.get("window", 32)))
             return rep.operator
@@ -233,6 +230,15 @@ class JobConfig:
         if theta is None or beta is None:
             raise ConfigError("toeplitz operator needs theta and beta")
         return make_toeplitz_operator(self.space, theta, beta, grid_n=grid_n)
+
+
+def _source_function(src: dict, space: Optional[SpaceSpec]):
+    """The rational_symbol of operator.source, intended for the disc on a
+    finite-type space and for the whole plane otherwise."""
+    annulus = src.get("annulus") or [0.0, float("inf")]
+    intended = "disc" if (space is not None and space.is_finite_type) else "entire"
+    return rational_symbol(src["rational"]["num"], src["rational"]["den"],
+                           float(annulus[0]), float(annulus[1]), intended)
 
 
 # ---------------------------------------------------------------------------
@@ -401,11 +407,7 @@ def run_laurent(cfg: JobConfig, report: Report, outdir: Path) -> None:
     src = cfg.operator.get("source")
     if src is None:
         raise ConfigError("laurent task needs operator.source.rational")
-    annulus = src.get("annulus") or [0.0, float("inf")]
-    intended = "disc" if (cfg.space is not None and cfg.space.is_finite_type) \
-        else "entire"
-    F = rational_symbol(src["rational"]["num"], src["rational"]["den"],
-                        float(annulus[0]), float(annulus[1]), intended)
+    F = _source_function(src, cfg.space)
     window = cfg.task.get("window", [-16, 16])
     n_min, n_max = int(window[0]), int(window[1])
     samples = cfg.task.get("samples")

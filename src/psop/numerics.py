@@ -1,4 +1,4 @@
-"""Shared numeric kernels: log-domain aggregation and deterministic parallel maps.
+"""Shared numeric kernels: log-domain aggregation.
 
 Weighted sums on the infinite-type space overflow double precision long
 before the truncation indices of interest (exponents reach k*alpha_n ~ 4000),
@@ -9,9 +9,7 @@ demand, with a compensated sum after shifting by the running maximum.
 from __future__ import annotations
 
 import math
-import os
 from fractions import Fraction
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
@@ -57,25 +55,6 @@ def sum_exp(log_terms: Iterable[float]) -> tuple[float, float]:
     return exp_guarded(logv), logv
 
 
-def log_sum_exp(arr: np.ndarray, axis=None) -> np.ndarray | float:
-    """Shift-stabilized log(sum(exp(arr))) along axis; handles -inf blocks."""
-    a = np.asarray(arr, dtype=float)
-    top = np.max(a, axis=axis, keepdims=True) if a.size else np.float64(NEG_INF)
-    top = np.where(np.isfinite(top), top, 0.0)
-    with np.errstate(divide="ignore"):
-        out = np.log(np.sum(np.exp(a - top), axis=axis)) + np.squeeze(top, axis=axis)
-    if np.ndim(out) == 0:
-        out = float(out)
-        if np.all(a == NEG_INF):
-            return NEG_INF
-    return out
-
-
-def log_cumsum_exp(arr: np.ndarray) -> np.ndarray:
-    """Running log-sum-exp along a 1-d array (np.logaddexp is overflow-safe)."""
-    return np.logaddexp.accumulate(np.asarray(arr, dtype=float))
-
-
 def logaddexp(a: float, b: float) -> float:
     if a == NEG_INF:
         return b
@@ -84,34 +63,20 @@ def logaddexp(a: float, b: float) -> float:
     return float(np.logaddexp(a, b))
 
 
-def log1p_tol(tol: float) -> float:
-    """Log-domain width of a relative tolerance band."""
-    return math.log1p(tol)
-
-
-def worker_count(cells: int) -> int:
-    """Worker cap for sweep pools; PSOP_THREADS overrides the CPU count."""
-    env = os.environ.get("PSOP_THREADS")
-    cap = os.cpu_count() or 1
-    if env:
-        try:
-            cap = max(1, int(env))
-        except ValueError:
-            pass
-    return max(1, min(cap, cells))
+def log_nonneg(a: np.ndarray) -> np.ndarray:
+    """Elementwise log of a nonnegative array, -inf where an entry is 0."""
+    return np.where(a > 0, np.log(np.maximum(a, 1e-320)), NEG_INF)
 
 
 def map_cells(fn: Callable[[T], R], cells: Sequence[T]) -> list[R]:
     """Apply fn over independent sweep cells, results in submission order.
 
-    Collection order is fixed, so reductions over the result list are
-    deterministic regardless of scheduling.
+    A plain loop: the cells are Python code that holds the GIL, so threads
+    would not run them side by side.  It stays a named function because the
+    benchmark's tracer (perfbench/tracer.py) patches `numerics.map_cells` by
+    name to time the sweep cells, and fails at install if it is missing.
     """
-    n = worker_count(len(cells))
-    if n <= 1 or len(cells) <= 1:
-        return [fn(c) for c in cells]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, cells))
+    return [fn(c) for c in cells]
 
 
 def fmt17(x: float) -> str:

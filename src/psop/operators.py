@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .numerics import NEG_INF, fmt17, sum_exp
+from .numerics import NEG_INF, fmt17, log_nonneg, sum_exp
 from .spaces import (
     FINITE_TAIL,
     DualCertificate,
@@ -36,7 +36,6 @@ from .spaces import (
     StabilityCert,
     TailCert,
     TailUnbounded,
-    TailedValue,
     geometric_for,
     nuclearity_check,
     seminorm,
@@ -45,6 +44,8 @@ from .spaces import (
 )
 from .symbols import (
     ConvPowerTable,
+    _exact_list_conv,
+    _float_conv,
     MembershipReport,
     Symbol,
     SymbolKind,
@@ -57,6 +58,7 @@ from .symbols import (
     membership_check,
     prefix,
     symbol_envelope,
+    trimmed_len,
 )
 
 
@@ -89,13 +91,6 @@ class Element:
     @property
     def is_exact(self) -> bool:
         return self.residual == 0.0 and all(is_rational(v) for v in self.values)
-
-    def support_end(self) -> int:
-        """Last index (1-based) with a nonzero stored entry."""
-        L = len(self.values)
-        while L > 0 and self.values[L - 1] == 0:
-            L -= 1
-        return L
 
     def entry(self, n: int):
         if n < 1:
@@ -162,13 +157,6 @@ def scale_element(x: Element, c) -> Element:
     elif isinstance(tail, ExponentialEnvelope):
         tail = ExponentialEnvelope(tail.scale * float(mag), tail.grade, tail.sign)
     return Element(vals, tail, x.space, x.residual * float(mag))
-
-
-def element_norm(x: Element, k: int, space: Optional[SpaceSpec] = None) -> TailedValue:
-    sp = space or x.space
-    if sp is None:
-        raise ValueError("element has no space tag; pass the space explicitly")
-    return seminorm(sp, x, k)
 
 
 # ---------------------------------------------------------------------------
@@ -255,25 +243,6 @@ def make_toeplitz_operator(space: SpaceSpec, theta: Symbol, beta: Symbol,
                         nuclearity=chk.nuclearity)
 
 
-def toeplitz_from_split(space: SpaceSpec, two_sided: dict, beta0_zero: bool = True,
-                        **kw) -> OperatorSpec:
-    """Build from a two-sided sequence {n: a_n}; the diagonal splits as
-    theta_0 + beta_0 = a_0 with beta_0 = 0 by default."""
-    n_max = max((n for n in two_sided if n >= 0), default=-1)
-    n_min = min((n for n in two_sided if n <= 0), default=1)
-    theta_vals = [two_sided.get(i, 0) for i in range(0, n_max + 1)]
-    beta_vals = [two_sided.get(-i, 0) for i in range(0, -n_min + 1)]
-    if beta_vals:
-        if beta0_zero:
-            beta_vals[0] = 0
-        else:
-            theta_vals[0] = 0
-    from .symbols import finite_symbol
-
-    return make_toeplitz_operator(space, finite_symbol(theta_vals),
-                                  finite_symbol(beta_vals), **kw)
-
-
 # ---------------------------------------------------------------------------
 # Columns
 # ---------------------------------------------------------------------------
@@ -322,16 +291,8 @@ def _exact_values(vals: Sequence) -> bool:
 def _forward_conv_values(xs: Sequence, theta: Symbol, N: int) -> list:
     th = prefix(theta, N)
     if _exact_values(xs) and _exact_values(th):
-        from .symbols import _exact_list_conv
-
         return list(_exact_list_conv(xs, th, N))
-    ax = np.asarray([complex(v) for v in xs]) if any(isinstance(v, complex) for v in xs) \
-        else np.asarray([float(v) for v in xs], dtype=float)
-    at = np.asarray([complex(v) for v in th]) if any(isinstance(v, complex) for v in th) \
-        else np.asarray([float(v) for v in th], dtype=float)
-    if len(ax) == 0 or len(at) == 0:
-        return [0] * N
-    return list(np.convolve(ax, at)[:N])
+    return _float_conv(xs, th, N) or [0] * N
 
 
 def _sup_n_poly(t: float) -> float:
@@ -406,7 +367,7 @@ def check_apply(beta: Symbol, x: Element) -> Element:
     if N == 0:
         return x
     if x.is_finitely_supported:
-        S = x.support_end()
+        S = trimmed_len(x.values)
         bs = prefix(beta, S) if S else []
         vals = []
         for n in range(1, N + 1):
@@ -666,9 +627,7 @@ def hat_column_log_norms(space: SpaceSpec, s: Symbol, p: int, n_max: int,
     c, geo = _symbol_abs_and_env(s, L)
     if space.is_linear:
         rate = -1.0 / p if space.is_finite_type else float(p)
-        with np.errstate(divide="ignore"):
-            logs = np.where(c > 0, np.log(np.maximum(c, 1e-320)), NEG_INF) \
-                + rate * np.arange(len(c))
+        logs = log_nonneg(c) + rate * np.arange(len(c))
         _, log_w = sum_exp(list(logs))
         if geo is not None:
             t = geo.ratio * math.exp(rate)
@@ -683,8 +642,7 @@ def hat_column_log_norms(space: SpaceSpec, s: Symbol, p: int, n_max: int,
     out = np.empty(n_max)
     for n in range(1, n_max + 1):
         logw = space.log_weights(n, n + len(c) - 1, p)
-        with np.errstate(divide="ignore"):
-            terms = np.where(c > 0, np.log(np.maximum(c, 1e-320)), NEG_INF) + logw
+        terms = log_nonneg(c) + logw
         _, lv = sum_exp(list(terms))
         if geo is not None:
             from .spaces import tail_majorant
@@ -705,8 +663,7 @@ def check_column_log_norms(space: SpaceSpec, s: Symbol, p: int, n_max: int) -> n
     b = abs_upper_prefix(s, n_max)
     if not np.all(np.isfinite(b)):
         raise TailUnbounded("dual column norms need envelope-bounded coefficients")
-    with np.errstate(divide="ignore"):
-        log_b = np.where(b > 0, np.log(np.maximum(b, 1e-320)), NEG_INF)
+    log_b = log_nonneg(b)
     if space.is_linear:
         idx = np.arange(n_max, dtype=float)
         rate = 1.0 / p if space.is_finite_type else -float(p)
@@ -727,8 +684,7 @@ def symbol_log_norm_bounds(space: SpaceSpec, s: Symbol, p: int,
     vals, geo = _symbol_abs_and_env(s, window)
     L = len(vals)
     logw = space.log_weights(1, L, p) if L else np.zeros(0)
-    with np.errstate(divide="ignore"):
-        terms = np.where(vals > 0, np.log(np.maximum(vals, 1e-320)), NEG_INF) + logw
+    terms = log_nonneg(vals) + logw
     _, lo = sum_exp(list(terms))
     hi = lo
     if geo is not None:

@@ -109,17 +109,6 @@ def dense_toeplitz(theta: Symbol, beta: Symbol, N: int) -> DenseTrunc:
     return DenseTrunc(tuple(rows), f"toeplitz({theta.describe()},{beta.describe()})", exact)
 
 
-def dense_from_operator(op, N: int) -> DenseTrunc:
-    from .operators import OperatorKind
-    from .symbols import zero_symbol
-
-    if op.kind is OperatorKind.HAT:
-        return dense_hat(op.theta, N)
-    if op.kind is OperatorKind.CHECK:
-        return dense_check(op.beta, N)
-    return dense_toeplitz(op.theta or zero_symbol(), op.beta or zero_symbol(), N)
-
-
 def dense_apply(M: DenseTrunc, x: Sequence) -> list:
     """Exact matrix-vector product."""
     if len(x) != M.n:
@@ -623,16 +612,8 @@ def dense_from_operator_like(v, N: int = 24) -> DenseTrunc:
 
 
 @replayer("implied_by_power_bounded")
-def _replay_implied_pb(v, params):
-    inner = params["inner"]
-    fn = _REPLAYERS.get(inner["rule"])
-    if fn is None:
-        raise NonReplayable(f"no replayer for inner rule {inner['rule']!r}")
-    return fn(v, inner["params"])
-
-
 @replayer("implied_by_m_topologizable")
-def _replay_implied_mtop(v, params):
+def _replay_implied(v, params):
     inner = params["inner"]
     fn = _REPLAYERS.get(inner["rule"])
     if fn is None:

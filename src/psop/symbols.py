@@ -23,7 +23,6 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .numerics import sum_exp
 from .spaces import (
     FINITE_TAIL,
     FinitelySupported,
@@ -46,6 +45,14 @@ Number = Union[int, Fraction, float, complex]
 
 def is_rational(x) -> bool:
     return isinstance(x, Rational) and not isinstance(x, bool)
+
+
+def trimmed_len(values: Sequence) -> int:
+    """Length of values without its trailing zeros."""
+    L = len(values)
+    while L > 0 and values[L - 1] == 0:
+        L -= 1
+    return L
 
 
 class SymbolKind(str, Enum):
@@ -95,29 +102,20 @@ class Symbol:
     def bounded_support(self) -> Optional[int]:
         """Smallest L with s_i = 0 for all i >= L, when certifiable."""
         if self.kind is SymbolKind.FINITE:
-            L = len(self.entries)
-            while L > 0 and self.entries[L - 1] == 0:
-                L -= 1
-            return L
+            return trimmed_len(self.entries)
         if self.kind is SymbolKind.GEOMETRIC:
             if self.c == 0:
                 return 0
             return 1 if self.r == 0 else None
         if self.support_len is not None:
             if len(self.entries) >= self.support_len:
-                return self._trimmed_len()
+                return trimmed_len(self.entries)
             return self.support_len
         if self.extension == "zero":
-            return self._trimmed_len()
+            return trimmed_len(self.entries)
         if isinstance(self.envelope, GeometricEnvelope) and self.envelope.scale == 0:
-            return self._trimmed_len()
+            return trimmed_len(self.entries)
         return None
-
-    def _trimmed_len(self) -> int:
-        L = len(self.entries)
-        while L > 0 and self.entries[L - 1] == 0:
-            L -= 1
-        return L
 
     def coeff_abs_upper(self, i: int) -> float:
         """|s_i| when available, else the envelope bound (inf if none)."""
@@ -236,10 +234,6 @@ def float_prefix(s: Symbol, N: int) -> np.ndarray:
     if any(isinstance(v, complex) for v in vals):
         return np.array([complex(v) for v in vals], dtype=complex)
     return np.array([float(v) for v in vals], dtype=float)
-
-
-def abs_prefix(s: Symbol, N: int) -> np.ndarray:
-    return np.abs(float_prefix(s, N))
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from psop import (
     geometric_symbol,
     make_check_operator,
     make_hat_operator,
+    make_toeplitz_operator,
     mean_ergodic_probe,
     replay_verdict,
     root_alpha,
@@ -292,3 +293,19 @@ def test_mean_ergodic_probe_shift(fin, small_grid):
     # the Cesaro ratio evidence found some workable grade
     for p, (q, ratio) in rep.cesaro_ratio.items():
         assert 1 <= q <= small_grid.Q and math.isfinite(ratio)
+
+
+def test_mean_ergodic_probe_complex_toeplitz_matches_hat(fin, small_grid):
+    # with beta = 0 the Toeplitz operator is the forward operator of delta(c);
+    # its dense Cesaro route must keep the imaginary part of c
+    c = 0.5j
+    x = basis_element(1, 32, fin)
+    toep = make_toeplitz_operator(fin, finite_symbol([c]), finite_symbol([0]))
+    hat = make_hat_operator(fin, delta_symbol(c))
+    got = mean_ergodic_probe(toep, x, small_grid).cesaro_ratio
+    want = mean_ergodic_probe(hat, x, small_grid).cesaro_ratio
+    assert got.keys() == want.keys()
+    for p, (q, ratio) in want.items():
+        assert ratio > 0
+        assert got[p][0] == q
+        assert abs(got[p][1] - ratio) <= 1e-12

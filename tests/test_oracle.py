@@ -1,11 +1,15 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from psop import (
     NonReplayable,
+    Status,
+    classify_check_all,
     classify_hat_power_bounded_finite,
     classify_hat_power_bounded_infinite,
+    classify_hat_topologizable,
     delta_symbol,
     dense_apply,
     dense_cesaro,
@@ -17,7 +21,7 @@ from psop import (
     geometric_symbol,
     replay_verdict,
 )
-from psop.classify import GridParams
+from psop.classify import GridParams, _propagate_hierarchy
 from psop.oracle import column, leading_block
 
 
@@ -102,3 +106,28 @@ def test_replay_verdicts(fin, inf):
 def test_dense_size_cap():
     with pytest.raises(ValueError):
         dense_hat(delta_symbol(), 1024)
+
+
+def test_implied_by_rules_replay_through_the_inner_rule(fin, inf):
+    grid = GridParams()
+    topo = classify_hat_topologizable(fin, finite_symbol([Fraction(1, 2)]), grid)
+    assert topo.certificate.rule == "implied_by_m_topologizable"
+    # classify_check_all never leaves m_topologizable open while power_bounded
+    # holds, so hand its hierarchy step that state directly
+    pb = classify_check_all(inf, delta_symbol(Fraction(1, 2)), grid)["power_bounded"]
+    assert pb.status is Status.HOLDS
+    out = {"power_bounded": pb}
+    for prop in ("m_topologizable", "topologizable"):
+        out[prop] = replace(pb, prop=prop, status=Status.INCONCLUSIVE, certificate=None)
+    _propagate_hierarchy(out)
+    mtop = out["m_topologizable"]
+    assert mtop.certificate.rule == "implied_by_power_bounded"
+    # the chain nests: topologizable <- m_topologizable <- power_bounded
+    assert out["topologizable"].certificate.rule == "implied_by_m_topologizable"
+    for v in (topo, mtop, out["topologizable"]):
+        assert replay_verdict(v) is True
+        for outer in ("implied_by_power_bounded", "implied_by_m_topologizable"):
+            cert = replace(v.certificate, rule=outer,
+                           params={"inner": {"rule": "no_such_rule", "params": {}}})
+            with pytest.raises(NonReplayable):
+                replay_verdict(replace(v, certificate=cert))
