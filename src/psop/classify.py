@@ -798,14 +798,14 @@ def classify_check_infinite(space: SpaceSpec, beta: Symbol, mode: str,
                             grid: GridParams = GridParams()) -> Verdict:
     if space.is_finite_type:
         raise UnsupportedSpace("use classify_check_finite on the finite type")
-    return _classify_check_all(space, beta, grid)[_norm_mode(mode)]
+    return _classify_check_all(space, beta, grid)[norm_mode(mode)]
 
 
 def classify_check_finite(space: SpaceSpec, beta: Symbol, mode: str,
                           grid: GridParams = GridParams()) -> Verdict:
     if not space.is_finite_type:
         raise UnsupportedSpace("use classify_check_infinite on the infinite type")
-    return _classify_check_all(space, beta, grid)[_norm_mode(mode)]
+    return _classify_check_all(space, beta, grid)[norm_mode(mode)]
 
 
 def classify_check_all(space: SpaceSpec, beta: Symbol,
@@ -813,7 +813,7 @@ def classify_check_all(space: SpaceSpec, beta: Symbol,
     return _classify_check_all(space, beta, grid)
 
 
-def _norm_mode(mode: str) -> str:
+def norm_mode(mode: str) -> str:
     m = mode.replace("-", "_").lower()
     aliases = {"topologizable": "topologizable", "m_top": "m_topologizable",
                "m_topologizable": "m_topologizable", "mtop": "m_topologizable",
@@ -1147,7 +1147,7 @@ def _cesaro_column_log_norms(op: OperatorSpec, K: int, n_max: int,
             pk = table.power(k)
             arr = float_prefix(pk, base_len)
             acc = arr if acc is None else acc + arr
-            mean = finite_symbol(list(acc / k))
+            mean = finite_symbol(acc / k)
             for j, p in enumerate(ps):
                 if op.kind is OperatorKind.HAT:
                     out[k - 1, j, :] = hat_column_log_norms(space, mean, p, n_max)

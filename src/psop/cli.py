@@ -28,6 +28,7 @@ from .classify import (
     classify_hat_power_bounded_infinite,
     classify_hat_topologizable,
     classify_toeplitz,
+    norm_mode,
     strongly_tame_probe,
     Verdict,
 )
@@ -323,6 +324,17 @@ def _start_element(cfg: JobConfig, N: int) -> Element:
     return element_from_symbol(parse_symbol(spec), N, cfg.space)
 
 
+def _classify_mode(mode: str) -> str:
+    """Canonical name of a classify mode, for every operator kind:
+    classify.norm_mode's aliases plus strongly_tame."""
+    if mode.replace("-", "_").lower() == "strongly_tame":
+        return "strongly_tame"
+    try:
+        return norm_mode(mode)
+    except ValueError:
+        raise ConfigError(f"unknown classify mode {mode!r}") from None
+
+
 def run_classify(cfg: JobConfig, report: Report, outdir: Path) -> None:
     grid = cfg.grid
     kind = cfg.operator["kind"]
@@ -331,43 +343,31 @@ def run_classify(cfg: JobConfig, report: Report, outdir: Path) -> None:
                                       "power_bounded"]
     verdicts: list[Verdict] = []
     if op.kind is OperatorKind.HAT:
-        for mode in modes:
-            m = mode.replace("-", "_")
+        for m in map(_classify_mode, modes):
             if m == "topologizable":
                 verdicts.append(classify_hat_topologizable(cfg.space, op.theta, grid))
-            elif m in ("m_topologizable", "m_top", "mtop"):
+            elif m == "m_topologizable":
                 verdicts.append(classify_hat_m_top(cfg.space, op.theta, grid))
             elif m == "power_bounded":
                 fn = classify_hat_power_bounded_finite if cfg.space.is_finite_type \
                     else classify_hat_power_bounded_infinite
                 verdicts.append(fn(cfg.space, op.theta, grid))
-            elif m == "strongly_tame":
-                verdicts.append(strongly_tame_probe(op, grid).verdict)
             else:
-                raise ConfigError(f"unknown classify mode {mode!r}")
+                verdicts.append(strongly_tame_probe(op, grid).verdict)
     elif op.kind is OperatorKind.CHECK:
         all_v = classify_check_all(cfg.space, op.beta, grid)
-        for mode in modes:
-            m = mode.replace("-", "_")
-            if m in all_v:
-                verdicts.append(all_v[m])
-            elif m == "strongly_tame":
-                verdicts.append(strongly_tame_probe(op, grid).verdict)
-            else:
-                raise ConfigError(f"unknown classify mode {mode!r}")
+        for m in map(_classify_mode, modes):
+            verdicts.append(all_v[m] if m in all_v else strongly_tame_probe(op, grid).verdict)
     else:
         tv = classify_toeplitz(cfg.space, op.theta or zero_symbol(),
                                op.beta or zero_symbol(), grid)
-        for mode in modes:
-            m = mode.replace("-", "_")
+        for m in map(_classify_mode, modes):
             if m in tv:
                 verdicts.append(tv[m])
-            elif m == "topologizable":
+            else:  # topologizable, read off m_topologizable
                 base = tv["m_topologizable"]
                 verdicts.append(base if not base.decisive else
                                 base.__class__(**{**base.__dict__, "prop": m}))
-            else:
-                raise ConfigError(f"unknown classify mode {mode!r} for toeplitz")
     report.verdicts = [verdict_json(v) for v in verdicts]
     if "csv" in cfg.formats and cfg.task.get("matrix_size"):
         n = int(cfg.task["matrix_size"])

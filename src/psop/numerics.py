@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
@@ -38,19 +38,22 @@ def log_abs(x) -> float:
     return math.log(a)
 
 
-def sum_exp(log_terms: Iterable[float]) -> tuple[float, float]:
+def sum_exp(log_terms: Sequence[float] | np.ndarray) -> tuple[float, float]:
     """Sum of exp(t) over log-domain terms. Returns (value, log_value).
 
     The sum is shifted by the maximum term and accumulated with math.fsum,
-    so log_value stays finite and accurate even when value overflows.
+    so log_value stays finite and accurate even when value overflows.  The
+    masking and the shift run in numpy; the exponentials stay libm's
+    math.exp, because np.exp differs from it in the last bit on some inputs.
     """
-    terms = [t for t in log_terms if t != NEG_INF]
-    if not terms:
+    a = np.asarray(log_terms, dtype=float)
+    terms = a[a != NEG_INF]
+    if not terms.size:
         return 0.0, NEG_INF
-    top = max(terms)
+    top = terms.max()
     if top == math.inf:
         return math.inf, math.inf
-    s = math.fsum(math.exp(t - top) for t in terms)
+    s = math.fsum(map(math.exp, (terms - top).tolist()))
     logv = top + math.log(s)
     return exp_guarded(logv), logv
 

@@ -253,9 +253,7 @@ def hat_column(theta: Symbol, n: int, N: int) -> Element:
     zeros below n, then theta_0, theta_1, ... down the column."""
     if n < 1:
         raise ValueError("basis index starts at 1")
-    vals = [0] * N
-    for j in range(n, N + 1):
-        vals[j - 1] = coeff(theta, j - n)
+    vals = [0] * min(n - 1, N) + prefix(theta, max(N - n + 1, 0))
     env = symbol_envelope(theta)
     sup = theta.bounded_support()
     if sup is not None and n - 1 + sup <= N:
@@ -628,7 +626,7 @@ def hat_column_log_norms(space: SpaceSpec, s: Symbol, p: int, n_max: int,
     if space.is_linear:
         rate = -1.0 / p if space.is_finite_type else float(p)
         logs = log_nonneg(c) + rate * np.arange(len(c))
-        _, log_w = sum_exp(list(logs))
+        _, log_w = sum_exp(logs)
         if geo is not None:
             t = geo.ratio * math.exp(rate)
             if t >= 1.0:
@@ -643,7 +641,7 @@ def hat_column_log_norms(space: SpaceSpec, s: Symbol, p: int, n_max: int,
     for n in range(1, n_max + 1):
         logw = space.log_weights(n, n + len(c) - 1, p)
         terms = log_nonneg(c) + logw
-        _, lv = sum_exp(list(terms))
+        _, lv = sum_exp(terms)
         if geo is not None:
             from .spaces import tail_majorant
 
@@ -674,7 +672,7 @@ def check_column_log_norms(space: SpaceSpec, s: Symbol, p: int, n_max: int) -> n
     logw = space.log_weights(1, n_max, p)
     for n in range(1, n_max + 1):
         terms = log_b[:n][::-1] + logw[:n]
-        _, out[n - 1] = sum_exp(list(terms))
+        _, out[n - 1] = sum_exp(terms)
     return out
 
 
@@ -685,7 +683,7 @@ def symbol_log_norm_bounds(space: SpaceSpec, s: Symbol, p: int,
     L = len(vals)
     logw = space.log_weights(1, L, p) if L else np.zeros(0)
     terms = log_nonneg(vals) + logw
-    _, lo = sum_exp(list(terms))
+    _, lo = sum_exp(terms)
     hi = lo
     if geo is not None:
         from .spaces import tail_majorant

@@ -385,7 +385,7 @@ def seminorm(space: SpaceSpec, x: "Element", k: int) -> TailedValue:
     residual = getattr(x, "residual", 0.0)
     if residual and n_entries:
         # stored entries are only residual-accurate; charge the weighted mass
-        _, log_wsum = sum_exp(list(logw))
+        _, log_wsum = sum_exp(logw)
         log_tail = logaddexp(log_tail, math.log(residual) + log_wsum)
         tail = exp_guarded(log_tail)
     return TailedValue(value, log_value, tail, log_tail)

@@ -10,12 +10,29 @@ cases of the classifiers need.
 The membership convention embeds a symbol s into a space as the element
 x_n = s_{n-1} (the image of the first basis vector under the associated
 lower triangular operator).
+
+Storage: a finite or sampled symbol keeps its entries twice, as the tuple
+that equality, hashing and the exact path use, and as one read-only float
+(or complex) numpy block.  convolve hands its float output over as the
+block; otherwise it is built on the first float read and kept, so exact
+intermediate results that are never read as floats do not pay for it.
+float_prefix, abs_upper_prefix and the kernels built on them slice that
+block instead of reading coeff() index by index.  A geometric symbol has
+no block: each read computes one, float(c * r**i) by integer recurrences
+when c and r are rational, c * r**i in floats otherwise.
+
+Bit identity: every float a block read returns equals float() or complex()
+of the exact coefficient, and the kernels keep libm's math.exp and Python's
+** for exponentials and powers.  np.exp and np.power are not libm's and
+differ from them in the last bit on some inputs, which would move the
+sweeps' min_slack values.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
+from functools import cached_property
 from enum import Enum
 from fractions import Fraction
 from numbers import Rational
@@ -23,6 +40,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from .numerics import log_nonneg
 from .spaces import (
     FINITE_TAIL,
     FinitelySupported,
@@ -70,37 +88,69 @@ class Symbol:
     envelope: Optional[TailCert] = None
     extension: Optional[str] = None      # sampled only: "zero" or None
     support_len: Optional[int] = None    # logical support bound when known
+    # the float or complex array of entries, when the caller already holds it
+    block: InitVar[Optional[np.ndarray]] = None
+    # computed once by __post_init__; == and hash see only the fields above
+    _support: Optional[int] = field(init=False, repr=False, compare=False)
+    _exact: bool = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        if self.kind is SymbolKind.SAMPLED:
-            if self.extension not in (None, "zero"):
-                raise ValueError(f"unknown sampled extension {self.extension!r}")
-            env = self.envelope
-            if isinstance(env, GeometricEnvelope):
-                for i, v in enumerate(self.entries):
-                    if abs(v) > env.at(i) * (1.0 + 1e-9) + 1e-300:
-                        raise ValueError(f"envelope fails to dominate entry {i}")
-
-    # -- basic access --------------------------------------------------
-
-    @property
-    def is_exact(self) -> bool:
-        if self.kind is SymbolKind.FINITE:
-            return all(is_rational(v) for v in self.entries)
+    def __post_init__(self, block: Optional[np.ndarray] = None):
+        if self.kind is SymbolKind.SAMPLED and self.extension not in (None, "zero"):
+            raise ValueError(f"unknown sampled extension {self.extension!r}")
+        if block is not None:
+            self.__dict__["_floats"] = self._frozen(block)
         if self.kind is SymbolKind.GEOMETRIC:
-            return is_rational(self.c) and is_rational(self.r)
-        return False
+            exact = is_rational(self.c) and is_rational(self.r)
+        else:
+            exact = self.kind is SymbolKind.FINITE and all(is_rational(v) for v in self.entries)
+        object.__setattr__(self, "_support", self._find_support())
+        object.__setattr__(self, "_exact", exact)
+        if self.kind is SymbolKind.SAMPLED and isinstance(self.envelope, GeometricEnvelope):
+            self._check_dominated()
 
-    @property
-    def is_zero(self) -> bool:
-        if self.kind is SymbolKind.FINITE:
-            return all(v == 0 for v in self.entries)
-        if self.kind is SymbolKind.GEOMETRIC:
-            return self.c == 0
-        return all(v == 0 for v in self.entries) and self.bounded_support() is not None
+    @cached_property
+    def _floats(self) -> tuple[Optional[np.ndarray], int]:
+        """(block, real_lead): the entries as one read-only float or complex
+        array, built on the first float read unless handed over at
+        construction, and how many leading entries are real.  The block is
+        None when an entry overflows a float (float_prefix then raises on
+        that entry, as it always did)."""
+        try:
+            return self._frozen(_to_block(self.entries))
+        except OverflowError:
+            return None, len(self.entries)
 
-    def bounded_support(self) -> Optional[int]:
-        """Smallest L with s_i = 0 for all i >= L, when certifiable."""
+    def _frozen(self, block: np.ndarray) -> tuple[np.ndarray, int]:
+        block.flags.writeable = False
+        real_lead = len(self.entries)
+        if block.dtype.kind == "c":
+            real_lead = next((i for i, v in enumerate(self.entries)
+                              if isinstance(v, complex)), real_lead)
+        return block, real_lead
+
+    def _check_dominated(self) -> None:
+        """|s_i| <= env.at(i) * (1 + 1e-9) + 1e-300 on every stored entry.
+
+        numpy screens the window in log domain, with a margin far above the
+        rounding of exp, log and the float magnitudes; each flagged entry is
+        decided by the scalar comparison above, so the first failing index
+        is exact."""
+        env = self.envelope
+        block = self._floats[0]
+        if block is None:
+            flagged = range(len(self.entries))
+        else:
+            mags = np.abs(block)
+            if env.scale == 0.0 or env.ratio == 0.0:
+                flagged = np.flatnonzero(mags).tolist()   # at(i) = 0 for i > 0
+            else:
+                log_at = math.log(env.scale) + np.arange(len(mags)) * math.log(env.ratio)
+                flagged = np.flatnonzero(log_nonneg(mags) > log_at - 1e-9).tolist()
+        for i in flagged:
+            if abs(self.entries[i]) > env.at(i) * (1.0 + 1e-9) + 1e-300:
+                raise ValueError(f"envelope fails to dominate entry {i}")
+
+    def _find_support(self) -> Optional[int]:
         if self.kind is SymbolKind.FINITE:
             return trimmed_len(self.entries)
         if self.kind is SymbolKind.GEOMETRIC:
@@ -116,6 +166,24 @@ class Symbol:
         if isinstance(self.envelope, GeometricEnvelope) and self.envelope.scale == 0:
             return trimmed_len(self.entries)
         return None
+
+    # -- basic access --------------------------------------------------
+
+    @property
+    def is_exact(self) -> bool:
+        return self._exact
+
+    @property
+    def is_zero(self) -> bool:
+        if self.kind is SymbolKind.FINITE:
+            return all(v == 0 for v in self.entries)
+        if self.kind is SymbolKind.GEOMETRIC:
+            return self.c == 0
+        return all(v == 0 for v in self.entries) and self.bounded_support() is not None
+
+    def bounded_support(self) -> Optional[int]:
+        """Smallest L with s_i = 0 for all i >= L, when certifiable."""
+        return self._support
 
     def coeff_abs_upper(self, i: int) -> float:
         """|s_i| when available, else the envelope bound (inf if none)."""
@@ -135,8 +203,12 @@ class Symbol:
         return f"sampled[{len(self.entries)}]"
 
 
-def finite_symbol(entries: Sequence[Number]) -> Symbol:
-    return Symbol(SymbolKind.FINITE, entries=tuple(entries))
+def finite_symbol(entries: Union[Sequence[Number], np.ndarray]) -> Symbol:
+    """A float64 or complex128 ndarray is handed over as the symbol's block
+    (and frozen), so it is not converted a second time."""
+    block = entries if isinstance(entries, np.ndarray) and \
+        entries.dtype in (np.float64, np.complex128) else None
+    return Symbol(SymbolKind.FINITE, entries=tuple(entries), block=block)
 
 
 def geometric_symbol(c: Number, r: Number) -> Symbol:
@@ -206,9 +278,33 @@ def symbol_envelope(s: Symbol) -> TailCert:
     return s.envelope
 
 
+def _unreadable_from(s: Symbol, N: int) -> Optional[int]:
+    """First index below N that coeff cannot read (sampled windows only)."""
+    W = len(s.entries)
+    if s.kind is not SymbolKind.SAMPLED or N <= W or s.extension == "zero":
+        return None
+    if s.support_len is not None and s.support_len <= W:
+        return None
+    return W
+
+
+def _require_readable(s: Symbol, N: int) -> None:
+    """Raise OutOfSampledRange where coeff would, reading indices below N."""
+    bad = _unreadable_from(s, N)
+    if bad is not None:
+        raise OutOfSampledRange(
+            f"index {bad} beyond sampled window of length {len(s.entries)}")
+
+
 def prefix(s: Symbol, N: int) -> list:
     """First N coefficients, exact objects where the symbol is exact."""
-    return [coeff(s, i) for i in range(N)]
+    if s.kind is SymbolKind.GEOMETRIC:
+        if s.c == 0:
+            return [0] * N
+        return [s.c * s.r ** i for i in range(N)]
+    _require_readable(s, N)
+    out = list(s.entries[:N])
+    return out + [0] * (N - len(out))
 
 
 def readable_length(s: Symbol, N: int) -> int:
@@ -223,17 +319,70 @@ def readable_length(s: Symbol, N: int) -> int:
     return min(N, len(s.entries))
 
 
+def _to_block(values: Sequence[Number]) -> np.ndarray:
+    """values as a float array, or a complex one when any value is complex."""
+    if any(isinstance(v, complex) for v in values):
+        return np.array([complex(v) for v in values], dtype=complex)
+    return np.array([float(v) for v in values], dtype=float)
+
+
+def _abs_block(a: np.ndarray) -> np.ndarray:
+    """|a| with Python's complex abs, which numpy's vectorised one can miss
+    by an ulp."""
+    if a.dtype.kind == "c":
+        return np.array([abs(v) for v in a.tolist()], dtype=float)
+    return np.abs(a)
+
+
+def _geometric_block(s: Symbol, N: int) -> np.ndarray:
+    if s.c == 0:
+        return np.zeros(N)
+    if not s.is_exact:
+        if isinstance(s.r, float) and not isinstance(s.c, complex):
+            # c * r**i rounds as float(c) * (r**i); ** stays Python's pow
+            return float(s.c) * np.array([s.r ** i for i in range(N)], dtype=float)
+        return _to_block(prefix(s, N))
+    # float(c * r**i) without Fractions: int / int is correctly rounded,
+    # so num / den equals it bit for bit
+    c, r = Fraction(s.c), Fraction(s.r)
+    num, den = c.numerator, c.denominator
+    out = []
+    for _ in range(N):
+        out.append(num / den)
+        num *= r.numerator
+        den *= r.denominator
+    return np.array(out, dtype=float)
+
+
 def abs_upper_prefix(s: Symbol, N: int) -> np.ndarray:
     """Upper bounds |s_i| for i < N: exact magnitudes on readable indices,
     envelope values beyond (inf when no envelope covers them)."""
-    return np.array([s.coeff_abs_upper(i) for i in range(N)], dtype=float)
+    W = _unreadable_from(s, N)
+    if W is None:
+        return _abs_block(float_prefix(s, N))
+    # indices from support_len on read as 0; the ones before it need the envelope
+    end = N if s.support_len is None else min(N, s.support_len)
+    env = s.envelope
+    beyond = [env.at(i) if isinstance(env, GeometricEnvelope) else math.inf
+              for i in range(W, end)]
+    return np.concatenate([_abs_block(float_prefix(s, W)), beyond, np.zeros(N - end)])
 
 
 def float_prefix(s: Symbol, N: int) -> np.ndarray:
-    vals = prefix(s, N)
-    if any(isinstance(v, complex) for v in vals):
-        return np.array([complex(v) for v in vals], dtype=complex)
-    return np.array([float(v) for v in vals], dtype=float)
+    """First N coefficients as floats (complex when one of them is complex),
+    each equal to float() or complex() of the exact coefficient."""
+    if s.kind is SymbolKind.GEOMETRIC:
+        return _geometric_block(s, N)
+    block, real_lead = s._floats
+    if block is None:
+        return _to_block(prefix(s, N))
+    _require_readable(s, N)
+    head = block[:N]
+    if N <= real_lead:
+        head = head.real
+    if N <= len(head):
+        return head
+    return np.concatenate([head, np.zeros(N - len(head), dtype=head.dtype)])
 
 
 # ---------------------------------------------------------------------------
@@ -267,14 +416,9 @@ def _exact_list_conv(xs: Sequence[Rational], ys: Sequence[Rational], N: int) -> 
 
 
 def _float_conv(xs: Sequence[Number], ys: Sequence[Number], N: int) -> list:
-    ax = np.asarray([complex(v) for v in xs]) if any(isinstance(v, complex) for v in xs) \
-        else np.asarray([float(v) for v in xs], dtype=float)
-    ay = np.asarray([complex(v) for v in ys]) if any(isinstance(v, complex) for v in ys) \
-        else np.asarray([float(v) for v in ys], dtype=float)
-    if len(ax) == 0 or len(ay) == 0:
+    if len(xs) == 0 or len(ys) == 0:
         return []
-    out = np.convolve(ax, ay)[:N]
-    return list(out)
+    return list(np.convolve(_to_block(xs), _to_block(ys))[:N])
 
 
 def _geometric_sup_poly(t: float) -> float:
@@ -344,16 +488,19 @@ def convolve(a: Symbol, b: Symbol, N: int) -> Symbol:
         return zero_symbol()
     full = sa + sb - 1 if (sa is not None and sb is not None) else None
     L = min(N, full) if full is not None else N
-    xs = prefix(a, min(L, sa) if sa is not None else L)
-    ys = prefix(b, min(L, sb) if sb is not None else L)
+    la = min(L, sa) if sa is not None else L
+    lb = min(L, sb) if sb is not None else L
     if a.is_exact and b.is_exact and a.kind is SymbolKind.FINITE and b.kind is SymbolKind.FINITE:
-        vals = _exact_list_conv(xs, ys, L)
+        block = None
+        entries = tuple(_exact_list_conv(prefix(a, la), prefix(b, lb), L))
     else:
-        vals = _float_conv(xs, ys, L)
+        block = np.convolve(float_prefix(a, la), float_prefix(b, lb))[:L]
+        entries = tuple(block)
     if full is not None and full <= N:
-        return finite_symbol(vals)
+        return Symbol(SymbolKind.FINITE, entries=entries, block=block)
     env = convolve_envelopes(symbol_envelope(a), symbol_envelope(b), a, b)
-    return sampled_symbol(vals, envelope=env, support_len=full)
+    return Symbol(SymbolKind.SAMPLED, entries=entries, envelope=env,
+                  support_len=full, block=block)
 
 
 @dataclass

@@ -57,6 +57,7 @@ from .symbols import (
     convolve,
     delta_symbol,
     finite_symbol,
+    float_prefix,
     float_symbol,
     geometric_symbol,
     prefix,
@@ -172,25 +173,28 @@ def sweep_hat_power_bound(space: SpaceSpec, thetas: Sequence[Symbol],
 
         table = ConvPowerTable(float_symbol(theta), L_conv)
         log_l1 = math.log(max(_l1(theta).upper, 1e-300))
+        # each power once for every grade; a truncated one as its stored window
+        powers = []
+        for k in range(1, k_max + 1):
+            pk = table.power(k)
+            truncated = pk.kind is _SK.SAMPLED and (
+                pk.bounded_support() is None
+                or pk.bounded_support() > len(pk.entries))
+            if truncated:
+                assert space.is_finite_type
+                pk = finite_symbol(float_prefix(pk, len(pk.entries)))
+            powers.append((pk, truncated))
         worst = (math.inf, {})
         for p in range(1, p_max + 1):
             q = 2 * p
             log_norm_lower, _ = symbol_log_norm_bounds(space, theta, q)
             logw_q = space.log_weights(1, n_max, q)
-            for k in range(1, k_max + 1):
-                pk = table.power(k)
-                truncated_power = pk.kind is _SK.SAMPLED and (
-                    pk.bounded_support() is None
-                    or pk.bounded_support() > len(pk.entries))
-                if not truncated_power:
-                    lhs = hat_column_log_norms(space, pk, p, n_max)
-                else:
-                    assert space.is_finite_type
-                    window = finite_symbol(list(pk.entries))
-                    lhs_win = hat_column_log_norms(space, window, p, n_max)
+            for k, (pk, truncated) in enumerate(powers, 1):
+                lhs = hat_column_log_norms(space, pk, p, n_max)
+                if truncated:
                     L = len(pk.entries)
                     tail = k * log_l1 + space.log_weights(1 + L, n_max + L, p)
-                    lhs = np.logaddexp(lhs_win, tail)
+                    lhs = np.logaddexp(lhs, tail)
                 rhs = k * log_norm_lower + logw_q
                 if corrected and space.is_finite_type:
                     rhs = rhs + (k - 1) / (2.0 * p)

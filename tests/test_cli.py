@@ -161,3 +161,24 @@ def test_verify_pass_exit_code(monkeypatch, capsys):
                         lambda name: [SweepOutcome("stub_check", True, 0.5)])
     assert main(["verify", "identities"]) == 0
     assert "stub_check: pass" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("kind,sym", [("check", "beta"), ("hat", "theta"),
+                                      ("toeplitz", None)])
+def test_classify_mode_aliases_agree_across_operator_kinds(tmp_path, kind, sym):
+    op = {"kind": kind}
+    if sym is None:
+        op.update(theta={"finite": ["1/4"]}, beta={"finite": ["1/4"]})
+    else:
+        op[sym] = {"finite": ["1/2"]}
+    job = {
+        "schema": 1,
+        "space": {"type": "infinite", "alpha": {"kind": "linear"}},
+        "operator": op,
+        "task": {"type": "classify", "modes": ["m_top", "M-Topologizable", "mtop"]},
+    }
+    assert main(["run", write(tmp_path, job), "--out", str(tmp_path / "out")]) == 0
+    doc = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert [v["property"] for v in doc["verdicts"]] == ["m_topologizable"] * 3
+    job["task"]["modes"] = ["m_top", "bogus"]
+    assert main(["run", write(tmp_path, job, "bad.json")]) == 2

@@ -229,3 +229,59 @@ def test_dual_column_norms_cumulative(inf):
         col = check_column(beta, n, 24)
         direct.append(seminorm(inf, Element(col.values, space=inf), 1).log_value)
     assert np.allclose(logs, direct, rtol=1e-12, atol=1e-12)
+
+
+def _sum_exp_loop(log_terms):
+    """The scalar log-sum-exp that numerics.sum_exp vectorises."""
+    from psop.numerics import exp_guarded
+
+    terms = [t for t in log_terms if t != -math.inf]
+    if not terms:
+        return 0.0, -math.inf
+    top = max(terms)
+    if top == math.inf:
+        return math.inf, math.inf
+    logv = top + math.log(math.fsum(math.exp(t - top) for t in terms))
+    return exp_guarded(logv), logv
+
+
+def test_sum_exp_matches_the_scalar_loop_bit_for_bit():
+    from psop.numerics import sum_exp
+
+    rng = np.random.default_rng(5)
+    for size in (1, 7, 300, 2312):
+        a = rng.uniform(-800.0, 50.0, size)
+        a[rng.random(size) < 0.2] = -math.inf
+        assert sum_exp(a) == sum_exp(list(a)) == _sum_exp_loop(list(a))
+    assert sum_exp(np.full(5, -math.inf)) == _sum_exp_loop([-math.inf] * 5) == (0.0, -math.inf)
+    assert sum_exp(np.zeros(0)) == sum_exp([]) == (0.0, -math.inf)
+    spiked = np.array([-1.0, math.inf, -math.inf])
+    assert sum_exp(spiked) == _sum_exp_loop(list(spiked)) == (math.inf, math.inf)
+
+
+# repr(min_slack) of small sweeps (n <= 32, p <= 3, k <= 4), recorded before
+# the column kernels read coefficients as arrays.  Exponentials must stay
+# libm's: with np.exp in numerics.sum_exp the last two cases move in the
+# last digits.
+GEO_7_8 = geometric_symbol(Fraction(-3, 2), Fraction(7, 8))
+FIN_3 = finite_symbol([Fraction(1, 2), Fraction(-1, 3), Fraction(1, 4)])
+PINNED_SLACKS = [
+    ("finite", GEO_7_8, True, "0.3635769637774804"),
+    ("finite", GEO_7_8, False, "-0.027635316246607644"),
+    ("finite", FIN_3, True, "0.10301229004918183"),
+    ("infinite", FIN_3, False, "4.630471123783927"),
+    ("finite", geometric_symbol(Fraction(5, 4), Fraction(1, 2)), False,
+     "-0.8676657604257447"),
+    ("finite", finite_symbol([Fraction(-5, 3), Fraction(4, 5), Fraction(2, 5)]), True,
+     "0.07300960451627614"),
+]
+
+
+@pytest.mark.parametrize("space_type,theta,corrected,want", PINNED_SLACKS)
+def test_power_bound_sweep_slacks_are_pinned(fin, inf, space_type, theta, corrected, want):
+    from psop.verification import sweep_hat_power_bound
+
+    space = fin if space_type == "finite" else inf
+    out = sweep_hat_power_bound(space, [theta], "pinned", n_max=32, p_max=3, k_max=4,
+                                corrected=corrected)
+    assert repr(out.min_slack) == want

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,9 @@ from psop import (
 from psop.symbols import (
     ConvPowerTable,
     SymbolKind,
+    abs_upper_prefix,
     conv_power_binary,
+    float_prefix,
     prefix,
     symbol_envelope,
 )
@@ -158,3 +161,73 @@ def test_zero_symbol_behaviour():
     z = zero_symbol()
     assert z.is_zero and ell1_norm(z).exact == 0
     assert prefix(convolve(z, finite_symbol([1, 2]), 8), 8) == [0] * 8
+
+
+@pytest.mark.parametrize("r", [Fraction(1, 2), Fraction(5, 8), Fraction(7, 8),
+                               Fraction(1, 100), Fraction(-3, 4)])
+def test_exact_geometric_float_prefix_is_bit_identical(r):
+    c = Fraction(-7, 3)
+    got = float_prefix(geometric_symbol(c, r), 2312)
+    assert got.dtype == float
+    assert got.tolist() == [float(c * r ** i) for i in range(2312)]
+
+
+def test_float_geometric_float_prefix_keeps_python_powers():
+    # np.power(7/8, i) differs from (7/8)**i in the last bit at some i
+    c, r = -1.5, 0.875
+    assert float_prefix(geometric_symbol(c, r), 2312).tolist() == \
+        [c * r ** i for i in range(2312)]
+
+
+def test_float_prefix_matches_the_exact_prefix():
+    mixed = finite_symbol([Fraction(1, 3), -2, 0.25, 1 + 2j, Fraction(5, 7)])
+    assert float_prefix(mixed, 3).dtype == float  # no complex entry in the prefix
+    assert float_prefix(mixed, 3).tolist() == [float(v) for v in prefix(mixed, 3)]
+    assert float_prefix(mixed, 7).tolist() == [complex(v) for v in prefix(mixed, 7)]
+    assert float_prefix(finite_symbol([]), 2).tolist() == [0.0, 0.0]
+    huge = finite_symbol([3, 10 ** 400])  # exact, but not representable as a float
+    assert float_prefix(huge, 1).tolist() == [3.0]
+    with pytest.raises(OverflowError):
+        float_prefix(huge, 2)
+
+
+def test_reads_past_a_sampled_window_raise_where_coeff_does():
+    s = sampled_symbol([1, 2, 3])
+    for read in (prefix, float_prefix):
+        assert list(read(s, 3)) == [1, 2, 3]
+        with pytest.raises(OutOfSampledRange, match="index 3 beyond"):
+            read(s, 4)
+    # a support bound or the zero extension makes the rest readable
+    for s in (sampled_symbol([1, 2, 3], support_len=3),
+              sampled_symbol([1, 2, 3], extension="zero")):
+        assert prefix(s, 5) == [1, 2, 3, 0, 0]
+        assert float_prefix(s, 5).tolist() == [1.0, 2.0, 3.0, 0.0, 0.0]
+    unread = sampled_symbol([1, -2], GeometricEnvelope(4.0, 0.5), support_len=4)
+    with pytest.raises(OutOfSampledRange, match="index 2 beyond"):
+        float_prefix(unread, 3)
+    env = GeometricEnvelope(4.0, 0.5)
+    assert abs_upper_prefix(unread, 6).tolist() == [1.0, 2.0, env.at(2), env.at(3), 0.0, 0.0]
+    assert abs_upper_prefix(sampled_symbol([1, -2]), 3).tolist() == [1.0, 2.0, math.inf]
+
+
+@pytest.mark.parametrize("env,values,first_bad", [
+    (GeometricEnvelope(2.0, 0.0), [2, 0, 0.5, 1], 2),          # ratio 0
+    (GeometricEnvelope(2.0, 0.0), [3], 0),
+    (GeometricEnvelope(1.0, 0.5), [1, 0.5, 0.25, 0.2, 1], 3),  # ratio < 1
+    (GeometricEnvelope(1.0, 0.5), [Fraction(1), Fraction(1, 2), Fraction(1, 4),
+                                   Fraction(1, 8) * (1 + Fraction(1, 10 ** 8))], 3),
+    (GeometricEnvelope(1.0, 2.0), [1, 2, 4, 8.0000001, 100], 3),  # ratio > 1
+    (GeometricEnvelope(0.0, 0.5), [0, 0, 1e-3, 1], 2),          # scale 0
+    (GeometricEnvelope(1.0, 0.5), [0.5j, 0.5 + 0.5j], 1),
+])
+def test_envelope_domination_reports_the_first_failing_entry(env, values, first_bad):
+    with pytest.raises(ValueError, match=f"fails to dominate entry {first_bad}$"):
+        sampled_symbol(values, env)
+    sampled_symbol(values[:first_bad], env)
+
+
+def test_envelope_domination_tolerance_and_overflow():
+    env = GeometricEnvelope(1.0, 0.5)
+    sampled_symbol([1, 0.5, 0.125 * (1 + 1e-9)], env)  # inside the tolerance
+    sampled_symbol([1, 1e200, 1e300, 1e308], GeometricEnvelope(1.0, 1e200))  # inf bounds
+    sampled_symbol([1e-301, 1e-301], GeometricEnvelope(0.0, 0.0))
