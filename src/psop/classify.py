@@ -37,7 +37,6 @@ from .operators import (
     toeplitz_matrix,
 )
 from .spaces import (
-    GeometricEnvelope,
     SpaceSpec,
     TailUnbounded,
     fit_dual_certificate,
@@ -51,9 +50,14 @@ from .symbols import (
     SymbolKind,
     coeff,
     ell1_norm,
+    finite_symbol,
+    float_prefix,
     float_symbol,
     is_rational,
     membership_check,
+    prefix,
+    readable_length,
+    weighted_beta_sum_finite,
 )
 
 
@@ -164,9 +168,9 @@ def _three_way_vs_one(total: SeriesSum, tol: float) -> str:
     return "boundary"
 
 
-def _first_prefix_exceeding_one(s: Symbol, cap: int = 4096) -> Optional[int]:
+def _first_prefix_exceeding_one(s: Symbol) -> Optional[int]:
     acc = Fraction(0) if s.is_exact else 0.0
-    for i in range(cap):
+    for i in range(4096):
         acc += abs(Fraction(coeff(s, i))) if s.is_exact else abs(coeff(s, i))
         if acc > 1:
             return i + 1
@@ -369,8 +373,8 @@ def classify_hat_power_bounded_infinite(space: SpaceSpec, theta: Symbol,
     evidence = {}
     if theta.kind is SymbolKind.FINITE:
         growth = None
-        c0 = _exact_abs(coeff(theta, 0))
-        entries = [coeff(theta, i) for i in range(theta.bounded_support() or 0)]
+        entries = prefix(theta, theta.bounded_support())
+        c0 = _exact_abs(entries[0])
         nonneg = all(not isinstance(v, complex) and v >= 0 for v in entries)
         if nonneg and theta.is_exact:
             g = sum(Fraction(v) for v in entries)
@@ -448,27 +452,30 @@ def _beta0_class(beta: Symbol, tol: float) -> str:
 
 
 def _first_positive_support(beta: Symbol) -> Optional[int]:
+    """First i >= 1 with beta_i != 0 among the readable coefficients below
+    the support bound (a sampled window to its end, an unbounded geometric
+    law on its first 64)."""
     sup = beta.bounded_support()
-    hi = sup if sup is not None else len(beta.entries) or 64
-    for i in range(1, hi):
-        if coeff(beta, i) != 0:
-            return i
-    return None
+    n = readable_length(beta, sup if sup is not None else math.inf)
+    vals = prefix(beta, 64 if n == math.inf else n)
+    return next((i for i in range(1, len(vals)) if vals[i] != 0), None)
 
 
-def _abs_poly_max_on_circle(beta: Symbol, radius: float, samples: int = 2048):
+_CIRCLE_SAMPLES = 2048
+
+
+def _abs_poly_max_on_circle(beta: Symbol, radius: float):
     """(certified upper, certified lower) bounds for max |B(z)| on |z|=radius,
     via dense sampling plus the derivative Lipschitz bound."""
-    sup = beta.bounded_support()
-    coefs = np.array([complex(coeff(beta, i)) for i in range(sup)])
+    coefs = float_prefix(beta, beta.bounded_support()).astype(complex)
     if len(coefs) == 0:
         return 0.0, 0.0, 0.0
-    ang = np.linspace(0.0, 2 * math.pi, samples, endpoint=False)
+    ang = np.linspace(0.0, 2 * math.pi, _CIRCLE_SAMPLES, endpoint=False)
     z = radius * np.exp(1j * ang)
     vals = np.abs(np.polyval(coefs[::-1], z))
     lip = float(np.sum(np.arange(len(coefs)) * np.abs(coefs)
                        * radius ** np.maximum(np.arange(len(coefs)) - 1, 0))) * radius
-    step = 2 * math.pi / samples
+    step = 2 * math.pi / _CIRCLE_SAMPLES
     vmax = float(vals.max())
     upper = vmax * (1 + 1e-13) + lip * step / 2 + 1e-300
     lower = vmax * (1 - 1e-13)
@@ -478,8 +485,6 @@ def _abs_poly_max_on_circle(beta: Symbol, radius: float, samples: int = 2048):
 
 def _dual_evidence(space: SpaceSpec, beta: Symbol, grid: GridParams) -> dict:
     """Shared envelope sweep: L_{k,q} = sup_n |beta^{*k}_{n-1}| / target_q(n)."""
-    from .symbols import readable_length
-
     K = min(grid.K, 64)
     n_max = max(8, readable_length(beta, grid.N))
     alpha_n = space.alpha.block(1, n_max)
@@ -488,7 +493,7 @@ def _dual_evidence(space: SpaceSpec, beta: Symbol, grid: GridParams) -> dict:
     L = np.full((K, len(q_list)), NEG_INF)
     for k in range(1, K + 1):
         pk = table.power(k)
-        a = np.abs(np.array([complex(v) for v in pk.entries[:n_max]], dtype=complex))
+        a = np.abs(float_prefix(pk, readable_length(pk, n_max)))
         if len(a) < n_max:
             a = np.pad(a, (0, n_max - len(a)))
         la = log_nonneg(a)
@@ -653,10 +658,10 @@ def _check_infinite_decisions(space, beta, grid, evidence) -> dict[str, Verdict]
         return out
     if b0c == "lt1" and space.is_linear:
         if beta.kind is SymbolKind.FINITE:
-            sup = beta.bounded_support()
+            mags = [abs(v) for v in prefix(beta, beta.bounded_support())]
             for q in range(1, 65):
-                s_q = abs(coeff(beta, 0)) + math.fsum(
-                    abs(coeff(beta, i)) * math.exp(-q * i) for i in range(1, sup))
+                s_q = mags[0] + math.fsum(
+                    mags[i] * math.exp(-q * i) for i in range(1, len(mags)))
                 if s_q * (1 + 1e-12) <= 1.0:
                     cert = Certificate("dual_disc_modulus_bound", {"q": q},
                                        "the symbol's generating function has modulus "
@@ -837,29 +842,6 @@ class TameReport:
     slack: dict                # p -> closed_bound - grid_constant
 
 
-def _weighted_beta_sum_finite(beta: Symbol) -> SeriesSum:
-    """B = sum |beta_{n-1}| e^n for the finite-type tame bound (alpha = n)."""
-    sup = beta.bounded_support()
-    if sup is not None:
-        partial = math.fsum(abs(coeff(beta, i)) * math.exp(i + 1.0) for i in range(sup))
-        return SeriesSum(partial, 0.0)
-    if beta.kind is SymbolKind.GEOMETRIC:
-        t = float(abs(beta.r)) * math.e
-        if t >= 1:
-            return SeriesSum(math.inf, 0.0, infinite=True)
-        return SeriesSum(float(abs(beta.c)) * math.e / (1 - t), 0.0)
-    env = beta.envelope
-    W = len(beta.entries)
-    partial = math.fsum(abs(v) * math.exp(i + 1.0) for i, v in enumerate(beta.entries))
-    if isinstance(env, GeometricEnvelope):
-        t = env.ratio * math.e
-        if t < 1:
-            tail = env.scale * math.e * t ** W / (1 - t)
-            return SeriesSum(partial, tail)
-        raise TailUnbounded("envelope cannot settle the exponentially weighted sum")
-    raise TailUnbounded("no certificate for the exponentially weighted sum")
-
-
 def strongly_tame_probe(op: OperatorSpec, grid: GridParams = GridParams()) -> TameReport:
     """Per-grade constants max_n ||T e_n||_p / ||e_n||_p plus the closed-form
     bounds available in the linear-alpha setting; Holds when every applicable
@@ -867,6 +849,10 @@ def strongly_tame_probe(op: OperatorSpec, grid: GridParams = GridParams()) -> Ta
     space = op.space
     n_max, P = grid.N, grid.P
     constants = {}
+    if op.kind is OperatorKind.TOEPLITZ:
+        # the diagonal overlap |theta_0 + beta_0| - |theta_0| - |beta_0|
+        t0, b0 = coeff(op.theta, 0), coeff(op.beta, 0)
+        overlap = abs(t0 + b0) - abs(t0) - abs(b0)
     for p in range(1, P + 1):
         logw = space.log_weights(1, n_max, p)
         parts = []
@@ -878,10 +864,7 @@ def strongly_tame_probe(op: OperatorSpec, grid: GridParams = GridParams()) -> Ta
             constants[p] = float(np.max(np.exp(parts[0] - logw)))
         else:
             # triangle bound with the diagonal overlap corrected exactly
-            t0 = abs(coeff(op.theta, 0))
-            b0 = abs(coeff(op.beta, 0))
-            d0 = abs(coeff(op.theta, 0) + coeff(op.beta, 0))
-            combo = np.exp(parts[0] - logw) + np.exp(parts[1] - logw) + (d0 - t0 - b0)
+            combo = np.exp(parts[0] - logw) + np.exp(parts[1] - logw) + overlap
             constants[p] = float(np.max(combo))
     closed: dict[int, float] = {}
     bound_kind = "none"
@@ -908,7 +891,7 @@ def strongly_tame_probe(op: OperatorSpec, grid: GridParams = GridParams()) -> Ta
                 else "dual_abs_sum"
             tame_parts.append("check")
         elif space.is_linear:
-            b_sum = _weighted_beta_sum_finite(op.beta)
+            b_sum = weighted_beta_sum_finite(op.beta)
             val = math.inf if b_sum.infinite else b_sum.upper
             for p in range(1, P + 1):
                 closed[p] = closed.get(p, 0.0) + val
@@ -956,7 +939,7 @@ def classify_toeplitz(space: SpaceSpec, theta: Symbol, beta: Symbol,
     evidence: dict = {}
     if space.is_finite_type:
         try:
-            b_sum = _weighted_beta_sum_finite(beta)
+            b_sum = weighted_beta_sum_finite(beta)
             b_desc = {"B_lower": b_sum.lower, "B_upper": b_sum.upper,
                       "B_infinite": b_sum.infinite}
         except TailUnbounded as exc:
@@ -1127,8 +1110,6 @@ def _cesaro_column_log_norms(op: OperatorSpec, K: int, n_max: int,
                              ps: Sequence[int]) -> np.ndarray:
     """log ||T^[k] e_n||_p tables via the symbol route for the pure kinds and
     dense floating truncations (complex when a symbol is) for the mixed kind."""
-    from .symbols import finite_symbol, float_prefix, readable_length
-
     space = op.space
     if op.kind is OperatorKind.HAT:
         n_max = min(n_max, readable_length(op.theta, n_max))

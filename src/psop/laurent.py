@@ -29,7 +29,7 @@ from .spaces import (
     finite_type_space,
     infinite_type_space,
 )
-from .symbols import Symbol, finite_symbol, sampled_symbol, zero_symbol
+from .symbols import Symbol, finite_symbol, prefix, sampled_symbol, symbol_envelope, zero_symbol
 
 
 class PoleOnContour(ValueError):
@@ -323,14 +323,13 @@ def toeplitz_from_function(F: HoloSymbol, space: SpaceSpec, r: float,
     # is |a_0|, overlapping the forward constant at the diagonal.  The split
     # symbol's floored entries are used for m >= 1: the exponential weights
     # would otherwise amplify quadrature noise far above the true terms.
-    from .symbols import coeff as sym_coeff
-
     a0 = abs(coeffs.coeff(0))
     total = a0 * (1.0 if not space.is_finite_type else math.e)
+    bs = prefix(beta, window + 1)
     for m in range(1, window + 1):
         w = 1.0 if not space.is_finite_type else math.exp(m + 1.0)
-        total += abs(sym_coeff(beta, m)) * w
-    env = beta.envelope if beta.kind.value == "sampled" else None
+        total += abs(bs[m]) * w
+    env = symbol_envelope(beta)
     tail = 0.0
     if isinstance(env, GeometricEnvelope) and env.ratio > 0:
         t = env.ratio * (1.0 if not space.is_finite_type else math.e)

@@ -41,22 +41,23 @@ from .spaces import (
     seminorm,
     shift_envelope,
     stability_constant,
+    tail_majorant,
 )
 from .symbols import (
     ConvPowerTable,
     _exact_list_conv,
     _float_conv,
+    _inflate_ratio,
     MembershipReport,
     Symbol,
-    SymbolKind,
-    coeff,
+    abs_upper_prefix,
     conv_power,
     convolve,
     ell1_norm,
-    float_prefix,
     is_rational,
     membership_check,
     prefix,
+    symbol_abs_and_env,
     symbol_envelope,
     trimmed_len,
 )
@@ -271,10 +272,8 @@ def check_column(beta: Symbol, n: int, N: Optional[int] = None) -> Element:
     if n < 1:
         raise ValueError("basis index starts at 1")
     N = N or n
-    vals = [0] * max(N, n)
-    for j in range(1, n + 1):
-        vals[j - 1] = coeff(beta, n - j)
-    return Element(tuple(vals[:max(N, n)]), FINITE_TAIL)
+    vals = prefix(beta, n)[::-1] + [0] * (N - n)
+    return Element(tuple(vals), FINITE_TAIL)
 
 
 # ---------------------------------------------------------------------------
@@ -330,14 +329,12 @@ def _hat_output_tail(x: Element, theta: Symbol) -> TailCert:
         if x_geo.ratio == 0:
             return FINITE_TAIL
         s = x_geo.scale * math.fsum(
-            float(abs(coeff(theta, i))) * x_geo.ratio ** (-i) for i in range(sup))
+            float(abs(v)) * x_geo.ratio ** (-i) for i, v in enumerate(prefix(theta, sup)))
         return GeometricEnvelope(s, x_geo.ratio)
     assert t_geo is not None
     rho = max(x_geo.ratio, t_geo.ratio)
     if rho == 0:
         return FINITE_TAIL
-    from .symbols import _inflate_ratio
-
     rho_inf = _inflate_ratio(rho)
     poly = _sup_n_poly(rho / rho_inf)
     return GeometricEnvelope(x_geo.scale * t_geo.scale * max(poly, 1.0) / rho_inf, rho_inf)
@@ -470,16 +467,13 @@ def cesaro_mean(op: OperatorSpec, k: int, x: Element) -> Element:
 # ---------------------------------------------------------------------------
 
 
-def toeplitz_matrix(theta: Symbol, beta: Symbol, N: int, exact: bool = False):
-    """N x N truncation: entry (i, j) = theta_{i-j} below, beta_{j-i} above,
-    theta_0 + beta_0 on the diagonal (0-based i, j)."""
+def toeplitz_matrix(theta: Symbol, beta: Symbol, N: int) -> np.ndarray:
+    """N x N float (or complex) truncation: entry (i, j) = theta_{i-j} below,
+    beta_{j-i} above, theta_0 + beta_0 on the diagonal (0-based i, j)."""
     if N < 1:
         raise ValueError("need N >= 1")
     th = prefix(theta, N)
     be = prefix(beta, N)
-    if exact:
-        return [[(th[i - j] if i > j else (be[j - i] if j > i else th[0] + be[0]))
-                 for j in range(N)] for i in range(N)]
     complex_entries = any(isinstance(v, complex) for v in th + be)
     dtype = complex if complex_entries else float
     M = np.zeros((N, N), dtype=dtype)
@@ -594,35 +588,10 @@ def orbit_csv(rec: OrbitRecord) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _symbol_abs_and_env(s: Symbol, L: int):
-    """Readable |coefficients| plus the geometric envelope that bounds the
-    rest (None when the returned prefix is the whole support)."""
-    sup = s.bounded_support()
-    if s.kind is SymbolKind.FINITE:
-        return np.abs(float_prefix(s, sup)), None
-    if s.kind is SymbolKind.SAMPLED:
-        if sup is not None and len(s.entries) >= sup:
-            return np.abs(float_prefix(s, sup)), None
-        if s.extension == "zero" and sup is not None:
-            return np.abs(float_prefix(s, min(L, sup))), None
-        W = min(L, len(s.entries))
-    else:
-        if sup is not None and sup <= L:
-            return np.abs(float_prefix(s, sup)), None
-        W = L
-    env = symbol_envelope(s)
-    geo = env if isinstance(env, GeometricEnvelope) else None
-    if geo is None:
-        raise TailUnbounded("symbol tail beyond the window is not geometrically bounded")
-    return np.abs(float_prefix(s, W)), geo
-
-
-def hat_column_log_norms(space: SpaceSpec, s: Symbol, p: int, n_max: int,
-                         window: Optional[int] = None) -> np.ndarray:
+def hat_column_log_norms(space: SpaceSpec, s: Symbol, p: int, n_max: int) -> np.ndarray:
     """log upper bounds for the grade-p norms of the forward columns
     ||T_s e_n||_p, n = 1..n_max (tail majorant included)."""
-    L = window or (n_max + 1)
-    c, geo = _symbol_abs_and_env(s, L)
+    c, geo = symbol_abs_and_env(s, n_max + 1)
     if space.is_linear:
         rate = -1.0 / p if space.is_finite_type else float(p)
         logs = log_nonneg(c) + rate * np.arange(len(c))
@@ -643,8 +612,6 @@ def hat_column_log_norms(space: SpaceSpec, s: Symbol, p: int, n_max: int,
         terms = log_nonneg(c) + logw
         _, lv = sum_exp(terms)
         if geo is not None:
-            from .spaces import tail_majorant
-
             shifted = GeometricEnvelope(geo.scale * geo.ratio ** (-n), geo.ratio)
             _, lt = tail_majorant(space, shifted, n + len(c), p)
             lv = float(np.logaddexp(lv, lt))
@@ -656,8 +623,6 @@ def check_column_log_norms(space: SpaceSpec, s: Symbol, p: int, n_max: int) -> n
     """log upper bounds for the grade-p norms of the dual columns
     ||T_s e_n||_p, n = 1..n_max (exact finite sums on readable coefficients,
     envelope values beyond a sampled window)."""
-    from .symbols import abs_upper_prefix
-
     b = abs_upper_prefix(s, n_max)
     if not np.all(np.isfinite(b)):
         raise TailUnbounded("dual column norms need envelope-bounded coefficients")
@@ -676,18 +641,19 @@ def check_column_log_norms(space: SpaceSpec, s: Symbol, p: int, n_max: int) -> n
     return out
 
 
-def symbol_log_norm_bounds(space: SpaceSpec, s: Symbol, p: int,
-                           window: int = 2048) -> tuple[float, float]:
+# coefficients summed exactly by symbol_log_norm_bounds; an envelope bounds the rest
+_NORM_WINDOW = 2048
+
+
+def symbol_log_norm_bounds(space: SpaceSpec, s: Symbol, p: int) -> tuple[float, float]:
     """(log lower, log upper) for the embedded symbol norm ||s||_p."""
-    vals, geo = _symbol_abs_and_env(s, window)
+    vals, geo = symbol_abs_and_env(s, _NORM_WINDOW)
     L = len(vals)
     logw = space.log_weights(1, L, p) if L else np.zeros(0)
     terms = log_nonneg(vals) + logw
     _, lo = sum_exp(terms)
     hi = lo
     if geo is not None:
-        from .spaces import tail_majorant
-
         elem_env = shift_envelope(geo, 1)
         _, lt = tail_majorant(space, elem_env, L + 1, p)
         hi = float(np.logaddexp(lo, lt))

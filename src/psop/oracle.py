@@ -180,7 +180,7 @@ def _mp_weight(space, n: int, k: int):
     return mpmath.e ** (-a / k) if space.is_finite_type else mpmath.e ** (k * a)
 
 
-def _mp_ell1(sym: Symbol, terms: int = 4096):
+def _mp_ell1(sym: Symbol):
     from .symbols import ell1_norm
 
     s = ell1_norm(sym)
@@ -603,12 +603,13 @@ def _replay_tame(v, params):
     return True
 
 
-def dense_from_operator_like(v, N: int = 24) -> DenseTrunc:
+def dense_from_operator_like(v) -> DenseTrunc:
+    """The 24 x 24 truncation of a verdict's operator (missing parts zero)."""
     from .symbols import zero_symbol
 
     theta = v.theta if v.theta is not None else zero_symbol()
     beta = v.beta if v.beta is not None else zero_symbol()
-    return dense_toeplitz(theta, beta, N)
+    return dense_toeplitz(theta, beta, 24)
 
 
 @replayer("implied_by_power_bounded")

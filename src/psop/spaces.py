@@ -574,17 +574,17 @@ class DualCheckResult:
 
 
 def dual_certificate_check(space: SpaceSpec, beta, cert: DualCertificate,
-                           N: int, rel_slack: float = 1e-12) -> DualCheckResult:
-    """Verify the certificate inequality for n = 1..N (symbol indexed from 0)."""
-    from .symbols import coeff  # local import to keep module layering acyclic
+                           N: int) -> DualCheckResult:
+    """Verify the certificate inequality for n = 1..N (symbol indexed from 0),
+    up to a relative slack of 1e-12."""
+    from .symbols import prefix  # local import to keep module layering acyclic
 
     if N < 1:
         raise ValueError("need N >= 1")
     witness = None
     worst = NEG_INF
-    slack = math.log1p(rel_slack)
-    for n in range(1, N + 1):
-        b = coeff(beta, n - 1)
+    slack = math.log1p(1e-12)
+    for n, b in enumerate(prefix(beta, N), 1):
         excess = log_abs(b) - cert.log_bound(space, n)
         worst = max(worst, excess)
         if excess > slack and witness is None:
@@ -600,11 +600,11 @@ def fit_dual_certificate(space: SpaceSpec, beta, N: int = 512,
 
     assert isinstance(beta, Symbol)
     env = symbol_envelope(beta)
+    # (alpha_n, upper bound of |beta_{n-1}|) for n = 1..N, read once for every m0
+    bounds = [(space.alpha.value(n), beta.coeff_abs_upper(n - 1)) for n in range(1, N + 1)]
     for m0 in range(1, m_max + 1):
         log_c0 = NEG_INF
-        for n in range(1, N + 1):
-            b = beta.coeff_abs_upper(n - 1)
-            a = space.alpha.value(n)
+        for a, b in bounds:
             rate = m0 * a if not space.is_finite_type else -a / m0
             if b > 0:
                 log_c0 = max(log_c0, log_abs(b) - rate)

@@ -11,6 +11,12 @@ The membership convention embeds a symbol s into a space as the element
 x_n = s_{n-1} (the image of the first basis vector under the associated
 lower triangular operator).
 
+Ownership: this module alone decodes how a symbol is stored (its entries
+window, extension rule and support bound).  Every other module reads
+coefficients through the readers here (prefix, float_prefix,
+abs_upper_prefix, readable_length, symbol_abs_and_env, coeff) and the sums
+below, so a change of storage stays here.
+
 Storage: a finite or sampled symbol keeps its entries twice, as the tuple
 that equality, hashing and the exact path use, and as one read-only float
 (or complex) numpy block.  convolve hands its float output over as the
@@ -310,7 +316,8 @@ def prefix(s: Symbol, N: int) -> list:
 def readable_length(s: Symbol, N: int) -> int:
     """How many leading coefficients can be read, capped at N (finite and
     geometric symbols read everywhere; sampled windows stop at their data
-    unless an extension rule or support bound covers the rest)."""
+    unless an extension rule or support bound covers the rest).  With
+    N = math.inf the result is finite exactly when reads stop at a window."""
     if s.kind in (SymbolKind.FINITE, SymbolKind.GEOMETRIC):
         return N
     sup = s.bounded_support()
@@ -383,6 +390,29 @@ def float_prefix(s: Symbol, N: int) -> np.ndarray:
     if N <= len(head):
         return head
     return np.concatenate([head, np.zeros(N - len(head), dtype=head.dtype)])
+
+
+def symbol_abs_and_env(s: Symbol, L: int):
+    """Readable |coefficients| plus the geometric envelope that bounds the
+    rest (None when the returned prefix is the whole support)."""
+    sup = s.bounded_support()
+    if s.kind is SymbolKind.FINITE:
+        return np.abs(float_prefix(s, sup)), None
+    if s.kind is SymbolKind.SAMPLED:
+        if sup is not None and len(s.entries) >= sup:
+            return np.abs(float_prefix(s, sup)), None
+        if s.extension == "zero" and sup is not None:
+            return np.abs(float_prefix(s, min(L, sup))), None
+        W = min(L, len(s.entries))
+    else:
+        if sup is not None and sup <= L:
+            return np.abs(float_prefix(s, sup)), None
+        W = L
+    env = symbol_envelope(s)
+    geo = env if isinstance(env, GeometricEnvelope) else None
+    if geo is None:
+        raise TailUnbounded("symbol tail beyond the window is not geometrically bounded")
+    return np.abs(float_prefix(s, W)), geo
 
 
 # ---------------------------------------------------------------------------
@@ -505,11 +535,8 @@ def convolve(a: Symbol, b: Symbol, N: int) -> Symbol:
 
 @dataclass
 class ConvPowerTable:
-    """Cache of truncated convolution powers of one symbol.
-
-    Construction is single-writer (powers fill on demand); once built the
-    table is safe to share for reads.
-    """
+    """Cache of truncated convolution powers of one symbol (powers fill on
+    demand)."""
 
     base: Symbol
     truncation: int
@@ -590,7 +617,7 @@ class SeriesSum:
         return self.exact is not None and not self.infinite
 
 
-def ell1_norm(s: Symbol, window: int = 4096) -> SeriesSum:
+def ell1_norm(s: Symbol) -> SeriesSum:
     """sum_i |s_i| with a closed-form tail majorant per certificate.
 
     Raises TailUnbounded when the certificate cannot settle summability
@@ -630,6 +657,29 @@ def ell1_norm(s: Symbol, window: int = 4096) -> SeriesSum:
     if L is not None and env is None:
         return SeriesSum(partial, 0.0)
     raise TailUnbounded("sampled symbol without a summable certificate")
+
+
+def weighted_beta_sum_finite(beta: Symbol) -> SeriesSum:
+    """B = sum |beta_{n-1}| e^n for the finite-type tame bound (alpha = n)."""
+    sup = beta.bounded_support()
+    if sup is not None:
+        partial = math.fsum(abs(coeff(beta, i)) * math.exp(i + 1.0) for i in range(sup))
+        return SeriesSum(partial, 0.0)
+    if beta.kind is SymbolKind.GEOMETRIC:
+        t = float(abs(beta.r)) * math.e
+        if t >= 1:
+            return SeriesSum(math.inf, 0.0, infinite=True)
+        return SeriesSum(float(abs(beta.c)) * math.e / (1 - t), 0.0)
+    env = beta.envelope
+    W = len(beta.entries)
+    partial = math.fsum(abs(v) * math.exp(i + 1.0) for i, v in enumerate(beta.entries))
+    if isinstance(env, GeometricEnvelope):
+        t = env.ratio * math.e
+        if t < 1:
+            tail = env.scale * math.e * t ** W / (1 - t)
+            return SeriesSum(partial, tail)
+        raise TailUnbounded("envelope cannot settle the exponentially weighted sum")
+    raise TailUnbounded("no certificate for the exponentially weighted sum")
 
 
 # ---------------------------------------------------------------------------
@@ -698,11 +748,9 @@ def _geometric_grade_status(space: SpaceSpec, s: Symbol, k: int) -> GradeCheck:
                       reason=f"term ratio {t:.6g} >= 1 in grade {k}")
 
 
-def membership_check(space: SpaceSpec, s: Symbol,
-                     k_grid: Optional[Sequence[int]] = None,
-                     N: int = 256) -> MembershipReport:
-    """Check ||s||_k < inf (with tail bounds) for each grade in the grid."""
-    grid = list(k_grid) if k_grid is not None else list(range(1, 9))
+def membership_check(space: SpaceSpec, s: Symbol, N: int = 256) -> MembershipReport:
+    """Check ||s||_k < inf (with tail bounds) for the grades k = 1..8."""
+    grid = range(1, 9)
     checks: list[GradeCheck] = []
     full: Optional[bool] = None
     if s.kind is SymbolKind.FINITE or s.bounded_support() is not None:

@@ -56,11 +56,14 @@ from .symbols import (
     conv_power_binary,
     convolve,
     delta_symbol,
+    ell1_norm,
     finite_symbol,
     float_prefix,
     float_symbol,
     geometric_symbol,
     prefix,
+    readable_length,
+    weighted_beta_sum_finite,
 )
 
 REL_TOL = 1e-12
@@ -168,31 +171,26 @@ def sweep_hat_power_bound(space: SpaceSpec, thetas: Sequence[Symbol],
     L_conv = n_max + 8 * max(k_max, 1) * 8 + 8
 
     def one_symbol(theta: Symbol) -> tuple[float, dict]:
-        from .symbols import SymbolKind as _SK
-        from .symbols import ell1_norm as _l1
-
         table = ConvPowerTable(float_symbol(theta), L_conv)
-        log_l1 = math.log(max(_l1(theta).upper, 1e-300))
-        # each power once for every grade; a truncated one as its stored window
+        log_l1 = math.log(max(ell1_norm(theta).upper, 1e-300))
+        # each power once for every grade; a truncated one (readable only on
+        # a window) as that window
         powers = []
         for k in range(1, k_max + 1):
             pk = table.power(k)
-            truncated = pk.kind is _SK.SAMPLED and (
-                pk.bounded_support() is None
-                or pk.bounded_support() > len(pk.entries))
-            if truncated:
+            window = readable_length(pk, math.inf)
+            if window < math.inf:
                 assert space.is_finite_type
-                pk = finite_symbol(float_prefix(pk, len(pk.entries)))
-            powers.append((pk, truncated))
+                pk = finite_symbol(float_prefix(pk, window))
+            powers.append((pk, window))
         worst = (math.inf, {})
         for p in range(1, p_max + 1):
             q = 2 * p
             log_norm_lower, _ = symbol_log_norm_bounds(space, theta, q)
             logw_q = space.log_weights(1, n_max, q)
-            for k, (pk, truncated) in enumerate(powers, 1):
+            for k, (pk, L) in enumerate(powers, 1):
                 lhs = hat_column_log_norms(space, pk, p, n_max)
-                if truncated:
-                    L = len(pk.entries)
+                if L < math.inf:
                     tail = k * log_l1 + space.log_weights(1 + L, n_max + L, p)
                     lhs = np.logaddexp(lhs, tail)
                 rhs = k * log_norm_lower + logw_q
@@ -341,11 +339,10 @@ def inequality_suite(symbols_per_case: int = 50, n_max: int = 256,
 
 
 def _b_sum_finite(beta: Symbol) -> bool:
-    from .classify import _weighted_beta_sum_finite
     from .spaces import TailUnbounded
 
     try:
-        return not _weighted_beta_sum_finite(beta).infinite
+        return not weighted_beta_sum_finite(beta).infinite
     except TailUnbounded:
         return False
 
@@ -357,7 +354,7 @@ def _b_sum_finite(beta: Symbol) -> bool:
 
 def _scaled_ints(sym: Symbol) -> tuple[np.ndarray, int]:
     """Clear denominators: integer numerators and the common denominator."""
-    entries = [Fraction(v) for v in sym.entries]
+    entries = [Fraction(v) for v in prefix(sym, readable_length(sym, sym.bounded_support()))]
     den = math.lcm(*(f.denominator for f in entries)) if entries else 1
     return np.array([int(f * den) for f in entries], dtype=np.int64), den
 

@@ -203,6 +203,36 @@ def test_dual_evidence_fields(inf):
     assert ev["grid"]["Q"] == GRID.Q
 
 
+@pytest.mark.parametrize("space_type, c, r", [
+    ("infinite", Fraction(3, 4), Fraction(1, 2)),
+    ("finite", Fraction(1, 2), Fraction(1, 2)),
+])
+def test_dual_evidence_reads_the_first_power_of_a_geometric_beta(fin, inf, small_grid,
+                                                                  space_type, c, r):
+    """The first power of a geometric beta has no stored window; its
+    evidence entry is read from the closed form, not left at -inf."""
+    space = inf if space_type == "infinite" else fin
+    verdicts = classify_check_all(space, geometric_symbol(c, r), small_grid)
+    for v in verdicts.values():
+        assert all(math.isfinite(x) for x in v.evidence["L_log_at_Q"])
+    # k = 1: max over n of log|c r^{n-1}| - log target_Q(n), with
+    # target_Q(n) = e^{Q n} on the infinite type and e^{-n/Q} on the finite one
+    Q = small_grid.Q
+    rate = Q if space_type == "infinite" else -1.0 / Q
+    want = max(math.log(abs(float(c * r ** (n - 1)))) - rate * n
+               for n in range(1, small_grid.N + 1))
+    got = verdicts["power_bounded"].evidence["L_log_at_Q"][0]
+    assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_dual_circle_modulus_bound_holds_and_replays(fin, small_grid):
+    beta = finite_symbol([Fraction(1, 4), Fraction(-1, 4), Fraction(1, 4), Fraction(3, 8)])
+    v = classify_check_all(fin, beta, small_grid)["power_bounded"]
+    assert v.status is Status.HOLDS
+    assert v.certificate.rule == "dual_circle_modulus_bound"
+    assert replay_verdict(v)
+
+
 # ---------------------------------------------------------------------------
 # strong tameness and the mixed operator
 # ---------------------------------------------------------------------------
@@ -233,6 +263,15 @@ def test_strongly_tame_probe_divergent_weighted_sum(fin, small_grid):
     op = make_check_operator(fin, geometric_symbol(1.0, Fraction(1, 2)))
     rep = strongly_tame_probe(op, small_grid)
     assert rep.verdict.status is Status.INCONCLUSIVE
+
+
+def test_finite_type_toeplitz_tame_bound_replays(fin, small_grid):
+    out = classify_toeplitz(fin, finite_symbol([Fraction(1, 4)]),
+                            finite_symbol([0, Fraction(1, 8)]), small_grid)
+    for prop in ("strongly_tame", "m_topologizable"):
+        assert out[prop].status is Status.HOLDS
+        assert out[prop].certificate.rule == "dual_l1_tame_bound"
+        assert replay_verdict(out[prop])
 
 
 def test_classify_toeplitz_examples(fin, inf, small_grid):

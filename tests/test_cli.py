@@ -65,6 +65,19 @@ def test_classify_run_and_determinism(tmp_path):
     assert (tmp_path / "a" / "timing.json").exists()
 
 
+def test_check_classify_with_geometric_beta_writes_a_report(tmp_path):
+    cfg = JobConfig.parse({
+        "schema": 1,
+        "space": {"type": "infinite", "alpha": {"kind": "linear"}},
+        "operator": {"kind": "check", "beta": {"geometric": {"c": "3/4", "r": "1/2"}}},
+        "task": {"type": "classify"},
+    })
+    _, code = run(cfg, tmp_path)
+    assert code == 0
+    doc = json.loads((tmp_path / "report.json").read_text())
+    assert len(doc["verdicts"]) == 3
+
+
 def test_report_config_echo_reparses(tmp_path):
     cfg = JobConfig.parse(json.loads(json.dumps(BASE)))
     run(cfg, tmp_path / "out")

@@ -20,12 +20,15 @@ from psop import (
     dense_hat,
     element_from_symbol,
     finite_symbol,
+    finite_type_space,
     geometric_symbol,
     hat_apply,
     hat_column,
+    infinite_type_space,
     make_check_operator,
     make_hat_operator,
     power_apply,
+    root_alpha,
     seminorm,
     toeplitz_apply,
     toeplitz_matrix,
@@ -124,12 +127,12 @@ def test_cesaro_examples(fin):
 
 
 def test_toeplitz_matrix_examples():
-    assert toeplitz_matrix(delta_symbol(), zero_symbol(), 3, exact=True) == \
+    assert toeplitz_matrix(delta_symbol(), zero_symbol(), 3).tolist() == \
         [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    assert toeplitz_matrix(finite_symbol([0, 1]), finite_symbol([0, 1]), 2,
-                           exact=True) == [[0, 1], [1, 0]]
-    assert toeplitz_matrix(finite_symbol([1, 2]), finite_symbol([0, 3]), 2,
-                           exact=True) == [[1, 3], [2, 1]]
+    assert toeplitz_matrix(finite_symbol([0, 1]), finite_symbol([0, 1]), 2).tolist() \
+        == [[0, 1], [1, 0]]
+    assert toeplitz_matrix(finite_symbol([1, 2]), finite_symbol([0, 3]), 2).tolist() \
+        == [[1, 3], [2, 1]]
 
 
 def test_compose_examples():
@@ -229,6 +232,29 @@ def test_dual_column_norms_cumulative(inf):
         col = check_column(beta, n, 24)
         direct.append(seminorm(inf, Element(col.values, space=inf), 1).log_value)
     assert np.allclose(logs, direct, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("space_type", ["finite", "infinite"])
+def test_column_norms_on_a_root_alpha_match_direct_sums(space_type):
+    """The per-n branches for non-linear alpha against plain weighted sums."""
+    alpha = root_alpha(2)
+    space = finite_type_space(alpha) if space_type == "finite" else infinite_type_space(alpha)
+    s = finite_symbol([Fraction(1, 2), Fraction(-1, 4), 0, Fraction(1, 8)])
+    mags = [abs(float(v)) for v in prefix(s, 4)]
+    n_max = 12
+    for p in (1, 3):
+        def w(j):
+            a = alpha.value(j)
+            return math.exp(-a / p) if space_type == "finite" else math.exp(p * a)
+        hat = [math.log(math.fsum(m * w(n + i) for i, m in enumerate(mags)))
+               for n in range(1, n_max + 1)]
+        check = [math.log(math.fsum(mags[n - j] * w(j) for j in range(1, n + 1)
+                                    if n - j < len(mags)))
+                 for n in range(1, n_max + 1)]
+        np.testing.assert_allclose(hat_column_log_norms(space, s, p, n_max), hat,
+                                   rtol=0, atol=1e-14)
+        np.testing.assert_allclose(check_column_log_norms(space, s, p, n_max), check,
+                                   rtol=0, atol=1e-14)
 
 
 def _sum_exp_loop(log_terms):

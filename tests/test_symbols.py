@@ -1,10 +1,13 @@
+import ast
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import psop
 from psop import (
     GeometricEnvelope,
     OutOfSampledRange,
@@ -231,3 +234,18 @@ def test_envelope_domination_tolerance_and_overflow():
     sampled_symbol([1, 0.5, 0.125 * (1 + 1e-9)], env)  # inside the tolerance
     sampled_symbol([1, 1e200, 1e300, 1e308], GeometricEnvelope(1.0, 1e200))  # inf bounds
     sampled_symbol([1e-301, 1e-301], GeometricEnvelope(0.0, 0.0))
+
+
+def test_only_symbols_decodes_symbol_storage():
+    """Outside symbols.py no module reads the stored window, extension rule or
+    support bound of anything but itself (ExponentSequence reads its own)."""
+    storage = {"entries", "extension", "support_len"}
+    reads = []
+    for path in sorted(Path(psop.__file__).parent.glob("*.py")):
+        if path.name == "symbols.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in storage and not (
+                    isinstance(node.value, ast.Name) and node.value.id == "self"):
+                reads.append(f"{path.name}:{node.lineno} .{node.attr}")
+    assert reads == []
