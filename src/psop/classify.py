@@ -483,24 +483,35 @@ def _abs_poly_max_on_circle(beta: Symbol, radius: float):
     return upper, lower, arg
 
 
-def _dual_evidence(space: SpaceSpec, beta: Symbol, grid: GridParams) -> dict:
-    """Shared envelope sweep: L_{k,q} = sup_n |beta^{*k}_{n-1}| / target_q(n)."""
-    K = min(grid.K, 64)
-    n_max = max(8, readable_length(beta, grid.N))
+def _dual_log_ratios(space: SpaceSpec, beta: Symbol, K: int, n_max: int,
+                     Q: int) -> np.ndarray:
+    """L[k-1, q-1] = log sup_{n <= n_max} |beta^{*k}_{n-1}| / target_q(n) for
+    k <= K and q <= Q.
+
+    The (Q, n_max) block of log targets is built once and each power takes
+    one reduction over it.  Its entries are the products and quotients a
+    per-q loop computes, so L is bit-identical to that loop's."""
     alpha_n = space.alpha.block(1, n_max)
-    q_list = list(range(1, grid.Q + 1))
+    qs = np.arange(1, Q + 1)[:, None]
+    log_targets = -alpha_n / qs if space.is_finite_type else qs * alpha_n
     table = ConvPowerTable(float_symbol(beta), n_max)
-    L = np.full((K, len(q_list)), NEG_INF)
+    L = np.empty((K, Q))
     for k in range(1, K + 1):
         pk = table.power(k)
         a = np.abs(float_prefix(pk, readable_length(pk, n_max)))
         if len(a) < n_max:
             a = np.pad(a, (0, n_max - len(a)))
-        la = log_nonneg(a)
-        for jq, q in enumerate(q_list):
-            # log of sup_n |b^{*k}_{n-1}| / target_q(n)
-            log_target = q * alpha_n if not space.is_finite_type else -alpha_n / q
-            L[k - 1, jq] = float(np.max(la - log_target))
+        L[k - 1] = np.max(log_nonneg(a) - log_targets, axis=1)
+    return L
+
+
+def _dual_evidence(space: SpaceSpec, beta: Symbol, grid: GridParams) -> dict:
+    """Shared envelope sweep: L_{k,q} = sup_n |beta^{*k}_{n-1}| / target_q(n)."""
+    K = min(grid.K, 64)
+    # a sampled window shorter than 8 caps the sweep at its readable length
+    n_max = readable_length(beta, max(8, grid.N))
+    q_list = list(range(1, grid.Q + 1))
+    L = _dual_log_ratios(space, beta, K, n_max, grid.Q)
     q_k = []
     cap = math.log(1e12)
     for k in range(K):

@@ -67,7 +67,7 @@ from .spaces import (
     log_alpha,
     root_alpha,
 )
-from .symbols import Symbol, parse_symbol, zero_symbol
+from .symbols import OutOfSampledRange, Symbol, parse_symbol, zero_symbol
 from .verification import SweepOutcome, run_suite
 
 SCHEMA_VERSION = 1
@@ -314,7 +314,7 @@ class Report:
 
 
 _TASK_ERRORS = (TailUnbounded, PoleOnContour, CertificateFitFailed,
-                UnsupportedSpace, OperatorContractError)
+                UnsupportedSpace, OperatorContractError, OutOfSampledRange)
 
 
 def _start_element(cfg: JobConfig, N: int) -> Element:

@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
+from numbers import Integral
 from typing import Optional, Sequence
 
 import numpy as np
@@ -49,6 +50,7 @@ from .symbols import (
     _float_conv,
     _inflate_ratio,
     MembershipReport,
+    _int_conv,
     Symbol,
     abs_upper_prefix,
     conv_power,
@@ -57,6 +59,7 @@ from .symbols import (
     is_rational,
     membership_check,
     prefix,
+    scaled_ints,
     symbol_abs_and_env,
     symbol_envelope,
     trimmed_len,
@@ -355,26 +358,52 @@ def hat_apply(theta: Symbol, x: Element) -> Element:
     return Element(tuple(vals), _hat_output_tail(x, theta), x.space, residual)
 
 
+def _exact_correlation(xs: Sequence, bs: Sequence) -> list:
+    """c_n = sum_{j=n}^{S} x_j b_{j-n} for n = 1..S, S = len(xs) = len(bs),
+    from the denominator-cleared integers of xs and bs.  Entry n is an int
+    when every factor in its terms (x_n..x_S and b_0..b_{S-n}) is an integer,
+    a Fraction otherwise."""
+    S = len(xs)
+    X, dx = scaled_ints(xs)
+    B, db = scaled_ints(bs)
+    d = dx * db
+    rev = _int_conv(X[::-1], B, S)   # rev[S - n] = c_n * d
+    last_x = max((j + 1 for j, v in enumerate(xs) if not isinstance(v, Integral)), default=0)
+    first_b = next((i for i, v in enumerate(bs) if not isinstance(v, Integral)), S)
+    cut = max(last_x, S - first_b)
+    return [Fraction(rev[S - n], d) if n <= cut else rev[S - n] // d
+            for n in range(1, S + 1)]
+
+
 def check_apply(beta: Symbol, x: Element) -> Element:
     """(beta star x)_n = sum_{j>=n} x_j beta_{j-n}; exact for finitely
-    supported x, prefix-truncated with a certified residual otherwise."""
+    supported x, prefix-truncated with a certified residual otherwise.
+
+    Exact entries (finitely supported x, every x_j and beta_i rational) come
+    from one integer correlation: entry n is an int when every factor in its
+    terms is an int (a numpy integer counts as one and comes back as a Python
+    int), a Fraction otherwise, and the int 0 past the support of x."""
     N = x.truncation
     if N == 0:
         return x
     if x.is_finitely_supported:
         S = trimmed_len(x.values)
+        xs = x.values[:S]
         bs = prefix(beta, S) if S else []
-        vals = []
-        for n in range(1, N + 1):
-            terms = [x.values[j - 1] * bs[j - n] for j in range(n, S + 1)]
-            if terms and _exact_values(terms):
-                vals.append(sum(terms))
-            elif terms:
-                vals.append(complex(np.sum([complex(t) for t in terms]))
-                            if any(isinstance(t, complex) for t in terms)
-                            else math.fsum(float(t) for t in terms))
-            else:
-                vals.append(0)
+        if _exact_values(xs) and _exact_values(bs):
+            vals = _exact_correlation(xs, bs) + [0] * (N - S)
+        else:
+            vals = []
+            for n in range(1, N + 1):
+                terms = [xs[j - 1] * bs[j - n] for j in range(n, S + 1)]
+                if terms and _exact_values(terms):
+                    vals.append(sum(terms))
+                elif terms:
+                    vals.append(complex(np.sum([complex(t) for t in terms]))
+                                if any(isinstance(t, complex) for t in terms)
+                                else math.fsum(float(t) for t in terms))
+                else:
+                    vals.append(0)
         residual = x.residual
         if residual > 0:
             residual *= math.fsum(abs(b) for b in bs) if bs else 0.0

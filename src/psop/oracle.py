@@ -5,6 +5,11 @@ irrational inputs the fallback is 50+ digit arithmetic (mpmath) with an
 explicit comparison margin.  Nothing here is on any hot path: the module
 backs tests and the replay of classification verdicts.
 
+Replay is independent of the code it checks: from symbols and operators
+it imports only readers and types (Symbol, coeff, is_rational, prefix,
+ell1_norm, zero_symbol, OperatorKind), never their convolution kernels, so
+its exact convolution powers clear denominators with their own code.
+
 Truncation-then-power equals power-then-truncation exactly for triangular
 matrices; for the mixed Toeplitz kind the leading-block stability is
 asserted by comparing the N and 2N truncations, never assumed.
@@ -12,6 +17,7 @@ asserted by comparing the N and 2N truncations, never assumed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -71,7 +77,8 @@ def dense_hat(theta: Symbol, N: int) -> DenseTrunc:
     th = prefix(theta, N)
     exact = _all_exact(th)
     zero = Fraction(0) if exact else mpmath.mpf(0)
-    rows = tuple(tuple(_lift(th[i - j], exact) if i >= j else zero for j in range(N))
+    diag = [_lift(v, exact) for v in th]    # one lift per diagonal
+    rows = tuple(tuple(diag[i - j] if i >= j else zero for j in range(N))
                  for i in range(N))
     return DenseTrunc(rows, f"hat({theta.describe()})", exact)
 
@@ -83,7 +90,8 @@ def dense_check(beta: Symbol, N: int) -> DenseTrunc:
     be = prefix(beta, N)
     exact = _all_exact(be)
     zero = Fraction(0) if exact else mpmath.mpf(0)
-    rows = tuple(tuple(_lift(be[j - i], exact) if j >= i else zero for j in range(N))
+    diag = [_lift(v, exact) for v in be]    # one lift per diagonal
+    rows = tuple(tuple(diag[j - i] if j >= i else zero for j in range(N))
                  for i in range(N))
     return DenseTrunc(rows, f"check({beta.describe()})", exact)
 
@@ -95,16 +103,20 @@ def dense_toeplitz(theta: Symbol, beta: Symbol, N: int) -> DenseTrunc:
     th = prefix(theta, N)
     be = prefix(beta, N)
     exact = _all_exact(th) and _all_exact(be)
+    # one lift per diagonal
+    lower = [_lift(v, exact) for v in th]
+    upper = [_lift(v, exact) for v in be]
+    main = lower[0] + upper[0]
     rows = []
     for i in range(N):
         row = []
         for j in range(N):
             if i > j:
-                row.append(_lift(th[i - j], exact))
+                row.append(lower[i - j])
             elif j > i:
-                row.append(_lift(be[j - i], exact))
+                row.append(upper[j - i])
             else:
-                row.append(_lift(th[0], exact) + _lift(be[0], exact))
+                row.append(main)
         rows.append(tuple(row))
     return DenseTrunc(tuple(rows), f"toeplitz({theta.describe()},{beta.describe()})", exact)
 
@@ -191,15 +203,39 @@ def _mp_ell1(sym: Symbol):
     return mpmath.mpf(s.upper), False
 
 
+def _cleared_ints(vals: Sequence) -> tuple[list, int]:
+    """Integer numerators of exact values over their least common
+    denominator."""
+    fr = [Fraction(v) for v in vals]
+    den = math.lcm(*(f.denominator for f in fr))
+    return [int(f.numerator) * (den // int(f.denominator)) for f in fr], den
+
+
 def _mp_abs_conv_power(sym: Symbol, k: int, N: int) -> list:
     """|beta^{*k}| prefix computed independently with exact/high-precision
-    arithmetic (direct nested convolution, no shared code with symbols)."""
+    arithmetic (direct nested convolution, no shared code with symbols).
+    Exact symbols convolve denominator-cleared Python ints and divide once
+    per entry; every entry is then a Fraction."""
     base = prefix(sym, N)
-    exact = _all_exact(base)
-    vals = [_lift(v, exact) for v in base]
+    if _all_exact(base):
+        ints, den = _cleared_ints(base)
+        while ints and ints[-1] == 0:
+            ints.pop()
+        out = ints
+        for _ in range(k - 1):
+            new = [0] * min(N, len(out) + len(ints) - 1)
+            for i, a in enumerate(out):
+                if a == 0:
+                    continue
+                for j, b in enumerate(ints[:len(new) - i]):
+                    new[i + j] += a * b
+            out = new
+        scale = den ** k
+        return [Fraction(abs(v), scale) for v in out] + [Fraction(0)] * (N - len(out))
+    vals = [_lift(v, False) for v in base]
     out = list(vals)
     for _ in range(k - 1):
-        new = [Fraction(0) if exact else mpmath.mpf(0)] * min(N, len(out) + len(vals) - 1)
+        new = [mpmath.mpf(0)] * min(N, len(out) + len(vals) - 1)
         for i, a in enumerate(out):
             if a == 0:
                 continue
@@ -394,12 +430,15 @@ def _replay_circle_modulus(v, params):
         return False
     R = mpmath.e ** (mpmath.mpf(1) / q)
     M = 4096
+    coefs = [_lift(c, False) for c in prefix(v.beta, sup)]
+    lip = sum(i * abs(c) * R ** i for i, c in enumerate(coefs))
     best = mpmath.mpf(0)
-    lip = sum(i * abs(_lift(coeff(v.beta, i), False)) * R ** i for i in range(sup))
     for j in range(M):
-        z = R * mpmath.e ** (1j * 2 * mpmath.pi * j / M)
-        val = abs(sum(_lift(coeff(v.beta, i), False) * z ** i for i in range(sup)))
-        best = max(best, val)
+        z = R * mpmath.expjpi(mpmath.mpf(2 * j) / M)
+        val = mpmath.mpf(0)
+        for c in reversed(coefs):    # Horner
+            val = val * z + c
+        best = max(best, abs(val))
     best += lip * mpmath.pi / M
     return best <= mpmath.e ** (-mpmath.mpf(1) / q) * (1 + mpmath.mpf("1e-12"))
 

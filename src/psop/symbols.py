@@ -2,10 +2,13 @@
 
 A symbol is a sequence indexed from 0 in one of three representations:
 an explicit finite list, a geometric law c*r**i, or a sampled window with a
-dominating envelope.  Convolution is exact (rational) when both inputs are
-finite lists with rational entries and floating otherwise; geometric symbols
-keep exact closed forms for their absolute sums, which is what the boundary
-cases of the classifiers need.
+dominating envelope.  Every entry (and c, r) must be a number; anything else
+raises TypeError at construction.  Convolution is exact (rational) when both
+inputs are finite lists with rational entries and floating otherwise; the
+exact path clears each input's denominators once, sums Python ints and
+builds one Fraction per output entry.  Geometric symbols keep exact closed
+forms for their absolute sums, which is what the boundary cases of the
+classifiers need.
 
 The membership convention embeds a symbol s into a space as the element
 x_n = s_{n-1} (the image of the first basis vector under the associated
@@ -41,7 +44,7 @@ from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from enum import Enum
 from fractions import Fraction
-from numbers import Rational
+from numbers import Integral, Number as _NumberABC, Rational
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -68,7 +71,30 @@ Number = Union[int, Fraction, float, complex]
 
 
 def is_rational(x) -> bool:
+    if type(x) is int or type(x) is Fraction:
+        return True
     return isinstance(x, Rational) and not isinstance(x, bool)
+
+
+_INEXACT_TYPES = (float, complex, np.float64, np.complex128)
+
+
+def _scan_numbers(values: Sequence, names: Optional[Sequence[str]] = None) -> bool:
+    """Whether every value is rational.  A value that is not a number raises
+    TypeError naming it (names[i], else "entry i") and its type."""
+    exact = True
+    for i, v in enumerate(values):
+        t = type(v)
+        if t is int or t is Fraction:
+            continue
+        if t in _INEXACT_TYPES:
+            exact = False
+        elif not isinstance(v, _NumberABC):
+            name = names[i] if names else f"entry {i}"
+            raise TypeError(f"symbol {name} is a {t.__name__}, not a number")
+        elif exact:
+            exact = is_rational(v)
+    return exact
 
 
 def trimmed_len(values: Sequence) -> int:
@@ -106,9 +132,11 @@ class Symbol:
         if block is not None:
             self.__dict__["_floats"] = self._frozen(block)
         if self.kind is SymbolKind.GEOMETRIC:
-            exact = is_rational(self.c) and is_rational(self.r)
+            exact = _scan_numbers((self.c, self.r), ("c", "r"))
+        elif block is not None:
+            exact = False   # the entries are the items of a float or complex array
         else:
-            exact = self.kind is SymbolKind.FINITE and all(is_rational(v) for v in self.entries)
+            exact = _scan_numbers(self.entries) and self.kind is SymbolKind.FINITE
         object.__setattr__(self, "_support", self._find_support())
         object.__setattr__(self, "_exact", exact)
         if self.kind is SymbolKind.SAMPLED and isinstance(self.envelope, GeometricEnvelope):
@@ -420,7 +448,18 @@ def symbol_abs_and_env(s: Symbol, L: int):
 # ---------------------------------------------------------------------------
 
 
+def scaled_ints(values: Sequence[Rational]) -> tuple[list[int], int]:
+    """(ints, d) with values[i] == ints[i] / d, d the least common
+    denominator; builds no Fraction for int or Fraction entries."""
+    vals = [v if type(v) is int or type(v) is Fraction
+            else (int(v) if isinstance(v, Integral) else Fraction(v)) for v in values]
+    d = math.lcm(*[v.denominator for v in vals])
+    return [v.numerator * (d // v.denominator) for v in vals], d
+
+
 def _int_conv(a: list, b: list, N: int) -> list:
+    """First min(N, len(a) + len(b) - 1) entries of the Cauchy product of two
+    integer lists (empty when either is empty)."""
     la, lb = len(a), len(b)
     if la == 0 or lb == 0:
         return []
@@ -436,13 +475,13 @@ def _int_conv(a: list, b: list, N: int) -> list:
 
 
 def _exact_list_conv(xs: Sequence[Rational], ys: Sequence[Rational], N: int) -> list[Fraction]:
-    dx = math.lcm(*(Fraction(v).denominator for v in xs)) if xs else 1
-    dy = math.lcm(*(Fraction(v).denominator for v in ys)) if ys else 1
-    ax = [int(Fraction(v) * dx) for v in xs]
-    ay = [int(Fraction(v) * dy) for v in ys]
-    num = _int_conv(ax, ay, N)
+    """Truncated Cauchy product of two rational lists in integers: each
+    input's denominators are cleared once, and every entry comes back as a
+    Fraction (also when all inputs are ints)."""
+    ax, dx = scaled_ints(xs)
+    ay, dy = scaled_ints(ys)
     d = dx * dy
-    return [Fraction(v, d) for v in num]
+    return [Fraction(v, d) for v in _int_conv(ax, ay, N)]
 
 
 def _float_conv(xs: Sequence[Number], ys: Sequence[Number], N: int) -> list:

@@ -32,9 +32,11 @@ from psop import (
     strongly_tame_probe,
     zero_symbol,
 )
+from psop.classify import _dual_log_ratios
+from psop.numerics import log_nonneg
 from psop.operators import OperatorContractError, hat_column_log_norms
 from psop.spaces import GeometricEnvelope
-from psop.symbols import ConvPowerTable, float_symbol
+from psop.symbols import ConvPowerTable, float_prefix, float_symbol, readable_length
 
 GRID = GridParams()
 
@@ -348,3 +350,48 @@ def test_mean_ergodic_probe_complex_toeplitz_matches_hat(fin, small_grid):
         assert ratio > 0
         assert got[p][0] == q
         assert abs(got[p][1] - ratio) <= 1e-12
+
+
+# -- _dual_log_ratios against the per-q loop it replaced --------------------
+
+
+def _dual_log_ratios_per_q(space, beta, K, n_max, Q):
+    """One reduction per (k, q), as _dual_evidence computed L before."""
+    alpha_n = space.alpha.block(1, n_max)
+    table = ConvPowerTable(float_symbol(beta), n_max)
+    L = np.full((K, Q), -math.inf)
+    for k in range(1, K + 1):
+        pk = table.power(k)
+        a = np.abs(float_prefix(pk, readable_length(pk, n_max)))
+        if len(a) < n_max:
+            a = np.pad(a, (0, n_max - len(a)))
+        la = log_nonneg(a)
+        for jq, q in enumerate(range(1, Q + 1)):
+            log_target = q * alpha_n if not space.is_finite_type else -alpha_n / q
+            L[k - 1, jq] = float(np.max(la - log_target))
+    return L
+
+
+@pytest.mark.parametrize("space_type", ["finite", "infinite", "root"])
+@pytest.mark.parametrize("beta", [
+    finite_symbol([Fraction(1, 4), Fraction(-1, 4), Fraction(1, 4), Fraction(3, 8)]),
+    finite_symbol([0, Fraction(3, 2), 0, -1]),
+    delta_symbol(Fraction(1, 2)),
+    geometric_symbol(Fraction(3, 4), Fraction(1, 2)),
+    sampled_symbol([0.5, 0.25, 0.125], GeometricEnvelope(1.0, 0.5)),
+], ids=lambda s: s.describe())
+def test_dual_log_ratios_bit_identical_to_per_q_loop(fin, inf, space_type, beta):
+    space = {"finite": fin, "infinite": inf,
+             "root": finite_type_space(root_alpha(2))}[space_type]
+    n_max = readable_length(beta, 48)
+    got = _dual_log_ratios(space, beta, 12, n_max, 9)
+    assert got.tobytes() == _dual_log_ratios_per_q(space, beta, 12, n_max, 9).tobytes()
+
+
+def test_short_sampled_beta_is_classified_inside_its_window(inf):
+    beta = sampled_symbol([Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)],
+                          GeometricEnvelope(1.0, 0.5))
+    out = classify_check_all(inf, beta, GRID)
+    assert out["m_topologizable"].status is Status.HOLDS
+    assert out["m_topologizable"].certificate.rule == "young_envelope"
+    assert out["power_bounded"].status is Status.INCONCLUSIVE

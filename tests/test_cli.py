@@ -78,6 +78,40 @@ def test_check_classify_with_geometric_beta_writes_a_report(tmp_path):
     assert len(doc["verdicts"]) == 3
 
 
+def test_check_classify_with_short_sampled_beta_writes_a_report(tmp_path):
+    # the power table is sized to the 3 readable entries, not to 8
+    cfg = JobConfig.parse({
+        "schema": 1,
+        "space": {"type": "infinite", "alpha": {"kind": "linear"}},
+        "operator": {"kind": "check", "beta": {"sampled": {
+            "values": ["1/2", "1/4", "1/8"],
+            "envelope": {"geometric": {"scale": 1, "ratio": 0.5}}}}},
+        "task": {"type": "classify"},
+    })
+    _, code = run(cfg, tmp_path)
+    assert code == 0
+    doc = json.loads((tmp_path / "report.json").read_text())
+    got = {v["property"]: (v["status"], v["certificate"] and v["certificate"]["rule"])
+           for v in doc["verdicts"]}
+    assert got["m_topologizable"] == ("holds", "young_envelope")
+    assert got["power_bounded"] == ("inconclusive", None)
+
+
+def test_read_past_a_sampled_window_is_a_task_error(tmp_path, capsys):
+    # the Toeplitz dual part keeps a 33-entry window; the dual certificate
+    # check reads past it
+    job = {
+        "schema": 1,
+        "space": {"type": "finite", "alpha": {"kind": "linear"}},
+        "operator": {"kind": "toeplitz", "source": {
+            "rational": {"num": [1], "den": [-0.5, 1]},
+            "radius": 1.0, "annulus": [0.5, 2.0]}},
+        "task": {"type": "classify"},
+    }
+    assert main(["run", write(tmp_path, job), "--out", str(tmp_path / "out")]) == 3
+    assert "beyond sampled window" in capsys.readouterr().err
+
+
 def test_report_config_echo_reparses(tmp_path):
     cfg = JobConfig.parse(json.loads(json.dumps(BASE)))
     run(cfg, tmp_path / "out")

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -43,7 +44,7 @@ from psop.operators import (
     orbit_csv,
 )
 from psop.oracle import dense_matmul
-from psop.symbols import prefix
+from psop.symbols import prefix, trimmed_len
 
 
 def e(n, N, space=None):
@@ -311,3 +312,87 @@ def test_power_bound_sweep_slacks_are_pinned(fin, inf, space_type, theta, correc
     out = sweep_hat_power_bound(space, [theta], "pinned", n_max=32, p_max=3, k_max=4,
                                 corrected=corrected)
     assert repr(out.min_slack) == want
+
+
+# -- check_apply's exact kernel against the scalar definition it replaced ----
+
+
+def _check_apply_scalar(beta, xs):
+    """Entry n is sum(x_j * beta_{j-n}) over its terms, the int 0 past the
+    support of x: the per-entry Fraction loop check_apply's exact branch ran
+    before its integer correlation."""
+    S = trimmed_len(xs)
+    bs = prefix(beta, S) if S else []
+    out = []
+    for n in range(1, len(xs) + 1):
+        terms = [xs[j - 1] * bs[j - n] for j in range(n, S + 1)]
+        out.append(sum(terms) if terms else 0)
+    return tuple(out)
+
+
+def _typed(values):
+    return [(type(v), v) for v in values]
+
+
+F = Fraction
+CHECK_APPLY_CASES = {
+    "all_int": ([2, -1, 3], (1, 0, -4, 5, 0, 0)),
+    "mixed": ([F(1, 2), 3, F(-2, 3)], (4, F(1, 3), 0, -2, F(5, 7), 1)),
+    # the types differ entry by entry: only entry 1 has a Fraction factor,
+    # and only entries 3 and 4 avoid beta's Fraction at index 2
+    "mixed_by_entry": ([1, 1, F(1, 2)], (F(1, 2), 1, 2, 3)),
+    "fraction_zero_factor": ([1, F(0)], (2, 3, 0)),
+    "trailing_zeros": ([F(1, 4), -2, 0, 0], (F(3, 2), -1, 2, 0, 0, 0, 0)),
+    "n_above_both_supports": ([F(1, 3), 2], (1, F(-1, 5), 0, 4, F(2, 3), 0, 0, 0, 0, 0, 0, 0)),
+    "beta_longer_than_x": ([1, F(1, 2), F(1, 4), F(1, 8), F(1, 16), 3, 5], (F(2, 3), 1)),
+    "zero_x": ([F(1, 2)], (0, 0, 0)),
+    "zero_beta": ([], (1, F(1, 2), 3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHECK_APPLY_CASES))
+def test_check_apply_exact_kernel_matches_scalar_definition(name):
+    beta_vals, xs = CHECK_APPLY_CASES[name]
+    beta = finite_symbol(beta_vals)
+    got = check_apply(beta, Element(xs)).values
+    assert _typed(got) == _typed(_check_apply_scalar(beta, xs))
+
+
+def test_check_apply_exact_kernel_matches_scalar_definition_random():
+    rng = random.Random(7)
+
+    def entry():
+        r = rng.random()
+        if r < 0.3:
+            return 0
+        if r < 0.6:
+            return rng.randint(-5, 5)
+        return F(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 8)))
+
+    for _ in range(300):
+        beta = finite_symbol([entry() for _ in range(rng.randint(0, 9))])
+        xs = tuple(entry() for _ in range(rng.randint(1, 14)))
+        got = check_apply(beta, Element(xs)).values
+        assert _typed(got) == _typed(_check_apply_scalar(beta, xs))
+
+
+def test_check_apply_empty_element_is_returned():
+    x = Element(())
+    assert check_apply(finite_symbol([F(1, 2), 3]), x) is x
+
+
+def test_check_apply_numpy_integers_come_back_as_python_ints():
+    # the scalar loop returned numpy integers here, which wrap past 2**63
+    xs = tuple(np.int64(v) for v in (3, 0, -2, 5))
+    beta = finite_symbol([2, -1])
+    got = check_apply(beta, Element(xs)).values
+    want = _check_apply_scalar(beta, xs)
+    assert list(got) == list(want)
+    assert all(type(v) is int for v in got)
+    assert [type(v) for v in want] == [np.int64] * 4
+    big = check_apply(finite_symbol([4]), Element((np.int64(2 ** 62),))).values
+    assert big == (2 ** 64,) and type(big[0]) is int
+    # a numpy integer next to a Fraction factor gives a Fraction, as before
+    mixed = (np.int64(3), F(1, 2))
+    got = check_apply(beta, Element(mixed)).values
+    assert _typed(got) == _typed(_check_apply_scalar(beta, mixed))

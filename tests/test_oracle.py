@@ -1,6 +1,9 @@
+import ast
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
+import mpmath
 import pytest
 
 from psop import (
@@ -20,9 +23,13 @@ from psop import (
     finite_symbol,
     geometric_symbol,
     replay_verdict,
+    sampled_symbol,
+    zero_symbol,
 )
+from psop import oracle
 from psop.classify import GridParams, _propagate_hierarchy
-from psop.oracle import column, leading_block
+from psop.oracle import _mp_abs_conv_power, column, leading_block
+from psop.symbols import prefix
 
 
 def test_dense_apply_examples():
@@ -131,3 +138,94 @@ def test_implied_by_rules_replay_through_the_inner_rule(fin, inf):
                            params={"inner": {"rule": "no_such_rule", "params": {}}})
             with pytest.raises(NonReplayable):
                 replay_verdict(replace(v, certificate=cert))
+
+
+# -- the exact branch of _mp_abs_conv_power against the nested Fraction loop --
+
+
+def _abs_conv_power_scalar(sym, k, N):
+    """|beta^{*k}| on the first N indices by the nested Fraction loop the
+    integer branch replaced."""
+    vals = [Fraction(v) for v in prefix(sym, N)]
+    out = list(vals)
+    for _ in range(k - 1):
+        new = [Fraction(0)] * min(N, len(out) + len(vals) - 1)
+        for i, a in enumerate(out):
+            if a == 0:
+                continue
+            for j, b in enumerate(vals):
+                if i + j < len(new):
+                    new[i + j] += a * b
+        out = new
+    return [abs(v) for v in out]
+
+
+@pytest.mark.parametrize("sym", [
+    finite_symbol([Fraction(1, 4), Fraction(-1, 4), Fraction(1, 4), Fraction(3, 8)]),
+    finite_symbol([2, -1, 0, 3]),
+    finite_symbol([Fraction(-2, 3), 1, 0, 0]),
+    finite_symbol([0, 0, Fraction(5, 7)]),
+    delta_symbol(Fraction(-3, 2)),
+    zero_symbol(),
+    geometric_symbol(Fraction(3, 4), Fraction(-1, 2)),
+    sampled_symbol([Fraction(1, 2), Fraction(-1, 3), Fraction(1, 5)], extension="zero"),
+], ids=lambda s: s.describe())
+def test_mp_abs_conv_power_matches_nested_fraction_loop(sym):
+    for N in (1, 2, 7, 40):
+        for k in (1, 2, 3, 5):
+            got = _mp_abs_conv_power(sym, k, N)
+            want = _abs_conv_power_scalar(sym, k, N)
+            assert [(type(v), v) for v in got] == [(type(v), v) for v in want]
+
+
+# -- dual_circle_modulus_bound replay: known answers on both sides ----------
+
+CIRCLE_BETA = (Fraction(1, 4), Fraction(-1, 4), Fraction(1, 4), Fraction(3, 8))
+# max |beta(z)| on |z| = e^{1/11} is attained at z = e^{1/11 + i t}, t below:
+# a root of the derivative of |beta(e^{1/11 + i t})| at 50 digits, started
+# from the largest of 20001 equally spaced samples
+CIRCLE_ARGMAX = "4.2708242548846999113622467690925593227330055664331"
+
+
+def test_circle_modulus_replay_known_answers(fin):
+    v = classify_check_all(fin, finite_symbol(CIRCLE_BETA), GridParams())["power_bounded"]
+    assert v.certificate.rule == "dual_circle_modulus_bound"
+    assert v.certificate.params == {"q": 11}
+    assert replay_verdict(v) is True
+    with mpmath.workdps(50):
+        z = mpmath.e ** (mpmath.mpf(1) / 11) * mpmath.expj(mpmath.mpf(CIRCLE_ARGMAX))
+        peak = abs(sum(mpmath.mpf(c.numerator) / c.denominator * z ** i
+                       for i, c in enumerate(CIRCLE_BETA)))
+        # the scale that puts |beta(z)| on the bound e^{-1/11}
+        on_bound = Fraction(str(mpmath.e ** (-mpmath.mpf(1) / 11) / peak))
+
+    def scaled(s):
+        return replace(v, beta=finite_symbol([s * c for c in CIRCLE_BETA]))
+
+    # 1% below the bound the sampling and Lipschitz margin still fit
+    assert replay_verdict(scaled(on_bound * Fraction(99, 100))) is True
+    # just above it the modulus at z alone exceeds the bound
+    assert replay_verdict(scaled(on_bound * (1 + Fraction(1, 10 ** 9)))) is False
+    # q = 10 also holds; q = 9 claims a smaller circle bound that fails
+    for q, want in ((10, True), (9, False), (1, False)):
+        mutant = replace(v, certificate=replace(v.certificate, params={"q": q}))
+        assert replay_verdict(mutant) is want
+
+
+def test_oracle_imports_from_checked_modules_are_pinned():
+    """Replay stays independent of the code it checks: oracle.py takes only
+    these names from symbols and operators, so it cannot reuse their
+    integer kernels or convolve."""
+    names = set()
+    for node in ast.walk(ast.parse(Path(oracle.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            module = (node.module or "").removeprefix("psop.")
+            if module in ("symbols", "operators"):
+                names |= {alias.name for alias in node.names}
+            elif module in ("", "psop"):
+                assert not {alias.name for alias in node.names} & {"symbols", "operators"}
+        elif isinstance(node, ast.Import):
+            assert not any(alias.name.startswith(("psop.symbols", "psop.operators"))
+                           for alias in node.names)
+    assert names == {"Symbol", "coeff", "is_rational", "prefix", "ell1_norm",
+                     "zero_symbol", "OperatorKind"}

@@ -249,3 +249,53 @@ def test_only_symbols_decodes_symbol_storage():
                     isinstance(node.value, ast.Name) and node.value.id == "self"):
                 reads.append(f"{path.name}:{node.lineno} .{node.attr}")
     assert reads == []
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: finite_symbol(["1/2"]), "symbol entry 0 is a str, not a number"),
+    (lambda: finite_symbol([Fraction(1, 2), 1, [3]]), "symbol entry 2 is a list"),
+    (lambda: sampled_symbol([0.5, None], GeometricEnvelope(1.0, 0.5)),
+     "symbol entry 1 is a NoneType"),
+    (lambda: sampled_symbol([1, "0.25"], extension="zero"), "symbol entry 1 is a str"),
+    (lambda: geometric_symbol("1/2", Fraction(1, 2)), "symbol c is a str"),
+    (lambda: geometric_symbol(1, "1/2"), "symbol r is a str"),
+])
+def test_entries_that_are_not_numbers_raise_type_error(make, message):
+    with pytest.raises(TypeError, match=message):
+        make()
+
+
+# -- the exact convolution kernel against nested Fraction sums --------------
+
+
+def _conv_scalar(xs, ys, N):
+    """(x*y)_m = sum_{i<=m} x_i y_{m-i} for m < min(N, len(xs) + len(ys) - 1),
+    summed as Fractions."""
+    xs, ys = [Fraction(v) for v in xs], [Fraction(v) for v in ys]
+    L = min(N, len(xs) + len(ys) - 1)
+    return [sum((xs[i] * ys[m - i] for i in range(len(xs)) if 0 <= m - i < len(ys)),
+                Fraction(0)) for m in range(L)]
+
+
+def _typed(values):
+    return [(type(v), v) for v in values]
+
+
+@given(st.lists(st.one_of(st.integers(-6, 6), rationals), min_size=1, max_size=9),
+       st.lists(st.one_of(st.integers(-6, 6), rationals), min_size=1, max_size=9),
+       st.integers(1, 40))
+@settings(max_examples=120, deadline=None)
+def test_exact_convolve_and_powers_match_nested_fraction_sums(xs, ys, N):
+    a, b = finite_symbol(xs), finite_symbol(ys)
+    if a.is_zero or b.is_zero:
+        return
+    ta, tb = xs[:a.bounded_support()], ys[:b.bounded_support()]
+    assert _typed(convolve(a, b, N).entries) == _typed(_conv_scalar(ta, tb, N))
+    want = tb
+    # powers stay exact while their full support fits in N (a truncated power
+    # is a sampled symbol, and convolve is exact on finite ones only)
+    for k in range(2, 5):
+        if k * (len(tb) - 1) + 1 > N:
+            break
+        want = _conv_scalar(want, tb, N)
+        assert _typed(conv_power(b, k, N).entries) == _typed(want)
