@@ -7,8 +7,9 @@ backs tests and the replay of classification verdicts.
 
 Replay is independent of the code it checks: from symbols and operators
 it imports only readers and types (Symbol, coeff, is_rational, prefix,
-ell1_norm, zero_symbol, OperatorKind), never their convolution kernels, so
-its exact convolution powers clear denominators with their own code.
+readable_length, ell1_norm, zero_symbol, OperatorKind), never their
+convolution kernels, so its exact convolution powers clear denominators
+with their own code.
 
 Truncation-then-power equals power-then-truncation exactly for triangular
 matrices; for the mixed Toeplitz kind the leading-block stability is
@@ -24,7 +25,7 @@ from typing import Sequence
 
 import mpmath
 
-from .symbols import Symbol, coeff, is_rational, prefix
+from .symbols import Symbol, coeff, is_rational, prefix, readable_length
 
 MAX_DENSE_N = 512
 REPLAY_DPS = 50
@@ -215,7 +216,10 @@ def _mp_abs_conv_power(sym: Symbol, k: int, N: int) -> list:
     """|beta^{*k}| prefix computed independently with exact/high-precision
     arithmetic (direct nested convolution, no shared code with symbols).
     Exact symbols convolve denominator-cleared Python ints and divide once
-    per entry; every entry is then a Fraction."""
+    per entry; every entry is then a Fraction.  The prefix stops at the
+    symbol's readable window when that is shorter than N: entry m of the
+    power depends only on entries 0..m of the symbol."""
+    N = readable_length(sym, N)
     base = prefix(sym, N)
     if _all_exact(base):
         ints, den = _cleared_ints(base)

@@ -17,6 +17,7 @@ which dual-space membership is expressed).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -473,7 +474,12 @@ def _log_ratio_window(alpha: ExponentSequence, N: int) -> float:
     return sup
 
 
+@functools.lru_cache(maxsize=128)
 def nuclearity_check(space: SpaceSpec, N: int = 4096) -> NuclearityCert:
+    """The nuclearity diagnostic of space from the window n = N//2..N.
+
+    Results are memoised per (space, N) value: equal spaces built separately
+    share one NuclearityCert, which is frozen, so sharing it is safe."""
     if N < 2:
         raise ValueError("need N >= 2")
     alpha = space.alpha
@@ -600,14 +606,14 @@ def fit_dual_certificate(space: SpaceSpec, beta, N: int = 512,
 
     assert isinstance(beta, Symbol)
     env = symbol_envelope(beta)
-    # (alpha_n, upper bound of |beta_{n-1}|) for n = 1..N, read once for every m0
-    bounds = [(space.alpha.value(n), beta.coeff_abs_upper(n - 1)) for n in range(1, N + 1)]
+    # (alpha_n, log of the upper bound of |beta_{n-1}|) for n = 1..N where that
+    # bound is positive, read once for every m0
+    log_bounds = []
+    for n in range(1, N + 1):
+        a, b = space.alpha.value(n), beta.coeff_abs_upper(n - 1)
+        if b > 0:
+            log_bounds.append((a, log_abs(b)))
     for m0 in range(1, m_max + 1):
-        log_c0 = NEG_INF
-        for a, b in bounds:
-            rate = m0 * a if not space.is_finite_type else -a / m0
-            if b > 0:
-                log_c0 = max(log_c0, log_abs(b) - rate)
         # beyond N the per-index excess env(n)/target(n) must be nonincreasing,
         # otherwise the prefix supremum does not dominate the tail
         if isinstance(env, GeometricEnvelope) and env.ratio > 0:
@@ -624,6 +630,10 @@ def fit_dual_certificate(space: SpaceSpec, beta, N: int = 512,
             else:
                 if not (env.sign < 0 and env.grade <= m0):
                     continue
+        log_c0 = NEG_INF
+        for a, log_b in log_bounds:
+            rate = m0 * a if not space.is_finite_type else -a / m0
+            log_c0 = max(log_c0, log_b - rate)
         if log_c0 == NEG_INF:
             return DualCertificate(1e-300, m0)
         c0 = exp_guarded(log_c0 + 1e-12)

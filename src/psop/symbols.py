@@ -25,10 +25,15 @@ that equality, hashing and the exact path use, and as one read-only float
 (or complex) numpy block.  convolve hands its float output over as the
 block; otherwise it is built on the first float read and kept, so exact
 intermediate results that are never read as floats do not pay for it.
-float_prefix, abs_upper_prefix and the kernels built on them slice that
-block instead of reading coeff() index by index.  A geometric symbol has
-no block: each read computes one, float(c * r**i) by integer recurrences
-when c and r are rational, c * r**i in floats otherwise.
+A geometric symbol keeps the longest block read so far: float(c * r**i)
+by integer recurrences when c and r are rational, c * r**i in floats
+otherwise.  Shorter reads slice it; a longer read rebuilds it from i = 0,
+which changes no bit because entry i never depends on the read length.
+float_prefix, abs_upper_prefix and the kernels built on them slice these
+blocks instead of reading coeff() index by index, and every float_prefix
+result is read-only.  The blocks are caches: none is built at import or
+by construction (a block handed over is kept), and no module but this one
+reads them.
 
 Bit identity: every float a block read returns equals float() or complex()
 of the exact coefficient, and the kernels keep libm's math.exp and Python's
@@ -155,7 +160,7 @@ class Symbol:
             return None, len(self.entries)
 
     def _frozen(self, block: np.ndarray) -> tuple[np.ndarray, int]:
-        block.flags.writeable = False
+        _readonly(block)
         real_lead = len(self.entries)
         if block.dtype.kind == "c":
             real_lead = next((i for i, v in enumerate(self.entries)
@@ -369,7 +374,13 @@ def _abs_block(a: np.ndarray) -> np.ndarray:
     return np.abs(a)
 
 
+def _readonly(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 def _geometric_block(s: Symbol, N: int) -> np.ndarray:
+    """float(c * r**i) for i < N, built from i = 0 (float_prefix keeps it)."""
     if s.c == 0:
         return np.zeros(N)
     if not s.is_exact:
@@ -405,19 +416,23 @@ def abs_upper_prefix(s: Symbol, N: int) -> np.ndarray:
 
 def float_prefix(s: Symbol, N: int) -> np.ndarray:
     """First N coefficients as floats (complex when one of them is complex),
-    each equal to float() or complex() of the exact coefficient."""
+    each equal to float() or complex() of the exact coefficient.  The
+    result is read-only: it may be a view of the symbol's kept block."""
     if s.kind is SymbolKind.GEOMETRIC:
-        return _geometric_block(s, N)
+        block = s.__dict__.get("_geo_floats")
+        if block is None or len(block) < N:
+            block = s.__dict__["_geo_floats"] = _readonly(_geometric_block(s, N))
+        return block[:N]
     block, real_lead = s._floats
     if block is None:
-        return _to_block(prefix(s, N))
+        return _readonly(_to_block(prefix(s, N)))
     _require_readable(s, N)
     head = block[:N]
     if N <= real_lead:
         head = head.real
     if N <= len(head):
         return head
-    return np.concatenate([head, np.zeros(N - len(head), dtype=head.dtype)])
+    return _readonly(np.concatenate([head, np.zeros(N - len(head), dtype=head.dtype)]))
 
 
 def symbol_abs_and_env(s: Symbol, L: int):

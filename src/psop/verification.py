@@ -85,7 +85,8 @@ class SweepOutcome:
 
 def _outcome(name: str, slacks: list[float], t0: float, tol: float = REL_TOL,
              detail: Optional[dict] = None) -> SweepOutcome:
-    m = min(slacks) if slacks else math.inf
+    # min() would skip a NaN slack after the first entry; NaN fails instead
+    m = math.nan if any(map(math.isnan, slacks)) else min(slacks, default=math.inf)
     return SweepOutcome(name, m >= -tol, m, detail or {}, time.time() - t0)
 
 
@@ -196,7 +197,12 @@ def sweep_hat_power_bound(space: SpaceSpec, thetas: Sequence[Symbol],
                 rhs = k * log_norm_lower + logw_q
                 if corrected and space.is_finite_type:
                     rhs = rhs + (k - 1) / (2.0 * p)
-                s = float(np.min(rhs - lhs))
+                # a zero column (lhs = -inf) holds vacuously, whatever rhs is
+                slack = np.subtract(rhs, lhs, out=np.full(n_max, math.inf),
+                                    where=lhs != -math.inf)
+                s = float(np.min(slack))
+                if math.isnan(s):
+                    return s, {"p": p, "k": k}   # an undefined cell fails the sweep
                 if s < worst[0]:
                     worst = (s, {"p": p, "k": k})
         return worst

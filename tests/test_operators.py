@@ -314,6 +314,36 @@ def test_power_bound_sweep_slacks_are_pinned(fin, inf, space_type, theta, correc
     assert repr(out.min_slack) == want
 
 
+def test_power_bound_sweep_of_the_zero_symbol_is_vacuous(fin):
+    """Zero columns hold with slack +inf, without a NaN from -inf - (-inf)
+    (tier-1 turns numpy's RuntimeWarning into an error)."""
+    from psop.verification import sweep_hat_power_bound
+
+    out = sweep_hat_power_bound(fin, [finite_symbol([0])], "x", 32, 3, 4)
+    assert out.passed and out.min_slack == math.inf
+
+
+def test_power_bound_sweep_fails_on_a_nan_cell(fin, monkeypatch):
+    """One NaN cell, in the second symbol's first power, fails the sweep
+    (min() over the per-symbol slacks would keep the first symbol's)."""
+    from psop import verification
+    from psop.symbols import SymbolKind
+
+    real = verification.hat_column_log_norms
+
+    def one_nan(space, s, p, n_max):
+        out = real(space, s, p, n_max).copy()
+        if p == 2 and s.kind is SymbolKind.GEOMETRIC:
+            out[3] = math.nan
+        return out
+
+    monkeypatch.setattr(verification, "hat_column_log_norms", one_nan)
+    out = verification.sweep_hat_power_bound(fin, [FIN_3, GEO_7_8], "x", 32, 3, 4,
+                                             corrected=True)
+    assert not out.passed and math.isnan(out.min_slack)
+    assert out.detail["argmin"] == {"p": 2, "k": 1, "symbol": 1}
+
+
 # -- check_apply's exact kernel against the scalar definition it replaced ----
 
 

@@ -7,6 +7,7 @@ import mpmath
 import pytest
 
 from psop import (
+    GeometricEnvelope,
     NonReplayable,
     Status,
     classify_check_all,
@@ -227,5 +228,20 @@ def test_oracle_imports_from_checked_modules_are_pinned():
         elif isinstance(node, ast.Import):
             assert not any(alias.name.startswith(("psop.symbols", "psop.operators"))
                            for alias in node.names)
-    assert names == {"Symbol", "coeff", "is_rational", "prefix", "ell1_norm",
-                     "zero_symbol", "OperatorKind"}
+    assert names == {"Symbol", "coeff", "is_rational", "prefix", "readable_length",
+                     "ell1_norm", "zero_symbol", "OperatorKind"}
+
+
+@pytest.mark.parametrize("values", [[Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)],
+                                    [1 / 2, 1 / 4, 1 / 8]], ids=["exact", "float"])
+def test_young_envelope_replays_on_a_window_shorter_than_the_spot_check(inf, values):
+    """The spot checks read beta^{*k} only as far as beta's window: entry m
+    of a power depends on entries 0..m of beta alone."""
+    beta = sampled_symbol(values, GeometricEnvelope(1.0, 0.5))
+    verdicts = classify_check_all(inf, beta, GridParams())
+    top, mtop = verdicts["topologizable"], verdicts["m_topologizable"]
+    assert mtop.certificate.rule == "young_envelope"
+    assert top.certificate.rule == "implied_by_m_topologizable"
+    assert replay_verdict(mtop) is True
+    assert replay_verdict(top) is True
+    assert len(_mp_abs_conv_power(beta, 2, 40)) == 3

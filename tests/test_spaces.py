@@ -27,9 +27,10 @@ from psop.spaces import (
     linear_alpha,
     log_alpha,
     root_alpha,
+    fit_dual_certificate,
     tail_majorant,
 )
-from psop.symbols import geometric_symbol
+from psop.symbols import delta_symbol, finite_symbol, geometric_symbol, sampled_symbol
 
 
 def test_weight_examples(fin, inf):
@@ -168,6 +169,65 @@ def test_nuclearity_root_and_log_infinite():
     cert = nuclearity_check(infinite_type_space(log_alpha()))
     assert cert.nuclear and cert.m1 == 2
     assert cert.decay_sum == pytest.approx(math.pi ** 2 / 6 - 1, rel=1e-3)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: finite_type_space(), lambda: infinite_type_space(),
+    lambda: infinite_type_space(linear_alpha()), lambda: finite_type_space(root_alpha(3)),
+    lambda: infinite_type_space(explicit_alpha([1, 2, 4, 8], "arithmetic")),
+], ids=["finite", "infinite", "infinite_alpha_given", "finite_root3", "explicit"])
+def test_nuclearity_check_is_memoised_per_space_value(build):
+    a, b = build(), build()
+    assert a is not b and a == b
+    assert nuclearity_check(a) is nuclearity_check(b)
+    assert nuclearity_check(a, 64) is nuclearity_check(b, 64)
+    assert nuclearity_check(a, 64) is not nuclearity_check(a)
+
+
+# (repr(c0), m0) recorded before the fit read log|beta| once per index
+FIT_BETAS = {
+    "finite": finite_symbol([Fraction(1, 2), Fraction(-1, 3), Fraction(1, 4)]),
+    "geometric": geometric_symbol(Fraction(3, 2), Fraction(7, 8)),
+    "geometric_small": geometric_symbol(Fraction(-5, 4), Fraction(1, 100)),
+    "geometric_float": geometric_symbol(0.75, -0.5),
+    "delta": delta_symbol(Fraction(3, 4)),
+    "sampled": sampled_symbol([0.5, -0.25, 0.125, 0.0625], GeometricEnvelope(1.0, 0.5)),
+    "sampled_zero": sampled_symbol([Fraction(1, 3), 0, Fraction(2, 9)], extension="zero"),
+    # ratio 2 outgrows every finite-type target exp(-alpha_n / m0)
+    "geometric_ratio_2": geometric_symbol(1, 2),
+}
+FIT_SPACES = {"finite": finite_type_space(), "infinite": infinite_type_space(),
+              "finite_root2": finite_type_space(root_alpha(2))}
+PINNED_FITS = [
+    ("finite", "finite", ("5.021384230801939", 1)),
+    ("finite", "geometric", ("1.6997226796019393", 8)),
+    ("finite", "geometric_small", ("3.3978522855772044", 1)),
+    ("finite", "geometric_float", ("1.2365409530263327", 2)),
+    ("finite", "delta", ("2.0387113713463227", 1)),
+    ("finite", "sampled", ("0.8243606353508884", 2)),
+    ("finite", "sampled_zero", ("4.463452649601723", 1)),
+    ("finite", "geometric_ratio_2", None),
+    ("infinite", "finite", ("0.1839397205859051", 1)),
+    ("infinite", "geometric", ("0.5518191617577154", 1)),
+    ("infinite", "geometric_small", ("0.4598493014647627", 1)),
+    ("infinite", "geometric_float", ("0.2759095808788577", 1)),
+    ("infinite", "delta", ("0.2759095808788577", 1)),
+    ("infinite", "sampled", ("0.1839397205859051", 1)),
+    ("infinite", "sampled_zero", ("0.12262648039060338", 1)),
+    ("finite_root2", "finite", ("1.413058418509936", 1)),
+    ("finite_root2", "geometric", ("11.147490337850801", 1)),
+    ("finite_root2", "geometric_small", ("3.3978522855772044", 1)),
+    ("finite_root2", "geometric_float", ("2.0387113713463227", 1)),
+    ("finite_root2", "delta", ("2.0387113713463227", 1)),
+    ("finite_root2", "sampled", ("1.3591409142308817", 1)),
+    ("finite_root2", "sampled_zero", ("1.2560519275643873", 1)),
+]
+
+
+@pytest.mark.parametrize("space,beta,want", PINNED_FITS)
+def test_fit_dual_certificate_values_are_pinned(space, beta, want):
+    cert = fit_dual_certificate(FIT_SPACES[space], FIT_BETAS[beta])
+    assert (None if cert is None else (repr(cert.c0), cert.m0)) == want
 
 
 def test_decay_compensation_constant_linear(fin):

@@ -238,17 +238,74 @@ def test_envelope_domination_tolerance_and_overflow():
 
 def test_only_symbols_decodes_symbol_storage():
     """Outside symbols.py no module reads the stored window, extension rule or
-    support bound of anything but itself (ExponentSequence reads its own)."""
+    support bound of anything but itself (ExponentSequence reads its own),
+    nor a symbol's cached float blocks, by attribute or by name."""
     storage = {"entries", "extension", "support_len"}
+    caches = {"_floats", "_geo_floats"}
     reads = []
     for path in sorted(Path(psop.__file__).parent.glob("*.py")):
         if path.name == "symbols.py":
             continue
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Attribute) and node.attr in storage and not (
-                    isinstance(node.value, ast.Name) and node.value.id == "self"):
+            if isinstance(node, ast.Attribute) and (node.attr in caches or (
+                    node.attr in storage and not (
+                        isinstance(node.value, ast.Name) and node.value.id == "self"))):
                 reads.append(f"{path.name}:{node.lineno} .{node.attr}")
+            elif isinstance(node, ast.Constant) and node.value in caches:
+                reads.append(f"{path.name}:{node.lineno} {node.value!r}")
     assert reads == []
+
+
+# -- the kept geometric block ---------------------------------------------
+
+MEMO_SYMBOLS = [geometric_symbol(Fraction(-7, 3), r)
+                for r in (Fraction(1, 2), Fraction(7, 8), Fraction(-3, 4), Fraction(1, 100))]
+MEMO_SYMBOLS += [geometric_symbol(-1.5, 0.875), geometric_symbol(0.5 - 2j, Fraction(3, 4))]
+
+
+def _fresh(s):
+    return geometric_symbol(s.c, s.r)
+
+
+@pytest.mark.parametrize("s", MEMO_SYMBOLS, ids=lambda s: s.describe())
+@pytest.mark.parametrize("first,then", [(2312, 700), (700, 2312), (64, 64)])
+def test_geometric_block_reads_equal_fresh_reads(s, first, then):
+    s = _fresh(s)
+    float_prefix(s, first)
+    got, want = float_prefix(s, then), float_prefix(_fresh(s), then)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert len(got) == then
+
+
+@pytest.mark.parametrize("s,lengths", [
+    (MEMO_SYMBOLS[1], (1, 5, 3)), (MEMO_SYMBOLS[-1], (1, 5, 3)),
+    (geometric_symbol(0, 3), (1, 5, 3)), (finite_symbol([1, 2j]), (1, 2, 5)),
+    (sampled_symbol([1.0, 0.5], extension="zero"), (1, 2, 5)),
+    (finite_symbol([3, 10 ** 400]), (1,)),   # no block: read entry by entry
+])
+def test_float_prefix_results_are_read_only(s, lengths):
+    for N in lengths:
+        with pytest.raises(ValueError, match="read-only"):
+            float_prefix(s, N)[0] = 1.0
+
+
+def test_norm_bounds_build_one_geometric_block(fin, monkeypatch):
+    from psop import symbols
+    from psop.operators import symbol_log_norm_bounds
+
+    built = []
+    real = symbols._geometric_block
+
+    def counting(s, N):
+        built.append(N)
+        return real(s, N)
+
+    monkeypatch.setattr(symbols, "_geometric_block", counting)
+    s = geometric_symbol(Fraction(5, 4), Fraction(7, 8))
+    bounds = [symbol_log_norm_bounds(fin, s, p) for p in range(1, 9)]
+    assert len(built) == 1
+    monkeypatch.setattr(symbols, "_geometric_block", real)
+    assert bounds == [symbol_log_norm_bounds(fin, _fresh(s), p) for p in range(1, 9)]
 
 
 @pytest.mark.parametrize("make,message", [
