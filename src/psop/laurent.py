@@ -27,6 +27,7 @@ from .spaces import (
     GeometricEnvelope,
     SpaceSpec,
     finite_type_space,
+    geometric_tail_sum,
     infinite_type_space,
 )
 from .symbols import Symbol, finite_symbol, prefix, sampled_symbol, symbol_envelope, zero_symbol
@@ -331,14 +332,9 @@ def toeplitz_from_function(F: HoloSymbol, space: SpaceSpec, r: float,
         total += abs(bs[m]) * w
     env = symbol_envelope(beta)
     tail = 0.0
-    if isinstance(env, GeometricEnvelope) and env.ratio > 0:
-        t = env.ratio * (1.0 if not space.is_finite_type else math.e)
-        if t < 1.0:
-            # sum_{m > window} env(m) * weight(m), weight = 1 or e^{m+1}
-            tail = env.scale * t ** (window + 1) \
-                * (math.e if space.is_finite_type else 1.0) / (1.0 - t)
-        else:
-            tail = math.inf
+    if isinstance(env, GeometricEnvelope):
+        # sum_{m > window} env(m) * weight(m), weight = 1 or e^{m+1}
+        tail = geometric_tail_sum(env, window + 1, math.e if space.is_finite_type else 1.0)
     verdicts = classify_toeplitz(space, theta, beta, grid)
     return FunctionOperatorReport(op, coeffs, theta, beta, membership, cert,
                                   total, tail, verdicts)

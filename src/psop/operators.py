@@ -29,7 +29,6 @@ from .numerics import NEG_INF, fmt17, log_nonneg, sum_exp
 from .spaces import (
     FINITE_TAIL,
     DualCertificate,
-    ExponentialEnvelope,
     FinitelySupported,
     GeometricEnvelope,
     NuclearityCert,
@@ -37,8 +36,13 @@ from .spaces import (
     StabilityCert,
     TailCert,
     TailUnbounded,
+    add_envelopes,
+    convolve_finite,
+    convolve_geometric,
+    correlate_envelope,
     geometric_for,
     nuclearity_check,
+    scale_envelope,
     seminorm,
     shift_envelope,
     stability_constant,
@@ -48,7 +52,6 @@ from .symbols import (
     ConvPowerTable,
     _exact_list_conv,
     _float_conv,
-    _inflate_ratio,
     MembershipReport,
     _int_conv,
     Symbol,
@@ -116,27 +119,11 @@ def basis_element(n: int, N: int, space: Optional[SpaceSpec] = None) -> Element:
 
 def element_from_symbol(s: Symbol, N: int, space: Optional[SpaceSpec] = None) -> Element:
     """Embed a symbol as x_n = s_{n-1}."""
-    env = symbol_envelope(s)
-    tail = shift_envelope(env, 1) if isinstance(env, GeometricEnvelope) else env
+    tail = shift_envelope(symbol_envelope(s), 1)
     sup = s.bounded_support()
     if sup is not None and sup <= N:
         tail = FINITE_TAIL
     return Element(tuple(prefix(s, N)), tail, space)
-
-
-def _combine_tails(a: TailCert, b: TailCert, space: Optional[SpaceSpec]) -> TailCert:
-    if isinstance(a, FinitelySupported):
-        return b
-    if isinstance(b, FinitelySupported):
-        return a
-    ga = a if isinstance(a, GeometricEnvelope) else (geometric_for(space, a) if space else None)
-    gb = b if isinstance(b, GeometricEnvelope) else (geometric_for(space, b) if space else None)
-    if ga is None or gb is None:
-        if isinstance(a, ExponentialEnvelope) and isinstance(b, ExponentialEnvelope) \
-                and a.grade == b.grade and a.sign == b.sign:
-            return ExponentialEnvelope(a.scale + b.scale, a.grade, a.sign)
-        raise TailUnbounded("cannot combine tail certificates of these shapes")
-    return GeometricEnvelope(ga.scale + gb.scale, max(ga.ratio, gb.ratio))
 
 
 def add_elements(x: Element, y: Element) -> Element:
@@ -148,19 +135,14 @@ def add_elements(x: Element, y: Element) -> Element:
     vy = list(y.values) + [0] * (n - len(y.values))
     vals = tuple(a + b for a, b in zip(vx, vy))
     space = x.space or y.space
-    return Element(vals, _combine_tails(x.tail, y.tail, space), space,
+    return Element(vals, add_envelopes(x.tail, y.tail, space), space,
                    x.residual + y.residual)
 
 
 def scale_element(x: Element, c) -> Element:
     vals = tuple(c * v for v in x.values)
-    tail = x.tail
-    mag = abs(c)
-    if isinstance(tail, GeometricEnvelope):
-        tail = GeometricEnvelope(tail.scale * float(mag), tail.ratio)
-    elif isinstance(tail, ExponentialEnvelope):
-        tail = ExponentialEnvelope(tail.scale * float(mag), tail.grade, tail.sign)
-    return Element(vals, tail, x.space, x.residual * float(mag))
+    mag = float(abs(c))
+    return Element(vals, scale_envelope(x.tail, mag), x.space, x.residual * mag)
 
 
 # ---------------------------------------------------------------------------
@@ -258,14 +240,11 @@ def hat_column(theta: Symbol, n: int, N: int) -> Element:
     if n < 1:
         raise ValueError("basis index starts at 1")
     vals = [0] * min(n - 1, N) + prefix(theta, max(N - n + 1, 0))
-    env = symbol_envelope(theta)
     sup = theta.bounded_support()
     if sup is not None and n - 1 + sup <= N:
         tail = FINITE_TAIL
-    elif isinstance(env, GeometricEnvelope):
-        tail = shift_envelope(env, n)  # |x_j| <= env(j - n)
     else:
-        tail = env
+        tail = shift_envelope(symbol_envelope(theta), n)  # |x_j| <= env(j - n)
     return Element(tuple(vals), tail)
 
 
@@ -295,52 +274,26 @@ def _forward_conv_values(xs: Sequence, theta: Symbol, N: int) -> list:
     return _float_conv(xs, th, N) or [0] * N
 
 
-def _sup_n_poly(t: float) -> float:
-    """sup_{n>=1} n * t**n for 0 <= t < 1."""
-    if t <= 0.0:
-        return 0.0
-    n_star = -1.0 / math.log(t)
-    best = t
-    for n in {1, max(1, math.floor(n_star)), max(1, math.ceil(n_star))}:
-        best = max(best, n * t ** n)
-    return best
-
-
 def _hat_output_tail(x: Element, theta: Symbol) -> TailCert:
-    """Envelope for (theta * x)_n beyond the truncation."""
-    x_geo = x.tail if isinstance(x.tail, GeometricEnvelope) else \
-        (geometric_for(x.space, x.tail) if (x.space and not x.is_finitely_supported) else None)
+    """Envelope for every entry of theta * x."""
     env_t = symbol_envelope(theta)
-    t_fin = isinstance(env_t, FinitelySupported)
-    t_geo = env_t if isinstance(env_t, GeometricEnvelope) else None
-    if x.is_finitely_supported and t_fin:
-        return FINITE_TAIL
     if x.is_finitely_supported:
-        if t_geo is None:
-            raise TailUnbounded("symbol envelope shape cannot compose with convolution")
-        if t_geo.ratio == 0:
+        if isinstance(env_t, FinitelySupported):
             return FINITE_TAIL
-        s = t_geo.scale * math.fsum(
-            float(abs(v)) * t_geo.ratio ** (-(i + 1)) for i, v in enumerate(x.values) if v != 0)
-        return GeometricEnvelope(s, t_geo.ratio)
+        if not isinstance(env_t, GeometricEnvelope):
+            raise TailUnbounded("symbol envelope shape cannot compose with convolution")
+        return convolve_finite(x.values, env_t, 1)
+    x_geo = geometric_for(x.space, x.tail)
     if x_geo is None:
         raise TailUnbounded("element tail certificate cannot compose with convolution")
-    if t_fin:
-        sup = theta.bounded_support() or 0
-        if sup == 0:
-            return FINITE_TAIL
-        if x_geo.ratio == 0:
-            return FINITE_TAIL
-        s = x_geo.scale * math.fsum(
-            float(abs(v)) * x_geo.ratio ** (-i) for i, v in enumerate(prefix(theta, sup)))
-        return GeometricEnvelope(s, x_geo.ratio)
-    assert t_geo is not None
-    rho = max(x_geo.ratio, t_geo.ratio)
-    if rho == 0:
-        return FINITE_TAIL
-    rho_inf = _inflate_ratio(rho)
-    poly = _sup_n_poly(rho / rho_inf)
-    return GeometricEnvelope(x_geo.scale * t_geo.scale * max(poly, 1.0) / rho_inf, rho_inf)
+    if x_geo.ratio == 0:
+        return FINITE_TAIL  # ratio 0 certifies x = 0
+    if isinstance(env_t, FinitelySupported):
+        return convolve_finite(prefix(theta, theta.bounded_support() or 0), x_geo)
+    if not isinstance(env_t, GeometricEnvelope):
+        raise TailUnbounded("symbol envelope shape cannot compose with convolution")
+    # the symbol-index rule seen through x_n = s_{n-1}
+    return shift_envelope(convolve_geometric(shift_envelope(x_geo, -1), env_t), 1)
 
 
 def hat_apply(theta: Symbol, x: Element) -> Element:
@@ -408,29 +361,12 @@ def check_apply(beta: Symbol, x: Element) -> Element:
         if residual > 0:
             residual *= math.fsum(abs(b) for b in bs) if bs else 0.0
         return Element(tuple(vals), FINITE_TAIL, x.space, residual)
-    x_geo = x.tail if isinstance(x.tail, GeometricEnvelope) else \
-        (geometric_for(x.space, x.tail) if x.space else None)
+    x_geo = geometric_for(x.space, x.tail)
     if x_geo is None:
         raise TailUnbounded("dual application needs a geometric tail on the input")
-    env_b = symbol_envelope(beta)
-    b_geo = env_b if isinstance(env_b, GeometricEnvelope) else None
     b_sup = beta.bounded_support()
-    cx, rx = x_geo.scale, x_geo.ratio
-    if b_geo is not None and b_geo.ratio > 0 and b_sup is None:
-        t = rx * b_geo.ratio
-        if t >= 1.0:
-            raise TailUnbounded("input tail and symbol growth do not compose summably")
-        cb, rb = b_geo.scale, b_geo.ratio
-        extra = cx * cb * t ** (N + 1) / (1.0 - t) * max(rb ** (-1.0), rb ** (-float(N)))
-        out_tail = GeometricEnvelope(cx * cb / (1.0 - t), rx)
-    elif b_sup is not None:
-        if rx >= 1.0:
-            raise TailUnbounded("input tail does not decay; dual truncation unbounded")
-        l1b = float(ell1_norm(beta).upper)
-        extra = cx * rx ** (N + 1) / (1.0 - rx) * l1b
-        out_tail = GeometricEnvelope(cx * l1b * max(rx ** (-(b_sup - 1)), 1.0), rx)
-    else:
-        raise TailUnbounded("symbol envelope shape cannot compose with dual application")
+    l1b = float(ell1_norm(beta).upper) if b_sup is not None else math.inf
+    out_tail, extra = correlate_envelope(x_geo, symbol_envelope(beta), N, b_sup, l1b)
     bs_needed = min(N, b_sup) if b_sup is not None else N
     bs = prefix(beta, bs_needed)
     vals = []
@@ -641,8 +577,7 @@ def hat_column_log_norms(space: SpaceSpec, s: Symbol, p: int, n_max: int) -> np.
         terms = log_nonneg(c) + logw
         _, lv = sum_exp(terms)
         if geo is not None:
-            shifted = GeometricEnvelope(geo.scale * geo.ratio ** (-n), geo.ratio)
-            _, lt = tail_majorant(space, shifted, n + len(c), p)
+            _, lt = tail_majorant(space, shift_envelope(geo, n), n + len(c), p)
             lv = float(np.logaddexp(lv, lt))
         out[n - 1] = lv
     return out

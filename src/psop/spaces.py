@@ -21,7 +21,7 @@ import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 import numpy as np
 
@@ -283,16 +283,116 @@ def shift_envelope(cert: TailCert, offset: int) -> TailCert:
     return cert
 
 
-def geometric_for(space: SpaceSpec, cert: TailCert) -> Optional[GeometricEnvelope]:
+def geometric_for(space: Optional[SpaceSpec], cert: TailCert) -> Optional[GeometricEnvelope]:
     """Rewrite a certificate as a geometric envelope when the space allows it
-    (exact on linear alpha, where exp envelopes are geometric)."""
+    (exact on linear alpha, where exp envelopes are geometric; None for an
+    exponential envelope without a space)."""
     if isinstance(cert, GeometricEnvelope):
         return cert
-    if isinstance(cert, ExponentialEnvelope) and space.is_linear:
+    if isinstance(cert, ExponentialEnvelope) and space is not None and space.is_linear:
         if cert.sign > 0:
             return GeometricEnvelope(cert.scale, math.exp(cert.grade))
         return GeometricEnvelope(cert.scale, math.exp(-1.0 / cert.grade))
     return None
+
+
+def scale_envelope(cert: TailCert, factor: float) -> TailCert:
+    """Certificate for c * x from one for x, with factor = |c| as a float."""
+    if isinstance(cert, GeometricEnvelope):
+        return GeometricEnvelope(cert.scale * factor, cert.ratio)
+    if isinstance(cert, ExponentialEnvelope):
+        return ExponentialEnvelope(cert.scale * factor, cert.grade, cert.sign)
+    return cert
+
+
+def add_envelopes(a: TailCert, b: TailCert, space: Optional[SpaceSpec] = None) -> TailCert:
+    """Certificate for x + y from certificates for x and y."""
+    if isinstance(a, FinitelySupported):
+        return b
+    if isinstance(b, FinitelySupported):
+        return a
+    ga, gb = geometric_for(space, a), geometric_for(space, b)
+    if ga is None or gb is None:
+        if isinstance(a, ExponentialEnvelope) and isinstance(b, ExponentialEnvelope) \
+                and a.grade == b.grade and a.sign == b.sign:
+            return ExponentialEnvelope(a.scale + b.scale, a.grade, a.sign)
+        raise TailUnbounded("cannot combine tail certificates of these shapes")
+    return GeometricEnvelope(ga.scale + gb.scale, max(ga.ratio, gb.ratio))
+
+
+def convolve_finite(values: Sequence, env: GeometricEnvelope, first: int = 0) -> TailCert:
+    """Envelope scale * sum_j |v_j| ratio**(-j) for the Cauchy product of a
+    finite vector, v_{j+first} = values[j], with a sequence under env.  Zero
+    entries are skipped: a zero term never changes the fsum, and skipping it
+    avoids a ratio ** (-j) overflow.  Ratio 0 or no values: finite support."""
+    if len(values) == 0 or env.ratio == 0:
+        return FINITE_TAIL
+    weights = math.fsum(float(abs(v)) * env.ratio ** (-(j + first))
+                        for j, v in enumerate(values) if v != 0)
+    return GeometricEnvelope(env.scale * weights, env.ratio)
+
+
+def _geometric_sup_poly(t: float) -> float:
+    """sup_{m>=0} (m+1) * t**m for 0 <= t < 1 (closed: check the two integers
+    bracketing the stationary point)."""
+    if t <= 0.0:
+        return 1.0
+    m_star = -1.0 / math.log(t) - 1.0
+    best = 1.0
+    for m in {0, max(0, math.floor(m_star)), max(0, math.ceil(m_star))}:
+        best = max(best, (m + 1) * t ** m)
+    return best
+
+
+def _inflate_ratio(rho: float) -> float:
+    return (1.0 + rho) / 2.0 if rho < 1.0 else 1.5 * rho
+
+
+def convolve_geometric(ea: GeometricEnvelope, eb: GeometricEnvelope) -> GeometricEnvelope:
+    """Envelope for the Cauchy product of sequences under ea and eb: the
+    factor m + 1 is absorbed by inflating the ratio (midpoint to 1 below 1,
+    half again above), trading tightness for closure of the certificate
+    algebra.  Ratio 0 certifies one factor zero beyond index 0."""
+    if ea.ratio == 0 or eb.ratio == 0:
+        base = ea if ea.ratio == 0 else eb
+        other = eb if ea.ratio == 0 else ea
+        return GeometricEnvelope(base.scale * other.scale, other.ratio)
+    rho = max(ea.ratio, eb.ratio)
+    rho_inflated = _inflate_ratio(rho)
+    poly = _geometric_sup_poly(rho / rho_inflated)
+    return GeometricEnvelope(ea.scale * eb.scale * poly, rho_inflated)
+
+
+def correlate_envelope(x_env: GeometricEnvelope, b_env: TailCert, N: int,
+                       b_support: Optional[int], b_l1: float) -> tuple[GeometricEnvelope, float]:
+    """(tail, extra) for (b star x)_n = sum_{j>=n} x_j b_{j-n} on an element
+    stored to N entries, each under x_env: tail bounds every output entry,
+    extra the error of summing j <= N only.  b_support is b's support bound
+    (None: b_env must be geometric); b_l1 bounds sum |b_i| and is read only
+    when b_support is set."""
+    cx, rx = x_env.scale, x_env.ratio
+    if b_support is None:
+        if not (isinstance(b_env, GeometricEnvelope) and b_env.ratio > 0):
+            raise TailUnbounded("symbol envelope shape cannot compose with dual application")
+        t = rx * b_env.ratio
+        if t >= 1.0:
+            raise TailUnbounded("input tail and symbol growth do not compose summably")
+        cb, rb = b_env.scale, b_env.ratio
+        extra = cx * cb * t ** (N + 1) / (1.0 - t) * max(rb ** (-1.0), rb ** (-float(N)))
+        return GeometricEnvelope(cx * cb / (1.0 - t), rx), extra
+    if rx >= 1.0:
+        raise TailUnbounded("input tail does not decay; dual truncation unbounded")
+    extra = cx * rx ** (N + 1) / (1.0 - rx) * b_l1
+    return GeometricEnvelope(cx * b_l1 * max(rx ** (-(b_support - 1)), 1.0), rx), extra
+
+
+def geometric_tail_sum(env: GeometricEnvelope, start: int, growth: float = 1.0) -> float:
+    """sum_{i>=start} env(i) * growth**(i+1) = scale * growth * t**start / (1 - t)
+    with t = ratio * growth; inf when t >= 1."""
+    t = env.ratio * growth
+    if t >= 1.0:
+        return math.inf
+    return env.scale * growth * t ** start / (1.0 - t)
 
 
 def tail_majorant(space: SpaceSpec, cert: TailCert, start: int, k: int) -> tuple[float, float]:

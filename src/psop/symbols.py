@@ -63,6 +63,9 @@ from .spaces import (
     SpaceSpec,
     TailCert,
     TailUnbounded,
+    convolve_finite,
+    convolve_geometric,
+    geometric_tail_sum,
     seminorm as _space_seminorm,
     shift_envelope,
 )
@@ -505,29 +508,9 @@ def _float_conv(xs: Sequence[Number], ys: Sequence[Number], N: int) -> list:
     return list(np.convolve(_to_block(xs), _to_block(ys))[:N])
 
 
-def _geometric_sup_poly(t: float) -> float:
-    """sup_{m>=0} (m+1) * t**m for 0 <= t < 1 (closed: check the two integers
-    bracketing the stationary point)."""
-    if t <= 0.0:
-        return 1.0
-    m_star = -1.0 / math.log(t) - 1.0
-    best = 1.0
-    for m in {0, max(0, math.floor(m_star)), max(0, math.ceil(m_star))}:
-        best = max(best, (m + 1) * t ** m)
-    return best
-
-
-def _inflate_ratio(rho: float) -> float:
-    return (1.0 + rho) / 2.0 if rho < 1.0 else 1.5 * rho
-
-
 def convolve_envelopes(ea: TailCert, eb: TailCert, a: Symbol, b: Symbol) -> TailCert:
-    """Envelope for a*b from the factors' envelopes.
-
-    Geometric*geometric absorbs the arising polynomial factor by inflating
-    the ratio (midpoint to 1 below 1, half again above), trading tightness
-    for closure of the certificate algebra.
-    """
+    """Envelope for a*b from the factors' envelopes, by the rules in spaces
+    (convolve_finite, convolve_geometric)."""
     if isinstance(ea, FinitelySupported) and isinstance(eb, FinitelySupported):
         # both supports finite; used when the product is truncated below its
         # full support, so bound the unstored coefficients by the sum product
@@ -538,24 +521,12 @@ def convolve_envelopes(ea: TailCert, eb: TailCert, a: Symbol, b: Symbol) -> Tail
         fin, env, fin_sym = (ea, eb, a) if isinstance(ea, FinitelySupported) else (eb, ea, b)
         if not isinstance(env, GeometricEnvelope):
             raise TailUnbounded("cannot compose a non-geometric envelope under convolution")
-        if env.ratio == 0:
-            return FINITE_TAIL
         L = fin_sym.bounded_support()
         if L is None:
             raise TailUnbounded("finite factor without a certified support bound")
-        weights = math.fsum(float(abs(coeff(fin_sym, i))) * env.ratio ** (-i)
-                            for i in range(L))
-        return GeometricEnvelope(env.scale * weights, env.ratio)
+        return convolve_finite(prefix(fin_sym, L), env)
     if isinstance(ea, GeometricEnvelope) and isinstance(eb, GeometricEnvelope):
-        if ea.ratio == 0 or eb.ratio == 0:
-            # degenerate: one factor certified zero beyond index 0
-            base = ea if ea.ratio == 0 else eb
-            other = eb if ea.ratio == 0 else ea
-            return GeometricEnvelope(base.scale * other.scale, other.ratio)
-        rho = max(ea.ratio, eb.ratio)
-        rho_inflated = _inflate_ratio(rho)
-        poly = _geometric_sup_poly(rho / rho_inflated)
-        return GeometricEnvelope(ea.scale * eb.scale * poly, rho_inflated)
+        return convolve_geometric(ea, eb)
     raise TailUnbounded("cannot compose these envelope shapes under convolution")
 
 
@@ -702,8 +673,7 @@ def ell1_norm(s: Symbol) -> SeriesSum:
     env = s.envelope
     if isinstance(env, GeometricEnvelope):
         if env.ratio < 1:
-            tail = env.scale * env.ratio ** W / (1.0 - env.ratio) if env.ratio > 0 else 0.0
-            return SeriesSum(partial, tail)
+            return SeriesSum(partial, geometric_tail_sum(env, W))
         if L is not None:
             tail = math.fsum(env.at(i) for i in range(W, L))
             return SeriesSum(partial, tail)
@@ -728,10 +698,8 @@ def weighted_beta_sum_finite(beta: Symbol) -> SeriesSum:
     W = len(beta.entries)
     partial = math.fsum(abs(v) * math.exp(i + 1.0) for i, v in enumerate(beta.entries))
     if isinstance(env, GeometricEnvelope):
-        t = env.ratio * math.e
-        if t < 1:
-            tail = env.scale * math.e * t ** W / (1 - t)
-            return SeriesSum(partial, tail)
+        if env.ratio * math.e < 1:
+            return SeriesSum(partial, geometric_tail_sum(env, W, math.e))
         raise TailUnbounded("envelope cannot settle the exponentially weighted sum")
     raise TailUnbounded("no certificate for the exponentially weighted sum")
 
@@ -755,8 +723,7 @@ def embedded_element_data(s: Symbol, N: int) -> _Embedded:
     sup = s.bounded_support()
     if sup is not None and W >= sup:
         return _Embedded(vals, FINITE_TAIL)
-    env = symbol_envelope(s)
-    return _Embedded(vals, shift_envelope(env, 1) if isinstance(env, GeometricEnvelope) else env)
+    return _Embedded(vals, shift_envelope(symbol_envelope(s), 1))
 
 
 def symbol_grade_norm(space: SpaceSpec, s: Symbol, k: int, N: int = 256):
