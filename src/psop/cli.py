@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Optional
 
@@ -365,9 +365,7 @@ def run_classify(cfg: JobConfig, report: Report, outdir: Path) -> None:
             if m in tv:
                 verdicts.append(tv[m])
             else:  # topologizable, read off m_topologizable
-                base = tv["m_topologizable"]
-                verdicts.append(base if not base.decisive else
-                                base.__class__(**{**base.__dict__, "prop": m}))
+                verdicts.append(replace(tv["m_topologizable"], prop=m))
     report.verdicts = [verdict_json(v) for v in verdicts]
     if "csv" in cfg.formats and cfg.task.get("matrix_size"):
         n = int(cfg.task["matrix_size"])

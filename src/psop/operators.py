@@ -40,6 +40,7 @@ from .spaces import (
     convolve_finite,
     convolve_geometric,
     correlate_envelope,
+    fold_values,
     geometric_for,
     nuclearity_check,
     scale_envelope,
@@ -78,8 +79,11 @@ from .symbols import (
 class Element:
     """Truncated vector indexed from 1 (values[i] holds x_{i+1}).
 
-    tail bounds the unstored entries; residual bounds the entrywise error of
-    the stored ones (nonzero only after prefix-truncated dual applications).
+    tail bounds the unstored entries; a geometric tail (or one that
+    geometric_for rewrites as geometric) bounds every entry, stored or not,
+    which is what the composition rules in spaces read.  residual bounds the
+    entrywise error of the stored ones (nonzero only after prefix-truncated
+    dual applications).
     """
 
     values: tuple
@@ -135,8 +139,15 @@ def add_elements(x: Element, y: Element) -> Element:
     vy = list(y.values) + [0] * (n - len(y.values))
     vals = tuple(a + b for a, b in zip(vx, vy))
     space = x.space or y.space
-    return Element(vals, add_envelopes(x.tail, y.tail, space), space,
-                   x.residual + y.residual)
+    # the other summand's envelope does not bound a finitely supported
+    # summand's stored entries: fold them in
+    if y.is_finitely_supported:
+        tail = fold_values(x.tail, y.values, space)
+    elif x.is_finitely_supported:
+        tail = fold_values(y.tail, x.values, space)
+    else:
+        tail = add_envelopes(x.tail, y.tail, space)
+    return Element(vals, tail, space, x.residual + y.residual)
 
 
 def scale_element(x: Element, c) -> Element:

@@ -13,6 +13,15 @@ closed-form majorant for the omitted tail or raises TailUnbounded.  The
 supported certificate shapes are finite support, geometric envelopes
 |x_n| <= c * rho**n, and exponential envelopes tied to alpha (the shape in
 which dual-space membership is expressed).
+
+Ownership: this module alone builds a certificate out of other
+certificates: scaling, sums, a finite vector or an envelope convolved with
+an envelope, the dual correlation with its truncation residual, reindexing,
+and the geometric tail sum.  The rules take envelopes and magnitudes (or
+stored values), never symbols; operators, symbols and laurent call them.
+A geometric certificate on an element bounds every entry, stored or not
+(notes/decisions.md section 5); the powers ratio ** (-n) stay float
+arithmetic, so an envelope too large for a float raises OverflowError.
 """
 
 from __future__ import annotations
@@ -318,6 +327,23 @@ def add_envelopes(a: TailCert, b: TailCert, space: Optional[SpaceSpec] = None) -
             return ExponentialEnvelope(a.scale + b.scale, a.grade, a.sign)
         raise TailUnbounded("cannot combine tail certificates of these shapes")
     return GeometricEnvelope(ga.scale + gb.scale, max(ga.ratio, gb.ratio))
+
+
+def fold_values(cert: TailCert, values: Sequence, space: Optional[SpaceSpec]) -> TailCert:
+    """Certificate for every entry of x + y, where cert bounds every entry of
+    x and y is finitely supported with y_n = values[n - 1].
+
+    A geometric c * rho**n widens by the finite-vector rule with the unit
+    envelope rho**n: |y_n| <= (sum_j |y_j| rho**(-j)) * rho**n.  Ratio 0
+    certifies x = 0, so the sum is y itself.  A certificate with no geometric
+    form stays as it is: no composition rule reads it, and a seminorm reads
+    it past the stored entries only."""
+    geo = geometric_for(space, cert)
+    if geo is None:
+        return cert
+    if geo.ratio == 0:
+        return FINITE_TAIL
+    return add_envelopes(geo, convolve_finite(values, GeometricEnvelope(1.0, geo.ratio), 1))
 
 
 def convolve_finite(values: Sequence, env: GeometricEnvelope, first: int = 0) -> TailCert:
@@ -682,15 +708,21 @@ class DualCheckResult:
 def dual_certificate_check(space: SpaceSpec, beta, cert: DualCertificate,
                            N: int) -> DualCheckResult:
     """Verify the certificate inequality for n = 1..N (symbol indexed from 0),
-    up to a relative slack of 1e-12."""
-    from .symbols import prefix  # local import to keep module layering acyclic
+    up to a relative slack of 1e-12: on exact values inside the readable
+    window, on the envelope beyond it (the bounds fit_dual_certificate fits)."""
+    # local import to keep module layering acyclic
+    from .symbols import abs_upper_prefix, prefix, readable_length
 
     if N < 1:
         raise ValueError("need N >= 1")
+    W = readable_length(beta, N)
+    bounds = prefix(beta, W)
+    if W < N:
+        bounds += abs_upper_prefix(beta, N)[W:].tolist()
     witness = None
     worst = NEG_INF
     slack = math.log1p(1e-12)
-    for n, b in enumerate(prefix(beta, N), 1):
+    for n, b in enumerate(bounds, 1):
         excess = log_abs(b) - cert.log_bound(space, n)
         worst = max(worst, excess)
         if excess > slack and witness is None:

@@ -205,7 +205,10 @@ class Symbol:
             return self.support_len
         if self.extension == "zero":
             return trimmed_len(self.entries)
-        if isinstance(self.envelope, GeometricEnvelope) and self.envelope.scale == 0:
+        env = self.envelope
+        if isinstance(env, GeometricEnvelope) and (
+                env.scale == 0 or (env.ratio == 0 and self.entries)):
+            # the envelope certifies zeros past the window (ratio 0: past index 0)
             return trimmed_len(self.entries)
         return None
 
@@ -298,9 +301,8 @@ def coeff(s: Symbol, i: int) -> Number:
         return s.c * s.r ** i
     if i < len(s.entries):
         return s.entries[i]
-    if s.support_len is not None and i >= s.support_len:
-        return 0
-    if s.extension == "zero":
+    sup = s.bounded_support()
+    if (sup is not None and i >= sup) or s.extension == "zero":
         return 0
     raise OutOfSampledRange(f"index {i} beyond sampled window of length {len(s.entries)}")
 
@@ -325,7 +327,8 @@ def _unreadable_from(s: Symbol, N: int) -> Optional[int]:
     W = len(s.entries)
     if s.kind is not SymbolKind.SAMPLED or N <= W or s.extension == "zero":
         return None
-    if s.support_len is not None and s.support_len <= W:
+    sup = s.bounded_support()
+    if sup is not None and sup <= W:
         return None
     return W
 
@@ -409,8 +412,9 @@ def abs_upper_prefix(s: Symbol, N: int) -> np.ndarray:
     W = _unreadable_from(s, N)
     if W is None:
         return _abs_block(float_prefix(s, N))
-    # indices from support_len on read as 0; the ones before it need the envelope
-    end = N if s.support_len is None else min(N, s.support_len)
+    # indices from the support bound on read as 0; the ones before it need the envelope
+    sup = s.bounded_support()
+    end = N if sup is None else min(N, sup)
     env = s.envelope
     beyond = [env.at(i) if isinstance(env, GeometricEnvelope) else math.inf
               for i in range(W, end)]

@@ -98,8 +98,32 @@ def test_check_classify_with_short_sampled_beta_writes_a_report(tmp_path):
 
 
 def test_read_past_a_sampled_window_is_a_task_error(tmp_path, capsys):
-    # the Toeplitz dual part keeps a 33-entry window; the dual certificate
-    # check reads past it
+    # the orbit embeds its start at the grid's truncation, past the 3-entry window
+    job = {
+        "schema": 1,
+        "space": {"type": "finite", "alpha": {"kind": "linear"}},
+        "operator": {"kind": "hat", "theta": {"finite": ["1/2"]}},
+        "task": {"type": "orbit", "K": 2, "p_grid": [1], "start": {"sampled": {
+            "values": ["1/2", "1/4", "1/8"],
+            "envelope": {"geometric": {"scale": 1, "ratio": 0.5}}}}},
+    }
+    assert main(["run", write(tmp_path, job), "--out", str(tmp_path / "out")]) == 3
+    assert "beyond sampled window" in capsys.readouterr().err
+
+
+def _verdicts(tmp_path, job) -> dict:
+    assert main(["run", write(tmp_path, job), "--out", str(tmp_path / "out")]) == 0
+    doc = json.loads((tmp_path / "out" / "report.json").read_text())
+    got = {}
+    for v in doc["verdicts"]:
+        assert v["property"] not in got
+        got[v["property"]] = (v["status"], v["certificate"] and v["certificate"]["rule"])
+    return got
+
+
+def test_toeplitz_source_with_a_laurent_window_classifies(tmp_path):
+    # the dual part keeps a 33-entry window; the certificate check reads
+    # the fitted envelope past it
     job = {
         "schema": 1,
         "space": {"type": "finite", "alpha": {"kind": "linear"}},
@@ -108,8 +132,35 @@ def test_read_past_a_sampled_window_is_a_task_error(tmp_path, capsys):
             "radius": 1.0, "annulus": [0.5, 2.0]}},
         "task": {"type": "classify"},
     }
-    assert main(["run", write(tmp_path, job), "--out", str(tmp_path / "out")]) == 3
-    assert "beyond sampled window" in capsys.readouterr().err
+    assert set(_verdicts(tmp_path, job)) == {"topologizable", "m_topologizable",
+                                             "power_bounded"}
+
+
+def test_inconclusive_toeplitz_topologizable_keeps_its_label(tmp_path):
+    job = {
+        "schema": 1,
+        "space": {"type": "finite", "alpha": {"kind": "linear"}},
+        "operator": {"kind": "toeplitz", "theta": {"finite": ["1/4"]},
+                     "beta": {"sampled": {"values": ["0", "1/2"], "envelope": {
+                         "geometric": {"scale": 1, "ratio": 0.5}}}}},
+        "task": {"type": "classify"},
+    }
+    got = _verdicts(tmp_path, job)
+    assert list(got) == ["topologizable", "m_topologizable", "power_bounded"]
+    assert got["topologizable"] == got["m_topologizable"]
+
+
+def test_ratio_zero_envelope_is_finite_support(tmp_path):
+    job = {
+        "schema": 1,
+        "space": {"type": "finite", "alpha": {"kind": "linear"}},
+        "operator": {"kind": "hat", "theta": {"sampled": {
+            "values": ["3/2", "0"], "envelope": {"geometric": {"scale": 2, "ratio": 0}}}}},
+        "task": {"type": "classify", "modes": ["power_bounded", "strongly_tame"]},
+    }
+    got = _verdicts(tmp_path, job)
+    assert got == {"power_bounded": ("fails", "hat_l1_exceeds"),
+                   "strongly_tame": ("holds", got["strongly_tame"][1])}
 
 
 def test_report_config_echo_reparses(tmp_path):

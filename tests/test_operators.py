@@ -30,6 +30,7 @@ from psop import (
     make_hat_operator,
     power_apply,
     root_alpha,
+    sampled_symbol,
     seminorm,
     toeplitz_apply,
     toeplitz_matrix,
@@ -258,6 +259,19 @@ def test_column_norms_on_a_root_alpha_match_direct_sums(space_type):
                                    rtol=0, atol=1e-14)
 
 
+@pytest.mark.parametrize("space", [finite_type_space(), infinite_type_space(),
+                                   finite_type_space(root_alpha(2)),
+                                   infinite_type_space(root_alpha(2))],
+                         ids=["fin", "inf", "fin-root", "inf-root"])
+def test_ratio_zero_envelope_reads_as_finite_support(space):
+    """An envelope of ratio 0 certifies zeros past index 0, as a finite list does."""
+    s = sampled_symbol([Fraction(3, 2), 0], GeometricEnvelope(2.0, 0.0))
+    assert s.bounded_support() == 1 and prefix(s, 5) == [Fraction(3, 2), 0, 0, 0, 0]
+    f = finite_symbol([Fraction(3, 2)])
+    for kernel in (hat_column_log_norms, check_column_log_norms):
+        assert kernel(space, s, 2, 12).tobytes() == kernel(space, f, 2, 12).tobytes()
+
+
 def _sum_exp_loop(log_terms):
     """The scalar log-sum-exp that numerics.sum_exp vectorises."""
     from psop.numerics import exp_guarded
@@ -426,3 +440,85 @@ def test_check_apply_numpy_integers_come_back_as_python_ints():
     mixed = (np.int64(3), F(1, 2))
     got = check_apply(beta, Element(mixed)).values
     assert _typed(got) == _typed(_check_apply_scalar(beta, mixed))
+
+
+# -- a geometric tail bounds every entry, so steps compose soundly ----------
+
+
+def _first_escape(short: Element, long: Element):
+    """First index past the short run's truncation where the long run's entry
+    exceeds the short run's tail (the long run's own residual allowed)."""
+    for n in range(short.truncation + 1, long.truncation + 1):
+        bound = 0.0 if short.is_finitely_supported else short.tail.at(n)
+        if abs(complex(long.values[n - 1])) > bound * (1 + 1e-9) + long.residual + 1e-300:
+            return n
+    return None
+
+
+def test_toeplitz_tail_bounds_the_dual_part_of_a_sum():
+    theta = geometric_symbol(Fraction(3, 8), Fraction(7, 8))
+    beta = finite_symbol([8, Fraction(-1, 2)])
+    short, long = e(1, 4), e(1, 90)
+    for _ in range(2):
+        short = toeplitz_apply(theta, beta, short)
+        long = toeplitz_apply(theta, beta, long)
+    assert float(long.values[4]) == pytest.approx(3.833078, rel=1e-6)
+    assert short.tail.at(5) >= float(long.values[4])
+    assert _first_escape(short, long) is None
+
+
+def test_add_elements_folds_a_finite_summand_into_the_envelope(fin):
+    x = element_from_symbol(geometric_symbol(1, Fraction(1, 2)), 4, fin)
+    y = Element((0, 0, 5, 0))
+    for total in (add_elements(x, y), add_elements(y, x)):
+        assert all(abs(v) <= total.tail.at(n) for n, v in enumerate(total.values, 1))
+    assert add_elements(x, Element((0, 0, 0, 0))).tail == x.tail
+
+
+STEPS = {
+    "hat": lambda theta, beta, x: hat_apply(theta, x),
+    "check": lambda theta, beta, x: check_apply(beta, x),
+    "toeplitz": toeplitz_apply,
+}
+
+
+def test_short_run_tails_bound_the_long_run():
+    """Seeded hat, check and Toeplitz steps from basis, finite and
+    symbol-embedded starts: each entry past N of an N = 90 run stays under
+    the tail of the run truncated at N."""
+    rng = random.Random(1)
+
+    def frac(num_hi, den):
+        return Fraction(rng.randint(-num_hi, num_hi), den)
+
+    compared = 0
+    for _ in range(200):
+        theta = geometric_symbol(Fraction(rng.randint(1, 8), 8), Fraction(rng.randint(1, 7), 8))
+        if rng.random() < 0.5:
+            beta = finite_symbol([frac(8, 4) for _ in range(rng.randint(1, 3))])
+        else:
+            beta = geometric_symbol(frac(8, 8), Fraction(rng.randint(1, 7), 8))
+        start = rng.choice(["basis", "finite", "symbol"])
+        n0 = rng.randint(1, 3)
+        vals = [frac(4, 4) for _ in range(3)]
+        embedded = geometric_symbol(frac(8, 8) or 1, Fraction(rng.randint(1, 7), 8))
+        N = rng.randint(4, 8)
+
+        def make(M):
+            if start == "basis":
+                return e(n0, M)
+            if start == "finite":
+                return Element(tuple(vals) + (0,) * (M - 3))
+            return element_from_symbol(embedded, M)
+
+        short, long = make(N), make(90)
+        for _ in range(rng.randint(1, 4)):
+            step = STEPS[rng.choice(list(STEPS))]
+            try:
+                short = step(theta, beta, short)
+            except TailUnbounded:
+                break
+            long = step(theta, beta, long)
+            assert _first_escape(short, long) is None, (theta, beta, start, N)
+            compared += 1
+    assert compared > 300

@@ -1,11 +1,15 @@
+import ast
 import math
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import psop
 from psop import (
     DualCertificate,
     Element,
@@ -22,12 +26,14 @@ from psop import (
 )
 from psop.spaces import (
     ExponentialEnvelope,
+    convolve_finite,
     decay_compensation_constant,
     explicit_alpha,
     linear_alpha,
     log_alpha,
     root_alpha,
     fit_dual_certificate,
+    geometric_tail_sum,
     tail_majorant,
 )
 from psop.symbols import delta_symbol, finite_symbol, geometric_symbol, sampled_symbol
@@ -268,3 +274,88 @@ def test_alpha_extension_rules():
         bare.value(3)
     with pytest.raises(ValueError):
         explicit_alpha([2.0, 1.0])  # decreasing
+
+
+# -- composing tail certificates ----------------------------------------------
+
+# the only functions outside spaces.py that build an envelope: each builds it
+# from coefficients (or a config literal), not from other envelopes
+ENVELOPE_BUILDERS = {
+    ("symbols.py", "symbol_envelope"): 1,
+    ("symbols.py", "parse_envelope"): 2,
+    ("symbols.py", "convolve_envelopes"): 1,   # the l1 product of two finite factors
+    ("laurent.py", "fit_geometric_envelope"): 2,
+}
+
+
+def test_only_spaces_composes_envelopes():
+    calls = Counter()
+
+    def visit(node, path, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                f = child.func
+                callee = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                if callee in ("GeometricEnvelope", "ExponentialEnvelope"):
+                    calls[(path.name, func)] += 1
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                else func
+            visit(child, path, inner)
+
+    for path in sorted(Path(psop.__file__).parent.glob("*.py")):
+        if path.name != "spaces.py":
+            visit(ast.parse(path.read_text()), path, None)
+    assert dict(calls) == ENVELOPE_BUILDERS
+
+
+def test_convolve_finite_skips_zeros_but_keeps_float_powers():
+    env = GeometricEnvelope(0.5, 0.01)
+    # trailing zeros of a stored vector never reach ratio ** (-j)
+    assert convolve_finite((1,) + (0,) * 399, env, 1) == GeometricEnvelope(0.5 * 100.0, 0.01)
+    # a far nonzero entry still overflows the float power
+    with pytest.raises(OverflowError):
+        convolve_finite((0,) * 199 + (1,), env, 1)
+    assert convolve_finite((), env) == convolve_finite((1, 2), GeometricEnvelope(1, 0)) \
+        == psop.FinitelySupported()
+
+
+@pytest.mark.parametrize("cx,rx,ct,rt", [(1.0, 0.5, 1.0, 0.5), (3.0, 0.9, 0.25, 0.2),
+                                          (0.5, 0.1, 2.0, 0.95), (1.0, 0.7, 1.0, 0.0)])
+def test_hat_output_tail_on_two_envelopes_is_sound_and_tighter(cx, rx, ct, rt):
+    """The element rule shift(product(shift(x, -1), theta), 1) dominates the
+    product and never exceeds rho' times the bound it replaced (ledger s5)."""
+    N, M = 6, 400
+    xs = tuple(cx * rx ** n for n in range(1, M + 1))
+    theta = psop.geometric_symbol(ct, rt)
+    tail = psop.hat_apply(theta, Element(xs[:N], GeometricEnvelope(cx, rx))).tail
+    full = psop.hat_apply(theta, Element(xs, GeometricEnvelope(cx, rx))).values
+    assert all(v <= tail.at(n) * (1 + 1e-12) for n, v in enumerate(full[:M // 2], 1))
+    if rt > 0:
+        rho = max(rx, rt)
+        rho_inf = (1.0 + rho) / 2.0
+        t = rho / rho_inf
+        sup_n = max(n * t ** n for n in range(1, 2000))
+        old = cx * ct * max(sup_n, 1.0) / rho_inf
+        assert tail.ratio == rho_inf and tail.scale <= rho_inf * old * (1 + 1e-12)
+
+
+def test_geometric_tail_sum_against_partial_sums():
+    env = GeometricEnvelope(3.0, 0.25)
+    for start, growth in ((0, 1.0), (5, 1.0), (2, math.e), (7, 2.0)):
+        brute = math.fsum(env.at(i) * growth ** (i + 1) for i in range(start, start + 400))
+        assert geometric_tail_sum(env, start, growth) == pytest.approx(brute, rel=1e-13)
+    assert geometric_tail_sum(env, 3, 4.0) == math.inf
+    assert geometric_tail_sum(GeometricEnvelope(2.0, 0.0), 0, math.e) == 2.0 * math.e
+    assert geometric_tail_sum(GeometricEnvelope(2.0, 0.0), 1) == 0.0
+
+
+def test_dual_certificate_check_reads_the_envelope_past_a_window(inf):
+    beta = sampled_symbol([Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)],
+                          GeometricEnvelope(1.0, 0.5))
+    cert = fit_dual_certificate(inf, beta)
+    assert dual_certificate_check(inf, beta, cert, 64).passed
+    fin = finite_type_space()
+    # exp(-n) falls faster than 2^-n: the window passes, the envelope fails
+    tight = DualCertificate(math.exp(3) / 8 * (1 + 1e-9), 1)
+    res = dual_certificate_check(fin, beta, tight, 64)
+    assert not res.passed and res.witness == 4
