@@ -452,12 +452,12 @@ def toeplitz_matrix(theta: Symbol, beta: Symbol, N: int) -> np.ndarray:
     be = prefix(beta, N)
     complex_entries = any(isinstance(v, complex) for v in th + be)
     dtype = complex if complex_entries else float
-    M = np.zeros((N, N), dtype=dtype)
-    for d in range(1, N):
-        M += np.diag([dtype(th[d])] * (N - d), -d)
-        M += np.diag([dtype(be[d])] * (N - d), d)
-    M += np.diag([dtype(th[0] + be[0])] * N)
-    return M
+    # diagonal i - j of M is diags[N - 1 + i - j]
+    diags = np.array([dtype(v) for v in be[:0:-1]] + [dtype(th[0] + be[0])]
+                     + [dtype(v) for v in th[1:]], dtype=dtype)
+    idx = np.arange(N)
+    # added to zeros, each entry is 0.0 + value: a -0.0 coefficient stores 0.0
+    return np.zeros((N, N), dtype=dtype) + diags[N - 1 + idx[:, None] - idx[None, :]]
 
 
 def compose_hat(phi: Symbol, theta: Symbol, N: int) -> Symbol:

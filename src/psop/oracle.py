@@ -7,7 +7,7 @@ backs tests and the replay of classification verdicts.
 
 Replay is independent of the code it checks: from symbols and operators
 it imports only readers and types (Symbol, coeff, is_rational, prefix,
-readable_length, ell1_norm, zero_symbol, OperatorKind), never their
+readable_length, ell1_norm, zero_symbol), never their
 convolution kernels, so its exact convolution powers clear denominators
 with their own code.
 
@@ -25,7 +25,7 @@ from typing import Sequence
 
 import mpmath
 
-from .symbols import Symbol, coeff, is_rational, prefix, readable_length
+from .symbols import Symbol, coeff, is_rational, prefix, readable_length, zero_symbol
 
 MAX_DENSE_N = 512
 REPLAY_DPS = 50
@@ -38,7 +38,6 @@ class NonReplayable(ValueError):
 @dataclass(frozen=True)
 class DenseTrunc:
     rows: tuple
-    source: str
     exact: bool
 
     @property
@@ -71,34 +70,9 @@ def _all_exact(vals) -> bool:
     return all(is_rational(v) for v in vals)
 
 
-def dense_hat(theta: Symbol, N: int) -> DenseTrunc:
-    """Lower triangular truncation with constant diagonals theta_d."""
-    if not 1 <= N <= MAX_DENSE_N:
-        raise ValueError(f"dense truncations capped at N = {MAX_DENSE_N}")
-    th = prefix(theta, N)
-    exact = _all_exact(th)
-    zero = Fraction(0) if exact else mpmath.mpf(0)
-    diag = [_lift(v, exact) for v in th]    # one lift per diagonal
-    rows = tuple(tuple(diag[i - j] if i >= j else zero for j in range(N))
-                 for i in range(N))
-    return DenseTrunc(rows, f"hat({theta.describe()})", exact)
-
-
-def dense_check(beta: Symbol, N: int) -> DenseTrunc:
-    """Upper triangular truncation with constant diagonals beta_d."""
-    if not 1 <= N <= MAX_DENSE_N:
-        raise ValueError(f"dense truncations capped at N = {MAX_DENSE_N}")
-    be = prefix(beta, N)
-    exact = _all_exact(be)
-    zero = Fraction(0) if exact else mpmath.mpf(0)
-    diag = [_lift(v, exact) for v in be]    # one lift per diagonal
-    rows = tuple(tuple(diag[j - i] if j >= i else zero for j in range(N))
-                 for i in range(N))
-    return DenseTrunc(rows, f"check({beta.describe()})", exact)
-
-
 def dense_toeplitz(theta: Symbol, beta: Symbol, N: int) -> DenseTrunc:
-    """Full Toeplitz truncation; the diagonal is theta_0 + beta_0."""
+    """Toeplitz truncation: theta_{i-j} below the diagonal, beta_{j-i} above
+    it, theta_0 + beta_0 on it."""
     if not 1 <= N <= MAX_DENSE_N:
         raise ValueError(f"dense truncations capped at N = {MAX_DENSE_N}")
     th = prefix(theta, N)
@@ -107,19 +81,20 @@ def dense_toeplitz(theta: Symbol, beta: Symbol, N: int) -> DenseTrunc:
     # one lift per diagonal
     lower = [_lift(v, exact) for v in th]
     upper = [_lift(v, exact) for v in be]
-    main = lower[0] + upper[0]
-    rows = []
-    for i in range(N):
-        row = []
-        for j in range(N):
-            if i > j:
-                row.append(lower[i - j])
-            elif j > i:
-                row.append(upper[j - i])
-            else:
-                row.append(main)
-        rows.append(tuple(row))
-    return DenseTrunc(tuple(rows), f"toeplitz({theta.describe()},{beta.describe()})", exact)
+    lower[0] = upper[0] = lower[0] + upper[0]
+    rows = tuple(tuple(lower[i - j] if i >= j else upper[j - i] for j in range(N))
+                 for i in range(N))
+    return DenseTrunc(rows, exact)
+
+
+def dense_hat(theta: Symbol, N: int) -> DenseTrunc:
+    """Lower triangular truncation with constant diagonals theta_d."""
+    return dense_toeplitz(theta, zero_symbol(), N)
+
+
+def dense_check(beta: Symbol, N: int) -> DenseTrunc:
+    """Upper triangular truncation with constant diagonals beta_d."""
+    return dense_toeplitz(zero_symbol(), beta, N)
 
 
 def dense_apply(M: DenseTrunc, x: Sequence) -> list:
@@ -142,7 +117,7 @@ def dense_matmul(A: DenseTrunc, B: DenseTrunc) -> DenseTrunc:
     bt = list(zip(*B.rows))
     rows = tuple(tuple(sum((A.rows[i][k] * bt[j][k] for k in range(n)), zero)
                        for j in range(n)) for i in range(n))
-    return DenseTrunc(rows, f"({A.source})*({B.source})", exact)
+    return DenseTrunc(rows, exact)
 
 
 def dense_power(M: DenseTrunc, k: int) -> DenseTrunc:
@@ -151,7 +126,7 @@ def dense_power(M: DenseTrunc, k: int) -> DenseTrunc:
     out = M
     for _ in range(k - 1):
         out = dense_matmul(out, M)
-    return DenseTrunc(out.rows, f"({M.source})^{k}", out.exact)
+    return out
 
 
 def dense_cesaro(M: DenseTrunc, k: int) -> DenseTrunc:
@@ -166,12 +141,12 @@ def dense_cesaro(M: DenseTrunc, k: int) -> DenseTrunc:
             cur = dense_matmul(cur, M)
     inv = Fraction(1, k) if acc.exact else mpmath.mpf(1) / k
     rows = tuple(tuple(v * inv for v in row) for row in acc.rows)
-    return DenseTrunc(rows, f"cesaro_{k}({M.source})", acc.exact)
+    return DenseTrunc(rows, acc.exact)
 
 
 def _dense_add(A: DenseTrunc, B: DenseTrunc) -> DenseTrunc:
     rows = tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(A.rows, B.rows))
-    return DenseTrunc(rows, f"({A.source})+({B.source})", A.exact and B.exact)
+    return DenseTrunc(rows, A.exact and B.exact)
 
 
 def leading_block(M: DenseTrunc, n: int) -> tuple:
@@ -191,6 +166,12 @@ def column(M: DenseTrunc, j: int) -> list:
 def _mp_weight(space, n: int, k: int):
     a = mpmath.mpf(space.alpha.value(n))
     return mpmath.e ** (-a / k) if space.is_finite_type else mpmath.e ** (k * a)
+
+
+def _weighted_column_norm(M: DenseTrunc, n: int, space, p: int, rows: int):
+    """sum_{i < rows} |M[i][n - 1]| a_{i+1,p}: the grade-p norm of column n
+    (1-based) read on its first rows entries, which are already lifted."""
+    return sum(abs(M.rows[i][n - 1]) * _mp_weight(space, i + 1, p) for i in range(rows))
 
 
 def _mp_ell1(sym: Symbol):
@@ -550,9 +531,6 @@ def _replay_negbinom_pb(v, params):
 def _replay_hat_envelope(v, params):
     # verify the power-norm bound ||T^k e_n||_p <= C_p^k ||e_n||_q on a small
     # exact-dense grid
-    from .operators import OperatorKind
-    from .symbols import zero_symbol
-
     space = v.space
     N = 24
     M = dense_hat(v.theta, N)
@@ -565,9 +543,7 @@ def _replay_hat_envelope(v, params):
             if k > 1:
                 Mk = dense_matmul(Mk, M)
             for n in (1, 2, 8):
-                col = column(Mk, n)
-                norm = sum(abs(_lift(col[i], Mk.exact)) * _mp_weight(space, i + 1, p)
-                           for i in range(N))
+                norm = _weighted_column_norm(Mk, n, space, p, N)
                 target = (C_p[p] ** k) * _mp_weight(space, n, q)
                 if norm > target * (1 + mpmath.mpf("1e-12")):
                     return False
@@ -588,12 +564,9 @@ def _replay_hat_per_power(v, params):
             Mk = dense_matmul(Mk, M)
         for p in (1, 2):
             q = q_mult * p
-            sym_norm = sum(abs(_lift(column(Mk, 1)[i], Mk.exact))
-                           * _mp_weight(space, i + 1, q) for i in range(N))
+            sym_norm = _weighted_column_norm(Mk, 1, space, q, N)
             for n in (1, 3, 8):
-                col = column(Mk, n)
-                norm = sum(abs(_lift(col[i], Mk.exact)) * _mp_weight(space, i + 1, p)
-                           for i in range(N))
+                norm = _weighted_column_norm(Mk, n, space, p, N)
                 if norm > sym_norm * _mp_weight(space, n, q) * (1 + mpmath.mpf("1e-12")):
                     return False
     return True
@@ -623,9 +596,7 @@ def _replay_toeplitz_pb(v, params):
         for n in (1, 5):
             for p in (1, 2):
                 q = params.get("q_of_p", {}).get(str(p), 2 * p if space.is_finite_type else p)
-                col = column(Mk, n)
-                norm = sum(abs(_lift(col[i], Mk.exact)) * _mp_weight(space, i + 1, p)
-                           for i in range(12))
+                norm = _weighted_column_norm(Mk, n, space, p, 12)
                 if norm > _mp_weight(space, n, int(q)) * (1 + mpmath.mpf("1e-9")):
                     return False
     return True
@@ -635,24 +606,15 @@ def _replay_toeplitz_pb(v, params):
 def _replay_tame(v, params):
     bounds = {int(p): mpmath.mpf(str(b)) for p, b in params["bounds"].items()}
     N = 24
-    M = dense_from_operator_like(v)
+    # the truncation of the verdict's operator, a missing part read as zero
+    M = dense_toeplitz(v.theta if v.theta is not None else zero_symbol(),
+                       v.beta if v.beta is not None else zero_symbol(), N)
     for p, bound in list(bounds.items())[:2]:
         for n in (1, 3, 9):
-            col = column(M, n)
-            norm = sum(abs(_lift(col[i], M.exact)) * _mp_weight(v.space, i + 1, p)
-                       for i in range(N))
+            norm = _weighted_column_norm(M, n, v.space, p, N)
             if norm > bound * _mp_weight(v.space, n, p) * (1 + mpmath.mpf("1e-9")):
                 return False
     return True
-
-
-def dense_from_operator_like(v) -> DenseTrunc:
-    """The 24 x 24 truncation of a verdict's operator (missing parts zero)."""
-    from .symbols import zero_symbol
-
-    theta = v.theta if v.theta is not None else zero_symbol()
-    beta = v.beta if v.beta is not None else zero_symbol()
-    return dense_toeplitz(theta, beta, 24)
 
 
 @replayer("implied_by_power_bounded")

@@ -366,15 +366,12 @@ def _scaled_ints(sym: Symbol) -> tuple[np.ndarray, int]:
 
 
 def _lower_toeplitz(col: np.ndarray, N: int) -> np.ndarray:
-    M = np.zeros((N, N), dtype=np.int64)
-    for d in range(min(N, len(col))):
-        idx = np.arange(N - d)
-        M[idx + d, idx] = col[d]
-    return M
-
-
-def _upper_toeplitz(row: np.ndarray, N: int) -> np.ndarray:
-    return _lower_toeplitz(row, N).T
+    """N x N int64 matrix with entry (i, j) = col[i - j] on and below the
+    diagonal (zero past the end of col), zero above it."""
+    diags = np.zeros(N, dtype=np.int64)
+    diags[:min(N, len(col))] = col[:N]
+    idx = np.arange(N)
+    return np.tril(diags[np.abs(idx[:, None] - idx[None, :])])
 
 
 def _int64_power_safe(sym: Symbol, k_max: int) -> bool:
@@ -399,7 +396,7 @@ def identity_case_forward(phi: Symbol, theta: Symbol, N: int, k_max: int) -> boo
     g, dg = _scaled_ints(gamma)
     if dg != da * db:
         g = g * (da * db // dg)
-    direct = _lower_toeplitz(np.pad(g, (0, max(0, N - len(g)))), N)
+    direct = _lower_toeplitz(g, N)
     if not np.array_equal(product, direct):
         return False
     # k-fold extension: iterate the dense matrix action on every basis column
@@ -410,39 +407,11 @@ def identity_case_forward(phi: Symbol, theta: Symbol, N: int, k_max: int) -> boo
         gk, dgk = _scaled_ints(pk)
         if dgk != db ** k:
             gk = gk * (db ** k // dgk)
-        want = _lower_toeplitz(np.pad(gk, (0, max(0, N - len(gk)))), N)
+        want = _lower_toeplitz(gk, N)
         if not np.array_equal(cols, want):
             return False
         bs = conv_power_binary(theta, k, N)
         if prefix(pk, N) != prefix(bs, N):
-            return False
-    return True
-
-
-def identity_case_dual(beta: Symbol, psi: Symbol, N: int, k_max: int = 1) -> bool:
-    """Truncated matrices of the composed dual operators equal the matrix of
-    the convolution symbol, exactly; power extensions likewise."""
-    a, da = _scaled_ints(beta)
-    b, db = _scaled_ints(psi)
-    Mb = _upper_toeplitz(a, N)
-    Mp = _upper_toeplitz(b, N)
-    product = Mb @ Mp
-    gamma = convolve(psi, beta, N)
-    g, dg = _scaled_ints(gamma)
-    if dg != da * db:
-        g = g * (da * db // dg)
-    direct = _upper_toeplitz(np.pad(g, (0, max(0, N - len(g)))), N)
-    if not np.array_equal(product, direct):
-        return False
-    cols = Mb.copy()
-    for k in range(2, k_max + 1):
-        cols = Mb @ cols
-        pk = conv_power(beta, k, N)
-        gk, dgk = _scaled_ints(pk)
-        if dgk != da ** k:
-            gk = gk * (da ** k // dgk)
-        want = _upper_toeplitz(np.pad(gk, (0, max(0, N - len(gk)))), N)
-        if not np.array_equal(cols, want):
             return False
     return True
 
@@ -488,12 +457,14 @@ def identity_suite(cases: int = 200, N: int = 64, k_max: int = 8,
     fwd = SweepOutcome("forward_composition_columns", ok == cases,
                        0.0 if ok == cases else -1.0,
                        {"agree": ok, "cases": cases}, time.time() - t0)
+    # the dual composition upper(beta) upper(psi) = (lower(psi) lower(beta))^T
+    # with upper(g) = lower(g)^T is the forward identity on the swapped pair
     t0 = time.time()
     ok = 0
     for _ in range(cases):
         beta = _power_safe_symbol(rng, k_max)
         psi = _power_safe_symbol(rng, k_max)
-        if identity_case_dual(beta, psi, N, k_max):
+        if identity_case_forward(psi, beta, N, k_max):
             ok += 1
     dual = SweepOutcome("dual_composition_matrices", ok == cases,
                         0.0 if ok == cases else -1.0,

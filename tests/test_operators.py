@@ -137,6 +137,33 @@ def test_toeplitz_matrix_examples():
         == [[1, 3], [2, 1]]
 
 
+@pytest.mark.parametrize("theta, beta", [
+    (finite_symbol([Fraction(1, 3), -0.0, 2.5]), finite_symbol([Fraction(1, 3), -0.0])),
+    (finite_symbol([-0.0, 1e-300, -7.0]), zero_symbol()),
+    (zero_symbol(), finite_symbol([0.5, -0.0, 0.25])),
+    (finite_symbol([0.5j, complex(-0.0, -0.0), 0.25]), finite_symbol([-0.0, 1 - 2j])),
+    (geometric_symbol(Fraction(3, 4), Fraction(1, 3)), geometric_symbol(0.5, 0.9)),
+], ids=["exact-diagonal", "hat", "check", "complex", "geometric"])
+def test_toeplitz_matrix_matches_per_diagonal_sum(theta, beta):
+    """Entry by entry, the sum of one diagonal's value onto a zero matrix, bit
+    for bit: the sign of a zero coefficient does not survive."""
+    N = 5
+    th, be = prefix(theta, N), prefix(beta, N)
+    dtype = complex if any(isinstance(v, complex) for v in th + be) else float
+    want = np.zeros((N, N), dtype=dtype)
+    for i in range(N):
+        for j in range(N):
+            v = th[i - j] if i > j else be[j - i] if j > i else th[0] + be[0]
+            want[i, j] += dtype(v)
+    got = toeplitz_matrix(theta, beta, N)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_matrix_csv_prints_a_negative_zero_coefficient_as_zero():
+    M = toeplitz_matrix(finite_symbol([1.0, -0.0]), finite_symbol([0.0, -0.0]), 2)
+    assert matrix_csv(M) == "1,0\n0,1\n"
+
+
 def test_compose_examples():
     theta = finite_symbol([Fraction(5), Fraction(-1, 2)])
     assert prefix(compose_hat(delta_symbol(), theta, 8), 2) == [5, Fraction(-1, 2)]

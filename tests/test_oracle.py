@@ -11,6 +11,7 @@ from psop import (
     NonReplayable,
     Status,
     classify_check_all,
+    classify_hat_m_top,
     classify_hat_power_bounded_finite,
     classify_hat_power_bounded_infinite,
     classify_hat_topologizable,
@@ -23,8 +24,10 @@ from psop import (
     dense_toeplitz,
     finite_symbol,
     geometric_symbol,
+    make_hat_operator,
     replay_verdict,
     sampled_symbol,
+    strongly_tame_probe,
     zero_symbol,
 )
 from psop import oracle
@@ -87,6 +90,53 @@ def test_mixed_toeplitz_leading_block_stability(k):
     small = dense_power(dense_toeplitz(theta, beta, n), k)
     big = dense_power(dense_toeplitz(theta, beta, 2 * n), k)
     assert leading_block(big, n // 2) == leading_block(small, n // 2)
+
+
+def _lifted(v, exact):
+    """Reference lift of one coefficient: a Fraction on exact truncations,
+    else the mpmath number holding its value."""
+    if exact:
+        return Fraction(v)
+    if isinstance(v, complex):
+        return mpmath.mpc(v.real, v.imag)
+    return mpmath.mpf(Fraction(v).numerator) / Fraction(v).denominator
+
+
+@pytest.mark.parametrize("sym", [
+    finite_symbol([Fraction(1, 2), -2, 0, Fraction(3, 7)]),
+    finite_symbol([0.5, -0.0, 1e-300, -3.25]),
+    finite_symbol([0.5j, 0.25, complex(-1, 2)]),
+    geometric_symbol(Fraction(3, 4), Fraction(-1, 3)),
+    geometric_symbol(0.75, 0.4),
+], ids=["exact", "float", "complex", "geometric-exact", "geometric-float"])
+@pytest.mark.parametrize("N", [1, 4, 9])
+def test_hat_and_check_rows_are_the_triangular_formulas(sym, N):
+    """dense_hat is lower triangular with theta_{i-j}, dense_check upper
+    triangular with beta_{j-i}, zeros elsewhere, each entry lifted in the
+    truncation's arithmetic (value, type and the exact flag)."""
+    vals = prefix(sym, N)
+    exact = all(isinstance(v, (int, Fraction)) for v in vals)
+    with mpmath.workdps(50):
+        zero = _lifted(0, exact)
+        lower = [[_lifted(vals[i - j], exact) if i >= j else zero for j in range(N)]
+                 for i in range(N)]
+        for M, want in ((dense_hat(sym, N), lower),
+                        (dense_check(sym, N), [list(r) for r in zip(*lower)])):
+            assert M.exact is exact
+            assert [[(type(v), v) for v in row] for row in M.rows] == \
+                [[(type(v), v) for v in row] for row in want]
+
+
+def test_complex_hat_verdicts_replay(fin):
+    """The dense-column replays read the lifted entries as they are: a
+    complex entry is not forced through float()."""
+    theta = finite_symbol([0.5j, 0.25])
+    envelope = classify_hat_m_top(fin, theta, GridParams())
+    tame = strongly_tame_probe(make_hat_operator(fin, theta)).verdict
+    assert envelope.certificate.rule == "hat_power_norm_envelope"
+    assert tame.certificate.rule == "strongly_tame_closed_bounds"
+    assert replay_verdict(envelope) is True
+    assert replay_verdict(tame) is True
 
 
 def test_high_precision_fallback_for_irrational_symbols():
@@ -229,7 +279,7 @@ def test_oracle_imports_from_checked_modules_are_pinned():
             assert not any(alias.name.startswith(("psop.symbols", "psop.operators"))
                            for alias in node.names)
     assert names == {"Symbol", "coeff", "is_rational", "prefix", "readable_length",
-                     "ell1_norm", "zero_symbol", "OperatorKind"}
+                     "ell1_norm", "zero_symbol"}
 
 
 @pytest.mark.parametrize("values", [[Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)],
