@@ -856,64 +856,43 @@ class TameReport:
 def strongly_tame_probe(op: OperatorSpec, grid: GridParams = GridParams()) -> TameReport:
     """Per-grade constants max_n ||T e_n||_p / ||e_n||_p plus the closed-form
     bounds available in the linear-alpha setting; Holds when every applicable
-    closed bound is finite."""
+    closed bound is finite.  Hat and check operators only: classify_toeplitz
+    decides strong tameness of a Toeplitz operator."""
+    if op.kind is OperatorKind.TOEPLITZ:
+        raise ValueError("strongly_tame_probe covers hat and check operators; "
+                         "classify_toeplitz decides a Toeplitz operator")
     space = op.space
     n_max, P = grid.N, grid.P
     constants = {}
-    if op.kind is OperatorKind.TOEPLITZ:
-        # the diagonal overlap |theta_0 + beta_0| - |theta_0| - |beta_0|
-        t0, b0 = coeff(op.theta, 0), coeff(op.beta, 0)
-        overlap = abs(t0 + b0) - abs(t0) - abs(b0)
     for p in range(1, P + 1):
         logw = space.log_weights(1, n_max, p)
-        parts = []
-        if op.kind in (OperatorKind.HAT, OperatorKind.TOEPLITZ):
-            parts.append(hat_column_log_norms(space, op.theta, p, n_max))
-        if op.kind in (OperatorKind.CHECK, OperatorKind.TOEPLITZ):
-            parts.append(check_column_log_norms(space, op.beta, p, n_max))
-        if len(parts) == 1:
-            constants[p] = float(np.max(np.exp(parts[0] - logw)))
+        if op.kind is OperatorKind.HAT:
+            log_norms = hat_column_log_norms(space, op.theta, p, n_max)
         else:
-            # triangle bound with the diagonal overlap corrected exactly
-            combo = np.exp(parts[0] - logw) + np.exp(parts[1] - logw) + overlap
-            constants[p] = float(np.max(combo))
+            log_norms = check_column_log_norms(space, op.beta, p, n_max)
+        constants[p] = float(np.max(np.exp(log_norms - logw)))
     closed: dict[int, float] = {}
     bound_kind = "none"
-    tame_parts = []
-    if op.kind in (OperatorKind.HAT, OperatorKind.TOEPLITZ):
+    if op.kind is OperatorKind.HAT:
         if space.is_linear:
             for p in range(1, P + 1):
                 q = 2 * p if space.is_finite_type else p
                 _, hi = symbol_log_norm_bounds(space, op.theta, q)
                 scale = math.exp(1.0 / (2 * p)) if space.is_finite_type else 1.0
-                closed[p] = closed.get(p, 0.0) + scale * exp_guarded(hi)
+                closed[p] = scale * exp_guarded(hi)
             bound_kind = "hat_linear"
-            tame_parts.append("hat")
-    if op.kind in (OperatorKind.CHECK, OperatorKind.TOEPLITZ):
-        if not space.is_finite_type:
-            a_sum = ell1_norm(op.beta)
-            if a_sum.infinite:
-                val = math.inf
-            else:
-                val = a_sum.upper
-            for p in range(1, P + 1):
-                closed[p] = closed.get(p, 0.0) + val
-            bound_kind = (bound_kind + "+dual_abs_sum").lstrip("+") if tame_parts \
-                else "dual_abs_sum"
-            tame_parts.append("check")
-        elif space.is_linear:
-            b_sum = weighted_beta_sum_finite(op.beta)
-            val = math.inf if b_sum.infinite else b_sum.upper
-            for p in range(1, P + 1):
-                closed[p] = closed.get(p, 0.0) + val
-            bound_kind = (bound_kind + "+dual_weighted_sum").lstrip("+") if tame_parts \
-                else "dual_weighted_sum"
-            tame_parts.append("check")
-    covered = (op.kind is OperatorKind.HAT and "hat" in tame_parts) or \
-        (op.kind is OperatorKind.CHECK and "check" in tame_parts) or \
-        (op.kind is OperatorKind.TOEPLITZ and {"hat", "check"} <= set(tame_parts))
+    elif not space.is_finite_type:
+        a_sum = ell1_norm(op.beta)
+        val = math.inf if a_sum.infinite else a_sum.upper
+        closed = dict.fromkeys(range(1, P + 1), val)
+        bound_kind = "dual_abs_sum"
+    elif space.is_linear:
+        b_sum = weighted_beta_sum_finite(op.beta)
+        val = math.inf if b_sum.infinite else b_sum.upper
+        closed = dict.fromkeys(range(1, P + 1), val)
+        bound_kind = "dual_weighted_sum"
     slack = {p: closed[p] - constants[p] for p in closed} if closed else {}
-    if covered and closed and all(math.isfinite(v) for v in closed.values()):
+    if closed and all(math.isfinite(v) for v in closed.values()):
         cert = Certificate("strongly_tame_closed_bounds",
                            {"bounds": {str(p): closed[p] for p in closed},
                             "kind": bound_kind},

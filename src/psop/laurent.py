@@ -242,14 +242,12 @@ def fit_geometric_envelope(indexed: list[tuple[int, float]],
     return GeometricEnvelope(scale, ratio)
 
 
-def symbol_split(coeffs: LaurentCoeffs,
-                 zero_floor: Optional[float] = None) -> tuple[Symbol, Symbol]:
+def symbol_split(coeffs: LaurentCoeffs) -> tuple[Symbol, Symbol]:
     """(forward, backward) symbols: forward_n = a_n for n >= 0 (keeps a_0),
     backward_n = a_{-n} for n >= 1 with backward_0 = 0."""
     if coeffs.n_max < 0 or coeffs.n_min > 0:
         raise ValueError("window must cover the diagonal index 0")
-    floor = zero_floor if zero_floor is not None else max(
-        1e-13, 10.0 * max(coeffs.errors))
+    floor = max(1e-13, 10.0 * max(coeffs.errors))
     fwd = [coeffs.coeff(n) for n in range(0, coeffs.n_max + 1)]
     bwd = [0j] + [coeffs.coeff(-n) for n in range(1, -coeffs.n_min + 1)]
     fwd = [0 if abs(v) <= floor else v for v in fwd]
@@ -292,8 +290,7 @@ def space_for(F: HoloSymbol) -> SpaceSpec:
 
 
 def toeplitz_from_function(F: HoloSymbol, space: SpaceSpec, r: float,
-                           grid=None, window: int = 32,
-                           M: Optional[int] = None) -> FunctionOperatorReport:
+                           grid=None, window: int = 32) -> FunctionOperatorReport:
     """Quadrature, split, envelope fit, membership checks, and the sufficient
     classification sums, end to end."""
     from .classify import GridParams, classify_toeplitz
@@ -305,7 +302,7 @@ def toeplitz_from_function(F: HoloSymbol, space: SpaceSpec, r: float,
     expected = space_for(F)
     if expected.space_type is not space.space_type or not space.is_linear:
         raise ValueError("space inconsistent with the function's intended space")
-    coeffs = laurent_coeffs(F, r, -window, window, M)
+    coeffs = laurent_coeffs(F, r, -window, window)
     theta, beta = symbol_split(coeffs)
     membership = membership_check(space, theta, N=grid.N)
     if membership.overall == "not_member" or (

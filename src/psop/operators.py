@@ -50,7 +50,6 @@ from .spaces import (
     tail_majorant,
 )
 from .symbols import (
-    ConvPowerTable,
     _exact_list_conv,
     _float_conv,
     MembershipReport,
@@ -407,17 +406,16 @@ def apply_operator(op: OperatorSpec, x: Element) -> Element:
     return toeplitz_apply(op.theta, op.beta, x)
 
 
-def power_apply(op: OperatorSpec, k: int, x: Element,
-                table: Optional[ConvPowerTable] = None) -> Element:
+def power_apply(op: OperatorSpec, k: int, x: Element) -> Element:
     """k-th power via the symbol route (power of the symbol) for the pure
     kinds, iterated application for the Toeplitz kind."""
     if k < 1:
         raise ValueError("powers start at k = 1")
     N = x.truncation
     if op.kind is OperatorKind.HAT:
-        return hat_apply(conv_power(op.theta, k, N, table), x)
+        return hat_apply(conv_power(op.theta, k, N), x)
     if op.kind is OperatorKind.CHECK:
-        return check_apply(conv_power(op.beta, k, N, table), x)
+        return check_apply(conv_power(op.beta, k, N), x)
     out = x
     for _ in range(k):
         out = toeplitz_apply(op.theta, op.beta, out)

@@ -395,7 +395,8 @@ def correlate_envelope(x_env: GeometricEnvelope, b_env: TailCert, N: int,
     stored to N entries, each under x_env: tail bounds every output entry,
     extra the error of summing j <= N only.  b_support is b's support bound
     (None: b_env must be geometric); b_l1 bounds sum |b_i| and is read only
-    when b_support is set."""
+    when b_support is set.  No negative power is taken; a bound that is not
+    a finite float raises TailUnbounded."""
     cx, rx = x_env.scale, x_env.ratio
     if b_support is None:
         if not (isinstance(b_env, GeometricEnvelope) and b_env.ratio > 0):
@@ -404,12 +405,18 @@ def correlate_envelope(x_env: GeometricEnvelope, b_env: TailCert, N: int,
         if t >= 1.0:
             raise TailUnbounded("input tail and symbol growth do not compose summably")
         cb, rb = b_env.scale, b_env.ratio
-        extra = cx * cb * t ** (N + 1) / (1.0 - t) * max(rb ** (-1.0), rb ** (-float(N)))
-        return GeometricEnvelope(cx * cb / (1.0 - t), rx), extra
-    if rx >= 1.0:
-        raise TailUnbounded("input tail does not decay; dual truncation unbounded")
-    extra = cx * rx ** (N + 1) / (1.0 - rx) * b_l1
-    return GeometricEnvelope(cx * b_l1 * max(rx ** (-(b_support - 1)), 1.0), rx), extra
+        # sum_{j>N} cx rx^j cb rb^{j-n} over n <= N, largest at n = 1 or n = N
+        scale = cx * cb / (1.0 - t)
+        extra = scale * max(rx * t ** N, rb * rx ** (N + 1))
+    else:
+        if rx >= 1.0:
+            raise TailUnbounded("input tail does not decay; dual truncation unbounded")
+        # |(b star x)_n| <= sum_i |b_i| cx rx^{n+i} <= cx b_l1 rx^n as rx < 1
+        scale = cx * b_l1
+        extra = cx * rx ** (N + 1) / (1.0 - rx) * b_l1
+    if not (math.isfinite(scale) and math.isfinite(extra)):
+        raise TailUnbounded("dual application bound overflows a float")
+    return GeometricEnvelope(scale, rx), extra
 
 
 def geometric_tail_sum(env: GeometricEnvelope, start: int, growth: float = 1.0) -> float:
@@ -730,9 +737,8 @@ def dual_certificate_check(space: SpaceSpec, beta, cert: DualCertificate,
     return DualCheckResult(witness is None, witness, worst)
 
 
-def fit_dual_certificate(space: SpaceSpec, beta, N: int = 512,
-                         m_max: int = 32) -> Optional[DualCertificate]:
-    """Smallest m0 <= m_max admitting a finite c0 on the inspected range,
+def fit_dual_certificate(space: SpaceSpec, beta, N: int = 512) -> Optional[DualCertificate]:
+    """Smallest m0 <= 32 admitting a finite c0 on the inspected range,
     using the symbol's envelope to control the unseen tail."""
     from .symbols import Symbol, symbol_envelope
 
@@ -745,7 +751,7 @@ def fit_dual_certificate(space: SpaceSpec, beta, N: int = 512,
         a, b = space.alpha.value(n), beta.coeff_abs_upper(n - 1)
         if b > 0:
             log_bounds.append((a, log_abs(b)))
-    for m0 in range(1, m_max + 1):
+    for m0 in range(1, 33):
         # beyond N the per-index excess env(n)/target(n) must be nonincreasing,
         # otherwise the prefix supremum does not dominate the tail
         if isinstance(env, GeometricEnvelope) and env.ratio > 0:

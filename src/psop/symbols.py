@@ -571,10 +571,6 @@ class ConvPowerTable:
     truncation: int
     _powers: dict = field(default_factory=dict)
 
-    @property
-    def exact(self) -> bool:
-        return self.base.is_exact and self.base.kind is SymbolKind.FINITE
-
     def power(self, k: int) -> Symbol:
         if k < 1:
             raise ValueError("powers start at k = 1")
@@ -588,12 +584,8 @@ class ConvPowerTable:
         return out
 
 
-def conv_power(a: Symbol, k: int, N: int, table: Optional[ConvPowerTable] = None) -> Symbol:
-    """k-fold convolution power via iterated convolve (optionally cached)."""
-    if table is not None:
-        if table.base != a or table.truncation != N:
-            raise ValueError("table does not match symbol/truncation")
-        return table.power(k)
+def conv_power(a: Symbol, k: int, N: int) -> Symbol:
+    """k-fold convolution power via iterated convolve."""
     return ConvPowerTable(a, N).power(k)
 
 

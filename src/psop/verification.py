@@ -95,9 +95,9 @@ def _outcome(name: str, slacks: list[float], t0: float, tol: float = REL_TOL,
 # ---------------------------------------------------------------------------
 
 
-def random_rational(rng: random.Random, mag: int = 8, denom_pow: int = 3) -> Fraction:
+def random_rational(rng: random.Random, mag: int = 8) -> Fraction:
     num = rng.randint(-mag, mag)
-    den = 2 ** rng.randint(0, denom_pow)
+    den = 2 ** rng.randint(0, 3)
     return Fraction(num, den)
 
 
@@ -238,13 +238,12 @@ def sweep_dual_column_bound(space: SpaceSpec,
     return _outcome(name, slacks, t0)
 
 
-def sweep_tame_bounds(ops: Sequence[OperatorSpec], name: str,
-                      grid: GridParams = GridParams()) -> SweepOutcome:
+def sweep_tame_bounds(ops: Sequence[OperatorSpec], name: str) -> SweepOutcome:
     """Grade-preserving constants against their closed-form bounds."""
     t0 = time.time()
     slacks = []
     for op in ops:
-        rep = strongly_tame_probe(op, grid)
+        rep = strongly_tame_probe(op)
         for p, bound in rep.closed_bounds.items():
             c = rep.grid_constants[p]
             if c == 0.0:
@@ -416,7 +415,7 @@ def identity_case_forward(phi: Symbol, theta: Symbol, N: int, k_max: int) -> boo
     return True
 
 
-def oracle_agreement_case(rng: random.Random, N: int = 64) -> bool:
+def oracle_agreement_case(rng: random.Random, N: int) -> bool:
     """Main-path applications agree exactly with the dense oracle."""
     from .operators import Element, check_apply, hat_apply, toeplitz_apply
 
@@ -470,7 +469,7 @@ def identity_suite(cases: int = 200, N: int = 64, k_max: int = 8,
                         0.0 if ok == cases else -1.0,
                         {"agree": ok, "cases": cases}, time.time() - t0)
     t0 = time.time()
-    agree = sum(oracle_agreement_case(rng) for _ in range(cases))
+    agree = sum(oracle_agreement_case(rng, N) for _ in range(cases))
     orc = SweepOutcome("oracle_apply_agreement", agree == cases,
                        0.0 if agree == cases else -1.0,
                        {"agree": agree, "cases": cases}, time.time() - t0)

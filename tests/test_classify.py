@@ -267,6 +267,13 @@ def test_strongly_tame_probe_divergent_weighted_sum(fin, small_grid):
     assert rep.verdict.status is Status.INCONCLUSIVE
 
 
+def test_strongly_tame_probe_leaves_a_toeplitz_operator_to_classify_toeplitz(fin, small_grid):
+    op = make_toeplitz_operator(fin, finite_symbol([Fraction(1, 4)]),
+                                finite_symbol([0, Fraction(1, 8)]))
+    with pytest.raises(ValueError, match="classify_toeplitz"):
+        strongly_tame_probe(op, small_grid)
+
+
 def test_finite_type_toeplitz_tame_bound_replays(fin, small_grid):
     out = classify_toeplitz(fin, finite_symbol([Fraction(1, 4)]),
                             finite_symbol([0, Fraction(1, 8)]), small_grid)

@@ -187,6 +187,22 @@ def test_orbit_task_csv(tmp_path):
     assert report.series[0]["kind"] == "orbit"
 
 
+def test_check_orbit_from_a_geometric_start_against_a_small_ratio(tmp_path):
+    """A geometric beta with ratio 1/100 against an enveloped start: the dual
+    truncation bound takes no negative power of the ratio, so the run ends
+    in a report instead of an OverflowError."""
+    job = {
+        "schema": 1,
+        "space": {"type": "finite", "alpha": {"kind": "linear"}},
+        "operator": {"kind": "check", "beta": {"geometric": {"c": "1", "r": "1/100"}}},
+        "task": {"type": "orbit", "start": {"geometric": {"c": "1", "r": "1/2"}},
+                 "K": 4, "p_grid": [1, 2]},
+    }
+    _, code = run(JobConfig.parse(job), tmp_path)
+    assert code == 0
+    assert len((tmp_path / "orbit.csv").read_text().strip().splitlines()) == 1 + 4 * 2
+
+
 def test_cesaro_task(tmp_path):
     job = {
         "schema": 1,

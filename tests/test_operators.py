@@ -224,6 +224,29 @@ def test_check_apply_uncomposable_raises(inf):
         check_apply(geometric_symbol(1.0, 2.0), x)
 
 
+def test_check_apply_finite_beta_tail_takes_no_negative_power(fin):
+    """On an input tail cx rx^n with rx < 1 a finite beta gives
+    |(beta star x)_n| <= cx * l1 * rx^n: no rx^{-(support - 1)} factor, so a
+    long support against a small ratio neither overflows nor loosens."""
+    beta = finite_symbol([Fraction(1, 4)] * 200)
+    x = Element((0.5,) * 8, GeometricEnvelope(1.0, 0.001), fin)
+    assert check_apply(beta, x).tail == GeometricEnvelope(50.0, 0.001)
+    x = Element(tuple(0.5 ** n for n in range(1, 9)), GeometricEnvelope(1.0, 0.5), fin)
+    assert check_apply(finite_symbol([1] * 8), x).tail == GeometricEnvelope(8.0, 0.5)
+
+
+def test_check_apply_geometric_beta_against_a_far_truncation(fin):
+    """The truncation error of a geometric beta is
+    cx cb / (1 - t) * max(rx t^N, rb rx^(N+1)) with t = rx rb, which takes
+    no negative power of rb: a small ratio at N = 300 stays finite."""
+    N = 300
+    x = Element(tuple(0.5 ** n for n in range(1, N + 1)), GeometricEnvelope(1.0, 0.5), fin)
+    got = check_apply(geometric_symbol(1, Fraction(1, 100)), x)
+    t = 0.5 / 100
+    assert got.tail == GeometricEnvelope(1.0 / (1.0 - t), 0.5)
+    assert got.residual == max(0.5 * t ** N, 0.01 * 0.5 ** (N + 1)) / (1.0 - t)
+
+
 def test_orbit_record_tables(fin):
     op = make_hat_operator(fin, finite_symbol([Fraction(1, 2), Fraction(1, 2)]))
     rec = compute_orbit(op, e(1, 32, fin), 12, [1, 2, 4])

@@ -295,3 +295,33 @@ def test_young_envelope_replays_on_a_window_shorter_than_the_spot_check(inf, val
     assert replay_verdict(mtop) is True
     assert replay_verdict(top) is True
     assert len(_mp_abs_conv_power(beta, 2, 40)) == 3
+
+
+def _string_leaves(node) -> set:
+    """The string constants an expression can evaluate to; anything but a
+    string constant or a conditional between them fails the guard."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return {node.value}
+    if isinstance(node, ast.IfExp):
+        return _string_leaves(node.body) | _string_leaves(node.orelse)
+    raise AssertionError(f"rule name at line {node.lineno} is not a string literal")
+
+
+def test_every_emitted_rule_has_a_replayer():
+    """The rule names classify.py can put on a certificate (the first
+    argument of every Certificate(...), the implied_by_* names of the
+    hierarchy included) are exactly the rules oracle.py registers a replayer
+    for: a new rule without a replay, or a replayer no rule reaches, fails."""
+    src = Path(oracle.__file__).parent
+    emitted = set()
+    for node in ast.walk(ast.parse((src / "classify.py").read_text())):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Certificate":
+            emitted |= _string_leaves(node.args[0])
+    replayed = set()
+    for node in ast.walk(ast.parse((src / "oracle.py").read_text())):
+        if isinstance(node, ast.FunctionDef):
+            for dec in node.decorator_list:
+                if isinstance(dec, ast.Call) and getattr(dec.func, "id", None) == "replayer":
+                    replayed |= _string_leaves(dec.args[0])
+    assert {"implied_by_power_bounded", "implied_by_m_topologizable"} <= emitted
+    assert emitted == replayed

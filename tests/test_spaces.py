@@ -27,6 +27,7 @@ from psop import (
 from psop.spaces import (
     ExponentialEnvelope,
     convolve_finite,
+    correlate_envelope,
     decay_compensation_constant,
     explicit_alpha,
     linear_alpha,
@@ -337,6 +338,14 @@ def test_hat_output_tail_on_two_envelopes_is_sound_and_tighter(cx, rx, ct, rt):
         sup_n = max(n * t ** n for n in range(1, 2000))
         old = cx * ct * max(sup_n, 1.0) / rho_inf
         assert tail.ratio == rho_inf and tail.scale <= rho_inf * old * (1 + 1e-12)
+
+
+def test_correlate_envelope_raises_tail_unbounded_past_the_float_range():
+    with pytest.raises(TailUnbounded):
+        correlate_envelope(GeometricEnvelope(1e300, 0.5), psop.FinitelySupported(), 8, 2, 1e10)
+    with pytest.raises(TailUnbounded):
+        correlate_envelope(GeometricEnvelope(1e300, 0.5), GeometricEnvelope(1e10, 0.5), 8,
+                           None, math.inf)
 
 
 def test_geometric_tail_sum_against_partial_sums():
