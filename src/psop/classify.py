@@ -112,10 +112,6 @@ class Verdict:
     def decisive(self) -> bool:
         return self.status is not Status.INCONCLUSIVE
 
-    def summary(self) -> str:
-        tail = f" [{self.certificate.rule}]" if self.certificate else ""
-        return f"{self.prop}: {self.status.value}{tail}"
-
 
 def _holds(prop, space, kind, cert, *, theta=None, beta=None, evidence=None):
     return Verdict(prop, Status.HOLDS, space, kind, theta, beta, cert,
@@ -272,7 +268,13 @@ def classify_hat_topologizable(space: SpaceSpec, theta: Symbol,
     """Always decisive: the single-application column bound applied to the
     k-th convolution power gives per-power constants L_{k,p} = ||theta^{*k}||
     at the doubled (or stability-scaled) grade, with q fixed in k."""
-    mt = classify_hat_m_top(space, theta, grid)
+    return _hat_topologizable(classify_hat_m_top(space, theta, grid), grid)
+
+
+def _hat_topologizable(mt: Verdict, grid: GridParams) -> Verdict:
+    """The topologizable verdict of the hat operator whose m_topologizable
+    verdict is mt: implied by it when it holds, else per-power constants."""
+    space, theta = mt.space, mt.theta
     if mt.status is Status.HOLDS:
         cert = Certificate("implied_by_m_topologizable",
                            {"inner": {"rule": mt.certificate.rule,
@@ -544,8 +546,8 @@ def _dual_evidence(space: SpaceSpec, beta: Symbol, grid: GridParams) -> dict:
     }
 
 
-def _classify_check_all(space: SpaceSpec, beta: Symbol,
-                        grid: GridParams) -> dict[str, Verdict]:
+def classify_check_all(space: SpaceSpec, beta: Symbol,
+                       grid: GridParams = GridParams()) -> dict[str, Verdict]:
     kind = "check"
     dual_cert, nuc, stab = _dual_preconditions(space, beta, grid)
     evidence = _dual_evidence(space, beta, grid)
@@ -627,27 +629,21 @@ def _check_infinite_decisions(space, beta, grid, evidence) -> dict[str, Verdict]
     # power boundedness
     b0c = _beta0_class(beta, tol)
     delta = _scaled_delta(beta)
+    if b0c == "gt1":
+        cert = Certificate("dual_fixed_index_growth",
+                           {"witness_n": 1, "form": "beta0_power"},
+                           "the (1,1) entry of the k-th power is beta_0^k, unbounded "
+                           "against every fixed target" if delta is not None
+                           else "fixed-index entries grow like beta_0^k")
+        out["power_bounded"] = _fails("power_bounded", space, kind, cert,
+                                      {"n": 1, "k": grid.K}, beta=beta, evidence=evidence)
+        return out
     if delta is not None:
         if b0c in ("lt1", "eq1"):
             cert = Certificate("dual_delta_contraction", {"q": 1},
                                "scalar powers |c|^k stay at or below 1 <= e^{q a_n}")
             out["power_bounded"] = _holds("power_bounded", space, kind, cert,
                                           beta=beta, evidence=evidence)
-        elif b0c == "gt1":
-            cert = Certificate("dual_fixed_index_growth",
-                               {"witness_n": 1, "form": "beta0_power"},
-                               "the (1,1) entry of the k-th power is beta_0^k, "
-                               "unbounded against every fixed target")
-            out["power_bounded"] = _fails("power_bounded", space, kind, cert,
-                                          {"n": 1, "k": grid.K}, beta=beta,
-                                          evidence=evidence)
-        return out
-    if b0c == "gt1":
-        cert = Certificate("dual_fixed_index_growth",
-                           {"witness_n": 1, "form": "beta0_power"},
-                           "fixed-index entries grow like beta_0^k")
-        out["power_bounded"] = _fails("power_bounded", space, kind, cert,
-                                      {"n": 1, "k": grid.K}, beta=beta, evidence=evidence)
         return out
     if b0c == "eq1":
         j = _first_positive_support(beta)
@@ -810,33 +806,46 @@ def _check_finite_decisions(space, beta, grid, evidence) -> dict[str, Verdict]:
     return out
 
 
-def classify_check_infinite(space: SpaceSpec, beta: Symbol, mode: str,
-                            grid: GridParams = GridParams()) -> Verdict:
-    if space.is_finite_type:
-        raise UnsupportedSpace("use classify_check_finite on the finite type")
-    return _classify_check_all(space, beta, grid)[norm_mode(mode)]
-
-
-def classify_check_finite(space: SpaceSpec, beta: Symbol, mode: str,
-                          grid: GridParams = GridParams()) -> Verdict:
-    if not space.is_finite_type:
-        raise UnsupportedSpace("use classify_check_infinite on the infinite type")
-    return _classify_check_all(space, beta, grid)[norm_mode(mode)]
-
-
-def classify_check_all(space: SpaceSpec, beta: Symbol,
-                       grid: GridParams = GridParams()) -> dict[str, Verdict]:
-    return _classify_check_all(space, beta, grid)
-
-
 def norm_mode(mode: str) -> str:
     m = mode.replace("-", "_").lower()
     aliases = {"topologizable": "topologizable", "m_top": "m_topologizable",
                "m_topologizable": "m_topologizable", "mtop": "m_topologizable",
-               "power_bounded": "power_bounded", "pb": "power_bounded"}
+               "power_bounded": "power_bounded", "pb": "power_bounded",
+               "strongly_tame": "strongly_tame"}
     if m not in aliases:
         raise ValueError(f"unknown classification mode {mode!r}")
     return aliases[m]
+
+
+def classify_operator(op: OperatorSpec, modes: Sequence[str],
+                      grid: GridParams) -> dict[str, Verdict]:
+    """The verdict of each requested mode by canonical name, in request
+    order: the one map from operator kind, space type and mode to a
+    classifier, deciding each property once.  A hat or Toeplitz operator's
+    topologizable verdict comes from its m_topologizable one."""
+    space = op.space
+    decided: dict[str, Verdict] = {}
+    if op.kind is OperatorKind.TOEPLITZ:
+        decided = classify_toeplitz(space, op.theta, op.beta, grid)
+        decided["topologizable"] = replace(decided["m_topologizable"], prop="topologizable")
+    elif op.kind is OperatorKind.CHECK:
+        decided = classify_check_all(space, op.beta, grid)
+
+    def decide(mode: str) -> Verdict:
+        if mode not in decided:
+            if mode == "strongly_tame":
+                decided[mode] = strongly_tame_probe(op, grid).verdict
+            elif mode == "power_bounded":
+                pb = classify_hat_power_bounded_finite if space.is_finite_type \
+                    else classify_hat_power_bounded_infinite
+                decided[mode] = pb(space, op.theta, grid)
+            elif mode == "m_topologizable":
+                decided[mode] = classify_hat_m_top(space, op.theta, grid)
+            else:
+                decided[mode] = _hat_topologizable(decide("m_topologizable"), grid)
+        return decided[mode]
+
+    return {mode: decide(mode) for mode in map(norm_mode, modes)}
 
 
 # ---------------------------------------------------------------------------
@@ -927,29 +936,36 @@ def classify_toeplitz(space: SpaceSpec, theta: Symbol, beta: Symbol,
     kind = "toeplitz"
     out: dict[str, Verdict] = {}
     evidence: dict = {}
+    # strong tameness (hence m-topologizability) from the dual side's sum:
+    # weighted by e^n on the finite type, plain on the infinite type
     if space.is_finite_type:
-        try:
-            b_sum = weighted_beta_sum_finite(beta)
-            b_desc = {"B_lower": b_sum.lower, "B_upper": b_sum.upper,
-                      "B_infinite": b_sum.infinite}
-        except TailUnbounded as exc:
-            b_sum, b_desc = None, {"B_error": str(exc)}
-        evidence.update(b_desc)
-        if b_sum is not None and not b_sum.infinite:
-            cert = Certificate("dual_l1_tame_bound",
-                               {"B_upper": b_sum.upper},
-                               "exponentially weighted dual sum finite: both parts "
-                               "are grade-preserving, so the sum is strongly tame")
-            v = _holds("strongly_tame", space, kind, cert, theta=theta, beta=beta,
-                       evidence=evidence)
-            out["strongly_tame"] = v
-            out["m_topologizable"] = replace(v, prop="m_topologizable")
-        else:
-            why = "the exponentially weighted dual sum is not settled finite"
-            out["strongly_tame"] = _open("strongly_tame", space, kind, why,
-                                         theta=theta, beta=beta, evidence=evidence)
-            out["m_topologizable"] = _open("m_topologizable", space, kind, why,
-                                           theta=theta, beta=beta, evidence=evidence)
+        name, dual_sum_of = "B", weighted_beta_sum_finite
+        text = ("exponentially weighted dual sum finite: both parts are "
+                "grade-preserving, so the sum is strongly tame")
+        why = "the exponentially weighted dual sum is not settled finite"
+    else:
+        name, dual_sum_of = "A", ell1_norm
+        text = ("summable dual side: both parts are grade-preserving, so the "
+                "sum is strongly tame")
+        why = "the dual absolute sum is not settled finite"
+    try:
+        dual_sum = dual_sum_of(beta)
+        evidence.update({f"{name}_lower": dual_sum.lower, f"{name}_upper": dual_sum.upper,
+                         f"{name}_infinite": dual_sum.infinite})
+    except TailUnbounded as exc:
+        dual_sum = None
+        evidence[f"{name}_error"] = str(exc)
+    if dual_sum is not None and not dual_sum.infinite:
+        cert = Certificate("dual_l1_tame_bound", {f"{name}_upper": dual_sum.upper}, text)
+        v = _holds("strongly_tame", space, kind, cert, theta=theta, beta=beta,
+                   evidence=evidence)
+        out["strongly_tame"] = v
+        out["m_topologizable"] = replace(v, prop="m_topologizable")
+    else:
+        for prop in ("strongly_tame", "m_topologizable"):
+            out[prop] = _open(prop, space, kind, why, theta=theta, beta=beta,
+                              evidence=evidence)
+    if space.is_finite_type:
         # power bounded: sup_p e^{1/2p}||theta||_{2p} + B <= 1; the supremum is
         # the plain absolute sum by monotone convergence
         try:
@@ -957,20 +973,20 @@ def classify_toeplitz(space: SpaceSpec, theta: Symbol, beta: Symbol,
         except TailUnbounded as exc:
             s_theta = None
             evidence["S_error"] = str(exc)
-        if s_theta is not None and b_sum is not None:
+        if s_theta is not None and dual_sum is not None:
             evidence.update({"S_lower": s_theta.lower, "S_upper": s_theta.upper})
             if beta.is_zero and s_theta.exact is not None:
                 total = SeriesSum(s_theta.partial, 0.0, exact=s_theta.exact)
-            elif s_theta.infinite or b_sum.infinite:
+            elif s_theta.infinite or dual_sum.infinite:
                 total = SeriesSum(math.inf, 0.0, infinite=True)
             else:
-                total = SeriesSum(s_theta.lower + b_sum.lower,
+                total = SeriesSum(s_theta.lower + dual_sum.lower,
                                   (s_theta.upper - s_theta.lower)
-                                  + (b_sum.upper - b_sum.lower))
+                                  + (dual_sum.upper - dual_sum.lower))
             side = _three_way_vs_one(total, grid.tol)
             if side == "le":
                 cert = Certificate("toeplitz_power_bound_sum",
-                                   {"B_upper": b_sum.upper,
+                                   {"B_upper": dual_sum.upper,
                                     "S_upper": s_theta.upper,
                                     "q_of_p": {}},
                                    "combined tame constants stay at or below 1")
@@ -988,32 +1004,11 @@ def classify_toeplitz(space: SpaceSpec, theta: Symbol, beta: Symbol,
                                          theta=theta, beta=beta, evidence=evidence)
         return out
     # infinite type
-    try:
-        a_sum = ell1_norm(beta)
-        evidence.update({"A_lower": a_sum.lower, "A_upper": a_sum.upper,
-                         "A_infinite": a_sum.infinite})
-    except TailUnbounded as exc:
-        a_sum = None
-        evidence["A_error"] = str(exc)
-    if a_sum is not None and not a_sum.infinite:
-        cert = Certificate("dual_l1_tame_bound", {"A_upper": a_sum.upper},
-                           "summable dual side: both parts are grade-preserving, "
-                           "so the sum is strongly tame")
-        v = _holds("strongly_tame", space, kind, cert, theta=theta, beta=beta,
-                   evidence=evidence)
-        out["strongly_tame"] = v
-        out["m_topologizable"] = replace(v, prop="m_topologizable")
-    else:
-        why = "the dual absolute sum is not settled finite"
-        out["strongly_tame"] = _open("strongly_tame", space, kind, why,
-                                     theta=theta, beta=beta, evidence=evidence)
-        out["m_topologizable"] = _open("m_topologizable", space, kind, why,
-                                       theta=theta, beta=beta, evidence=evidence)
-    if theta.is_zero and a_sum is not None:
-        side = _three_way_vs_one(a_sum, grid.tol)
+    if theta.is_zero and dual_sum is not None:
+        side = _three_way_vs_one(dual_sum, grid.tol)
         if side == "le":
             cert = Certificate("toeplitz_power_bound_sum",
-                               {"A_upper": a_sum.upper, "q_of_p": {}},
+                               {"A_upper": dual_sum.upper, "q_of_p": {}},
                                "zero forward part and dual sum at most 1")
             out["power_bounded"] = _holds("power_bounded", space, kind, cert,
                                           theta=theta, beta=beta, evidence=evidence)

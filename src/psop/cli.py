@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Optional
 
@@ -22,15 +22,9 @@ from . import __version__
 from .classify import (
     GridParams,
     UnsupportedSpace,
-    classify_check_all,
-    classify_hat_m_top,
-    classify_hat_power_bounded_finite,
-    classify_hat_power_bounded_infinite,
-    classify_hat_topologizable,
-    classify_toeplitz,
-    norm_mode,
-    strongly_tame_probe,
     Verdict,
+    classify_operator,
+    norm_mode,
 )
 from .laurent import (
     CertificateFitFailed,
@@ -44,7 +38,6 @@ from .numerics import fmt17
 from .operators import (
     Element,
     OperatorContractError,
-    OperatorKind,
     OperatorSpec,
     basis_element,
     cesaro_mean,
@@ -71,6 +64,8 @@ from .symbols import OutOfSampledRange, Symbol, parse_symbol, zero_symbol
 from .verification import SweepOutcome, run_suite
 
 SCHEMA_VERSION = 1
+# the largest dense matrix a classify job exports (2048^2 entries)
+MAX_MATRIX_SIZE = 2048
 
 
 class ConfigError(ValueError):
@@ -176,6 +171,16 @@ class JobConfig:
                       {"type"}, "task")
         if task["type"] not in ("classify", "orbit", "cesaro", "laurent", "verify"):
             raise ConfigError(f"task.type {task['type']!r} unknown")
+        if task["type"] == "classify":
+            try:
+                for m in task.get("modes") or ():
+                    norm_mode(m)
+            except (ValueError, AttributeError) as exc:
+                raise ConfigError(f"task.modes: {exc}") from None
+        size = task.get("matrix_size", 1)
+        if type(size) is not int or not 1 <= size <= MAX_MATRIX_SIZE:
+            raise ConfigError(f"task.matrix_size must be an integer in "
+                              f"1..{MAX_MATRIX_SIZE}, got {size!r}")
         grid = parse_grid(obj.get("grid"))
         output = obj.get("output") or {}
         _require_keys(output, {"formats"}, set(), "output")
@@ -324,52 +329,15 @@ def _start_element(cfg: JobConfig, N: int) -> Element:
     return element_from_symbol(parse_symbol(spec), N, cfg.space)
 
 
-def _classify_mode(mode: str) -> str:
-    """Canonical name of a classify mode, for every operator kind:
-    classify.norm_mode's aliases plus strongly_tame."""
-    if mode.replace("-", "_").lower() == "strongly_tame":
-        return "strongly_tame"
-    try:
-        return norm_mode(mode)
-    except ValueError:
-        raise ConfigError(f"unknown classify mode {mode!r}") from None
-
-
 def run_classify(cfg: JobConfig, report: Report, outdir: Path) -> None:
     grid = cfg.grid
-    kind = cfg.operator["kind"]
     op = cfg.build_operator(grid.N)
-    modes = cfg.task.get("modes") or ["topologizable", "m_topologizable",
-                                      "power_bounded"]
-    verdicts: list[Verdict] = []
-    if op.kind is OperatorKind.HAT:
-        for m in map(_classify_mode, modes):
-            if m == "topologizable":
-                verdicts.append(classify_hat_topologizable(cfg.space, op.theta, grid))
-            elif m == "m_topologizable":
-                verdicts.append(classify_hat_m_top(cfg.space, op.theta, grid))
-            elif m == "power_bounded":
-                fn = classify_hat_power_bounded_finite if cfg.space.is_finite_type \
-                    else classify_hat_power_bounded_infinite
-                verdicts.append(fn(cfg.space, op.theta, grid))
-            else:
-                verdicts.append(strongly_tame_probe(op, grid).verdict)
-    elif op.kind is OperatorKind.CHECK:
-        all_v = classify_check_all(cfg.space, op.beta, grid)
-        for m in map(_classify_mode, modes):
-            verdicts.append(all_v[m] if m in all_v else strongly_tame_probe(op, grid).verdict)
-    else:
-        tv = classify_toeplitz(cfg.space, op.theta or zero_symbol(),
-                               op.beta or zero_symbol(), grid)
-        for m in map(_classify_mode, modes):
-            if m in tv:
-                verdicts.append(tv[m])
-            else:  # topologizable, read off m_topologizable
-                verdicts.append(replace(tv["m_topologizable"], prop=m))
-    report.verdicts = [verdict_json(v) for v in verdicts]
-    if "csv" in cfg.formats and cfg.task.get("matrix_size"):
-        n = int(cfg.task["matrix_size"])
-        M = toeplitz_matrix(op.theta or zero_symbol(), op.beta or zero_symbol(), n)
+    modes = cfg.task.get("modes") or ("topologizable", "m_topologizable", "power_bounded")
+    decided = classify_operator(op, modes, grid)
+    report.verdicts = [verdict_json(decided[norm_mode(m)]) for m in modes]
+    if "csv" in cfg.formats and "matrix_size" in cfg.task:
+        M = toeplitz_matrix(op.theta or zero_symbol(), op.beta or zero_symbol(),
+                            cfg.task["matrix_size"])
         path = outdir / "matrix.csv"
         path.write_text(matrix_csv(M))
         report.series.append({"file": path.name, "kind": "matrix"})

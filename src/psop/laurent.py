@@ -224,8 +224,7 @@ def fit_geometric_envelope(indexed: list[tuple[int, float]],
     if not pts:
         return None
     if len(pts) == 1:
-        i, v = pts[0]
-        return GeometricEnvelope(2.0 * v, 1.0 if i == 0 else v ** 0)
+        return GeometricEnvelope(2.0 * pts[0][1], 1.0)
     xs = np.array([p[0] for p in pts], dtype=float)
     ys = np.log(np.array([p[1] for p in pts]))
     A = np.stack([xs, np.ones_like(xs)], axis=1)
@@ -293,7 +292,7 @@ def toeplitz_from_function(F: HoloSymbol, space: SpaceSpec, r: float,
                            grid=None, window: int = 32) -> FunctionOperatorReport:
     """Quadrature, split, envelope fit, membership checks, and the sufficient
     classification sums, end to end."""
-    from .classify import GridParams, classify_toeplitz
+    from .classify import GridParams, classify_operator
     from .operators import make_toeplitz_operator
     from .spaces import fit_dual_certificate
     from .symbols import membership_check
@@ -332,6 +331,7 @@ def toeplitz_from_function(F: HoloSymbol, space: SpaceSpec, r: float,
     if isinstance(env, GeometricEnvelope):
         # sum_{m > window} env(m) * weight(m), weight = 1 or e^{m+1}
         tail = geometric_tail_sum(env, window + 1, math.e if space.is_finite_type else 1.0)
-    verdicts = classify_toeplitz(space, theta, beta, grid)
+    verdicts = classify_operator(op, ("strongly_tame", "m_topologizable", "power_bounded"),
+                                 grid)
     return FunctionOperatorReport(op, coeffs, theta, beta, membership, cert,
                                   total, tail, verdicts)

@@ -102,15 +102,6 @@ class Element:
     def is_exact(self) -> bool:
         return self.residual == 0.0 and all(is_rational(v) for v in self.values)
 
-    def entry(self, n: int):
-        if n < 1:
-            raise ValueError("elements are indexed from 1")
-        if n <= len(self.values):
-            return self.values[n - 1]
-        if self.is_finitely_supported:
-            return 0
-        raise IndexError(f"entry {n} beyond truncation with a nonzero tail certificate")
-
 
 def basis_element(n: int, N: int, space: Optional[SpaceSpec] = None) -> Element:
     if n < 1 or n > N:
@@ -441,6 +432,18 @@ def cesaro_mean(op: OperatorSpec, k: int, x: Element) -> Element:
 # ---------------------------------------------------------------------------
 
 
+def _float_coeffs(dtype, vals: list, name: str) -> list:
+    """dtype(v) for each coefficient; one that overflows a float is a
+    ValueError naming its index."""
+    out = []
+    for i, v in enumerate(vals):
+        try:
+            out.append(dtype(v))
+        except OverflowError:
+            raise ValueError(f"coefficient {name}_{i} overflows a float") from None
+    return out
+
+
 def toeplitz_matrix(theta: Symbol, beta: Symbol, N: int) -> np.ndarray:
     """N x N float (or complex) truncation: entry (i, j) = theta_{i-j} below,
     beta_{j-i} above, theta_0 + beta_0 on the diagonal (0-based i, j)."""
@@ -450,9 +453,11 @@ def toeplitz_matrix(theta: Symbol, beta: Symbol, N: int) -> np.ndarray:
     be = prefix(beta, N)
     complex_entries = any(isinstance(v, complex) for v in th + be)
     dtype = complex if complex_entries else float
+    # the diagonal theta_0 + beta_0 is read as index 0 of theta
+    lower = _float_coeffs(dtype, [th[0] + be[0]] + th[1:], "theta")
+    upper = _float_coeffs(dtype, [0] + be[1:], "beta")
     # diagonal i - j of M is diags[N - 1 + i - j]
-    diags = np.array([dtype(v) for v in be[:0:-1]] + [dtype(th[0] + be[0])]
-                     + [dtype(v) for v in th[1:]], dtype=dtype)
+    diags = np.array(upper[:0:-1] + lower, dtype=dtype)
     idx = np.arange(N)
     # added to zeros, each entry is 0.0 + value: a -0.0 coefficient stores 0.0
     return np.zeros((N, N), dtype=dtype) + diags[N - 1 + idx[:, None] - idx[None, :]]

@@ -7,9 +7,14 @@ backs tests and the replay of classification verdicts.
 
 Replay is independent of the code it checks: from symbols and operators
 it imports only readers and types (Symbol, coeff, is_rational, prefix,
-readable_length, ell1_norm, zero_symbol), never their
-convolution kernels, so its exact convolution powers clear denominators
-with their own code.
+readable_length, zero_symbol), never their convolution kernels or absolute
+sums, so its exact convolution powers clear denominators with their own
+code and its absolute sums come from each symbol kind's closed form.
+
+Each claim shape has one checker: _powers_within for coefficient envelopes
+of convolution powers, _columns_within for dense column bounds, and
+_abs_at for one lifted coefficient.  Comparisons pad a bound by one of
+three named margins.
 
 Truncation-then-power equals power-then-truncation exactly for triangular
 matrices; for the mixed Toeplitz kind the leading-block stability is
@@ -25,6 +30,7 @@ from typing import Sequence
 
 import mpmath
 
+from .spaces import GeometricEnvelope
 from .symbols import Symbol, coeff, is_rational, prefix, readable_length, zero_symbol
 
 MAX_DENSE_N = 512
@@ -43,9 +49,6 @@ class DenseTrunc:
     @property
     def n(self) -> int:
         return len(self.rows)
-
-    def entry(self, i: int, j: int):
-        return self.rows[i][j]
 
 
 def _lift(v, exact: bool):
@@ -163,6 +166,30 @@ def column(M: DenseTrunc, j: int) -> list:
 # ---------------------------------------------------------------------------
 
 
+# Comparison margins, relative to the bound they pad.  Each is a decimal
+# string that mpmath parses inside the 50-digit replay context.
+_TIGHT = "1e-30"    # the rounding of 50-digit arithmetic alone
+_FLOAT = "1e-12"    # a constant the classifier rounded to a float
+_LOOSE = "1e-9"     # a constant resting on float sums and tail majorants
+
+
+def _within(x, bound, margin: str) -> bool:
+    """x <= bound * (1 + margin)."""
+    return _num(x) <= bound * (1 + mpmath.mpf(margin))
+
+
+def _abs_at(sym: Symbol, i: int):
+    """|sym_i| from one read: a Fraction when the coefficient is rational,
+    else a 50-digit number."""
+    v = coeff(sym, i)
+    return abs(_lift(v, is_rational(v)))
+
+
+def _abs_lifted(x):
+    """|x| as a 50-digit number."""
+    return _num(abs(_lift(x, is_rational(x))))
+
+
 def _mp_weight(space, n: int, k: int):
     a = mpmath.mpf(space.alpha.value(n))
     return mpmath.e ** (-a / k) if space.is_finite_type else mpmath.e ** (k * a)
@@ -174,15 +201,70 @@ def _weighted_column_norm(M: DenseTrunc, n: int, space, p: int, rows: int):
     return sum(abs(M.rows[i][n - 1]) * _mp_weight(space, i + 1, p) for i in range(rows))
 
 
-def _mp_ell1(sym: Symbol):
-    from .symbols import ell1_norm
+def _columns_within(M: DenseTrunc, space, ks, ps, ns, rows: int, bound,
+                    margin: str) -> bool:
+    """The dense column claim ||M^k e_n||_p <= C ||e_n||_q, the norm read on
+    the first rows entries of the column, for every k in ks (ascending), p in
+    ps and n in ns, where (C, q) = bound(M^k, k, p)."""
+    Mk, k_done = M, 1
+    for k in ks:
+        for _ in range(k - k_done):
+            Mk = dense_matmul(Mk, M)
+        k_done = k
+        for p in ps:
+            C, q = bound(Mk, k, p)
+            if not all(_within(_weighted_column_norm(Mk, n, space, p, rows),
+                               C * _mp_weight(space, n, q), margin) for n in ns):
+                return False
+    return True
 
-    s = ell1_norm(sym)
-    if s.exact is not None:
-        return mpmath.mpf(s.exact.numerator) / s.exact.denominator, True
-    if s.infinite:
-        return mpmath.inf, True
-    return mpmath.mpf(s.upper), False
+
+def _powers_within(sym: Symbol, ks, N: int, bound, margin: str) -> bool:
+    """The coefficient envelope |sym^{*k}_m| <= bound(k, m) for every k in ks
+    and every m below N that the symbol's window reaches."""
+    return all(a == 0 or _within(a, bound(k, m), margin)
+               for k in ks for m, a in enumerate(_mp_abs_conv_power(sym, k, N)))
+
+
+def _decay_target(space, q: int):
+    """m -> e^{-alpha_{m+1}/q}, the finite-type target of power coefficient m."""
+    return lambda m: mpmath.e ** (-mpmath.mpf(space.alpha.value(m + 1)) / q)
+
+
+def _mp_ell1(sym: Symbol):
+    """(sum_i |sym_i|, exact) from the coefficients and each kind's closed
+    form: a Fraction for rational finite and geometric symbols, a 50-digit
+    sum otherwise, with the envelope's geometric tail past a sampled window.
+    NonReplayable when no certificate settles the sum."""
+    if sym.kind == "geometric":
+        if sym.c == 0:
+            return mpmath.mpf(0), True
+        if _abs_lifted(sym.r) >= 1:
+            return mpmath.inf, True
+        exact = is_rational(sym.c) and is_rational(sym.r)
+        return _num(abs(_lift(sym.c, exact)) / (1 - abs(_lift(sym.r, exact)))), exact
+    sup = sym.bounded_support()
+    W = readable_length(sym, math.inf if sup is None else sup)
+    vals = prefix(sym, W)
+    exact = sym.kind == "finite" and _all_exact(vals)
+    partial = sum((abs(_lift(v, exact)) for v in vals),
+                  Fraction(0) if exact else mpmath.mpf(0))
+    if W == sup:
+        return _num(partial), exact
+    # an envelope scale * ratio**i bounds |sym_i| for i >= W, up to the
+    # support bound when there is one
+    env = sym.envelope
+    if not isinstance(env, GeometricEnvelope):
+        raise NonReplayable("no geometric envelope bounds the unread coefficients")
+    scale, ratio = mpmath.mpf(env.scale), mpmath.mpf(env.ratio)
+    if sup is not None:
+        tail = scale * (sup - W) if ratio == 1 else \
+            scale * (ratio ** W - ratio ** sup) / (1 - ratio)
+    elif ratio < 1:
+        tail = scale * ratio ** W / (1 - ratio)
+    else:
+        raise NonReplayable("an envelope of ratio >= 1 does not settle the sum")
+    return partial + tail, False
 
 
 def _cleared_ints(vals: Sequence) -> tuple[list, int]:
@@ -202,33 +284,24 @@ def _mp_abs_conv_power(sym: Symbol, k: int, N: int) -> list:
     power depends only on entries 0..m of the symbol."""
     N = readable_length(sym, N)
     base = prefix(sym, N)
-    if _all_exact(base):
-        ints, den = _cleared_ints(base)
-        while ints and ints[-1] == 0:
-            ints.pop()
-        out = ints
-        for _ in range(k - 1):
-            new = [0] * min(N, len(out) + len(ints) - 1)
-            for i, a in enumerate(out):
-                if a == 0:
-                    continue
-                for j, b in enumerate(ints[:len(new) - i]):
-                    new[i + j] += a * b
-            out = new
-        scale = den ** k
-        return [Fraction(abs(v), scale) for v in out] + [Fraction(0)] * (N - len(out))
-    vals = [_lift(v, False) for v in base]
-    out = list(vals)
+    exact = _all_exact(base)
+    vals, den = _cleared_ints(base) if exact else ([_lift(v, False) for v in base], 1)
+    while vals and vals[-1] == 0:
+        vals.pop()
+    zero = 0 if exact else mpmath.mpf(0)
+    out = vals
     for _ in range(k - 1):
-        new = [mpmath.mpf(0)] * min(N, len(out) + len(vals) - 1)
+        new = [zero] * min(N, len(out) + len(vals) - 1)
         for i, a in enumerate(out):
             if a == 0:
                 continue
-            for j, b in enumerate(vals):
-                if i + j < len(new):
-                    new[i + j] += a * b
+            for j, b in enumerate(vals[:len(new) - i]):
+                new[i + j] += a * b
         out = new
-    return [abs(v) for v in out]
+    if not exact:
+        return [abs(v) for v in out]
+    scale = den ** k
+    return [Fraction(abs(v), scale) for v in out] + [Fraction(0)] * (N - len(out))
 
 
 _REPLAYERS = {}
@@ -254,9 +327,6 @@ def replay_verdict(verdict) -> bool:
         return bool(fn(verdict, cert.params))
 
 
-_MARGIN = mpmath.mpf("1e-30")
-
-
 @replayer("zero_operator")
 def _replay_zero(v, params):
     sym = v.beta if v.beta is not None else v.theta
@@ -266,23 +336,21 @@ def _replay_zero(v, params):
 @replayer("hat_l1_contraction")
 def _replay_hat_l1(v, params):
     val, exact = _mp_ell1(v.theta)
-    return val <= 1 if exact else val <= 1 + _MARGIN
+    return val <= 1 if exact else _within(val, 1, _TIGHT)
 
 
 @replayer("hat_l1_exceeds")
 def _replay_hat_l1_gt(v, params):
-    m = int(params["prefix_len"])
-    partial = sum(abs(_lift(coeff(v.theta, i), _all_exact(prefix(v.theta, m))))
-                  for i in range(m))
-    return partial > 1
+    head = prefix(v.theta, int(params["prefix_len"]))
+    exact = _all_exact(head)
+    return sum(abs(_lift(t, exact)) for t in head) > 1
 
 
 @replayer("hat_delta_power_norms")
 def _replay_hat_delta(v, params):
     if v.theta.bounded_support() not in (0, 1):
         return False
-    c = abs(_lift(coeff(v.theta, 0), is_rational(coeff(v.theta, 0))))
-    return c <= 1
+    return _abs_at(v.theta, 0) <= 1
 
 
 @replayer("hat_conv_power_lower_growth")
@@ -292,51 +360,34 @@ def _replay_hat_growth(v, params):
         th = prefix(v.theta, v.theta.bounded_support() or 0)
         if any(isinstance(t, complex) or t < 0 for t in th):
             return False
-        total = sum(_lift(t, _all_exact(th)) for t in th)
-        return total > 1
+        exact = _all_exact(th)
+        return sum(_lift(t, exact) for t in th) > 1
     if route == "theta0":
-        c = abs(_lift(coeff(v.theta, 0), is_rational(coeff(v.theta, 0))))
-        return c > 1
+        return _abs_at(v.theta, 0) > 1
     return False
 
 
 @replayer("dual_l1_contraction")
 def _replay_dual_l1(v, params):
     val, exact = _mp_ell1(v.beta)
-    if not (val <= 1 if exact else val <= 1 + _MARGIN):
-        return False
-    # spot-check the implied coefficient bound on exact convolution powers
-    for k in (2, 3, 5):
-        for a in _mp_abs_conv_power(v.beta, k, 40):
-            if _num(a) > 1 + _MARGIN:
-                return False
-    return True
+    # then spot-check the implied coefficient bound on exact convolution powers
+    return (val <= 1 if exact else _within(val, 1, _TIGHT)) and \
+        _powers_within(v.beta, (2, 3, 5), 40, lambda k, m: 1, _TIGHT)
 
 
 @replayer("young_envelope")
 def _replay_young(v, params):
     D = mpmath.mpf(str(params["D"]))
     val, _ = _mp_ell1(v.beta)
-    if not (val <= D + _MARGIN and D >= 1):
-        return False
-    for k in (2, 4):
-        for a in _mp_abs_conv_power(v.beta, k, 40):
-            if _num(a) > D ** k + _MARGIN:
-                return False
-    return True
+    return D >= 1 and _within(val, D, _TIGHT) and \
+        _powers_within(v.beta, (2, 4), 40, lambda k, m: D ** k, _TIGHT)
 
 
 @replayer("young_envelope_shifted")
 def _replay_young_shifted(v, params):
     D = mpmath.mpf(str(params["D"]))
-    q = int(params["q"])
-    for k in (1, 2, 4):
-        absck = _mp_abs_conv_power(v.beta, k, 64)
-        for m, a in enumerate(absck):
-            target = D ** k * mpmath.e ** (-mpmath.mpf(v.space.alpha.value(m + 1)) / q)
-            if _num(a) > target * (1 + _MARGIN):
-                return False
-    return True
+    target = _decay_target(v.space, int(params["q"]))
+    return _powers_within(v.beta, (1, 2, 4), 64, lambda k, m: D ** k * target(m), _TIGHT)
 
 
 @replayer("finite_support_topologizable")
@@ -356,42 +407,38 @@ def _replay_fin_top(v, params):
 def _replay_dual_delta(v, params):
     if (v.beta.bounded_support() or 0) > 1:
         return False
-    c = abs(_lift(coeff(v.beta, 0), is_rational(coeff(v.beta, 0))))
+    c = _abs_at(v.beta, 0)
     if v.space.is_finite_type:
-        q = int(params["q"])
-        target = mpmath.e ** (-mpmath.mpf(v.space.alpha.value(1)) / q)
-        return _num(c) <= target * (1 + _MARGIN)
+        return _within(c, _decay_target(v.space, int(params["q"]))(0), _TIGHT)
     return c <= 1
 
 
 @replayer("dual_fixed_index_growth")
 def _replay_dual_growth(v, params):
     n = int(params["witness_n"])
+    b0 = _abs_at(v.beta, 0)
+    tight = mpmath.mpf(_TIGHT)
     if params["form"] == "beta0_power":
-        b0 = abs(_lift(coeff(v.beta, 0), is_rational(coeff(v.beta, 0))))
         if not b0 > 1:
             return False
         probe = _mp_abs_conv_power(v.beta, 3, n + 1)
-        return _num(probe[n - 1]) >= b0 ** 3 * (1 - _MARGIN)
+        return _num(probe[n - 1]) >= b0 ** 3 * (1 - tight)
     # k-linear growth at the first positive support index j = n - 1
     j = n - 1
-    bj = abs(_lift(coeff(v.beta, j), is_rational(coeff(v.beta, j))))
-    b0 = abs(_lift(coeff(v.beta, 0), is_rational(coeff(v.beta, 0))))
-    if bj == 0 or _num(abs(b0 - 1)) > _MARGIN:
+    bj = _abs_at(v.beta, j)
+    if bj == 0 or _num(abs(b0 - 1)) > tight:
         return False
     for k in (2, 5):
         probe = _mp_abs_conv_power(v.beta, k, j + 1)
         expected = k * bj
-        if abs(_num(probe[j]) - expected) > _MARGIN * max(1, expected):
+        if abs(_num(probe[j]) - expected) > tight * max(1, expected):
             return False
     return True
 
 
 @replayer("dual_fixed_index_floor")
 def _replay_dual_floor(v, params):
-    b0 = abs(_lift(coeff(v.beta, 0), is_rational(coeff(v.beta, 0))))
-    a1 = v.space.alpha.value(1)
-    return b0 >= 1 and a1 > 0
+    return _abs_at(v.beta, 0) >= 1 and v.space.alpha.value(1) > 0
 
 
 @replayer("dual_disc_modulus_bound")
@@ -401,10 +448,9 @@ def _replay_disc_modulus(v, params):
     sup = v.beta.bounded_support()
     if sup is None:
         return False
-    total = mpmath.mpf(0)
-    for i in range(sup):
-        total += abs(_lift(coeff(v.beta, i), False)) * mpmath.e ** (-q * i)
-    return total <= 1 + _MARGIN
+    total = sum(abs(_lift(b, False)) * mpmath.e ** (-q * i)
+                for i, b in enumerate(prefix(v.beta, sup)))
+    return _within(total, 1, _TIGHT)
 
 
 @replayer("dual_circle_modulus_bound")
@@ -425,7 +471,7 @@ def _replay_circle_modulus(v, params):
             val = val * z + c
         best = max(best, abs(val))
     best += lip * mpmath.pi / M
-    return best <= mpmath.e ** (-mpmath.mpf(1) / q) * (1 + mpmath.mpf("1e-12"))
+    return _within(best, mpmath.e ** (-mpmath.mpf(1) / q), _FLOAT)
 
 
 @replayer("dual_circle_modulus_exceeds")
@@ -435,69 +481,51 @@ def _replay_circle_exceeds(v, params):
     if sup is None:
         return False
     z = mpmath.e ** (1j * t)
-    val = abs(sum(_lift(coeff(v.beta, i), False) * z ** i for i in range(sup)))
-    return val > 1 + mpmath.mpf("1e-12")
+    val = abs(sum(_lift(b, False) * z ** i for i, b in enumerate(prefix(v.beta, sup))))
+    return not _within(val, 1, _FLOAT)
 
 
 @replayer("dual_l1_exceeds_on_circle")
 def _replay_dual_l1_gt(v, params):
     val, exact = _mp_ell1(v.beta)
-    return val > 1 if exact else val > 1 + _MARGIN
+    return val > 1 if exact else not _within(val, 1, _TIGHT)
 
 
 @replayer("dual_l1_decay_bound")
 def _replay_dual_l1_decay(v, params):
     q = int(params["q"])
     val, _ = _mp_ell1(v.beta)
-    if not val < 1:
-        return False
     s = params.get("support")
-    if s is None:
+    if not val < 1 or s is None:
         return False
     # ell1^k * e^{alpha_{k(s-1)+1}/q} <= 1 for the inspected k
-    for k in (1, 2, 4, 8):
-        n_edge = k * (int(s) - 1) + 1
-        lhs = val ** k * mpmath.e ** (mpmath.mpf(v.space.alpha.value(n_edge)) / q)
-        if lhs > 1 + _MARGIN:
-            return False
-        absck = _mp_abs_conv_power(v.beta, k, min(64, n_edge + 2))
-        for m, a in enumerate(absck):
-            target = mpmath.e ** (-mpmath.mpf(v.space.alpha.value(m + 1)) / q)
-            if _num(a) > target * (1 + mpmath.mpf("1e-12")):
-                return False
-    return True
+    ks = (1, 2, 4, 8)
+    edge = [mpmath.mpf(v.space.alpha.value(k * (int(s) - 1) + 1)) for k in ks]
+    if not all(_within(val ** k * mpmath.e ** (a / q), 1, _TIGHT) for k, a in zip(ks, edge)):
+        return False
+    target = _decay_target(v.space, q)
+    return _powers_within(v.beta, ks, 64, lambda k, m: target(m), _FLOAT)
 
 
 @replayer("dual_geometric_decay_bound")
 def _replay_dual_geo_decay(v, params):
     q = int(params["q"])
-    c = _num(abs(_lift(v.beta.c, is_rational(v.beta.c))))
-    r = _num(abs(_lift(v.beta.r, is_rational(v.beta.r))))
+    c, r = _abs_lifted(v.beta.c), _abs_lifted(v.beta.r)
     Rq = mpmath.e ** (mpmath.mpf(1) / q)
     if not r * Rq < 1:
         return False
-    s_max = c / (1 - r * Rq)
-    return s_max <= mpmath.e ** (-mpmath.mpf(1) / q) * (1 + mpmath.mpf("1e-12"))
+    return _within(c / (1 - r * Rq), mpmath.e ** (-mpmath.mpf(1) / q), _FLOAT)
 
 
 @replayer("dual_geometric_decay_bound_topology")
 def _replay_dual_geo_topology(v, params):
     q = int(params["q"])
     D = mpmath.mpf(str(params["D"]))
-    c = _num(abs(_lift(v.beta.c, is_rational(v.beta.c))))
-    r = _num(abs(_lift(v.beta.r, is_rational(v.beta.r))))
+    c, r = _abs_lifted(v.beta.c), _abs_lifted(v.beta.r)
     Rq = mpmath.e ** (mpmath.mpf(1) / q)
-    if not r * Rq < 1:
-        return False
-    if c / (1 - r * Rq) * Rq > D * (1 + mpmath.mpf("1e-12")):
-        return False
-    for k in (1, 2, 4):
-        absck = _mp_abs_conv_power(v.beta, k, 48)
-        for m, a in enumerate(absck):
-            target = D ** k * mpmath.e ** (-mpmath.mpf(v.space.alpha.value(m + 1)) / q)
-            if _num(a) > target * (1 + mpmath.mpf("1e-12")):
-                return False
-    return True
+    target = _decay_target(v.space, q)
+    return r * Rq < 1 and _within(c / (1 - r * Rq) * Rq, D, _FLOAT) and \
+        _powers_within(v.beta, (1, 2, 4), 48, lambda k, m: D ** k * target(m), _FLOAT)
 
 
 @replayer("dual_negbinomial_envelope")
@@ -505,116 +533,78 @@ def _replay_negbinom(v, params):
     x = mpmath.mpf(str(params["x"]))
     D = mpmath.mpf(str(params["D"]))
     q = int(params["q"])
-    c = abs(_lift(v.beta.c, False))
-    r = abs(_lift(v.beta.r, False))
-    if not (0 < x < 1 and c / (1 - x) <= D + _MARGIN and r / x <= mpmath.e ** q * (1 + _MARGIN)):
+    c, r = _abs_lifted(v.beta.c), _abs_lifted(v.beta.r)
+    if not (0 < x < 1 and _within(c / (1 - x), D, _TIGHT)
+            and _within(r / x, mpmath.e ** q, _TIGHT)):
         return False
     # binomial generating bound C(m+k-1, m) <= (1-x)^{-k} x^{-m}, exact spot check
-    from math import comb
-
     xf = Fraction(str(params["x"]))
     for k in (1, 2, 5):
         for m in (0, 1, 7, 23):
-            if Fraction(comb(m + k - 1, m)) > (1 - xf) ** (-k) * xf ** (-m):
+            if Fraction(math.comb(m + k - 1, m)) > (1 - xf) ** (-k) * xf ** (-m):
                 return False
     return True
 
 
 @replayer("dual_negbinomial_contraction")
 def _replay_negbinom_pb(v, params):
-    if not _replay_negbinom(v, params):
-        return False
-    return mpmath.mpf(str(params["D"])) <= 1 + _MARGIN
+    return _replay_negbinom(v, params) and _within(mpmath.mpf(str(params["D"])), 1, _TIGHT)
 
 
 @replayer("hat_power_norm_envelope")
 def _replay_hat_envelope(v, params):
-    # verify the power-norm bound ||T^k e_n||_p <= C_p^k ||e_n||_q on a small
-    # exact-dense grid
-    space = v.space
-    N = 24
-    M = dense_hat(v.theta, N)
+    # ||T^k e_n||_p <= C_p^k ||e_n||_{q(p)}
     q_of_p = {int(p): int(q) for p, q in params["q_of_p"].items()}
     C_p = {int(p): mpmath.mpf(str(c)) for p, c in params["C_p"].items()}
-    for p in list(C_p)[:2]:
-        q = q_of_p[p]
-        Mk = M
-        for k in (1, 2, 3):
-            if k > 1:
-                Mk = dense_matmul(Mk, M)
-            for n in (1, 2, 8):
-                norm = _weighted_column_norm(Mk, n, space, p, N)
-                target = (C_p[p] ** k) * _mp_weight(space, n, q)
-                if norm > target * (1 + mpmath.mpf("1e-12")):
-                    return False
-    return True
+    return _columns_within(dense_hat(v.theta, 24), v.space, (1, 2, 3), list(C_p)[:2],
+                           (1, 2, 8), 24, lambda Mk, k, p: (C_p[p] ** k, q_of_p[p]),
+                           _FLOAT)
 
 
 @replayer("hat_per_power_symbol_norms")
 def _replay_hat_per_power(v, params):
-    # the claim is the single-application column bound at the power symbol:
-    # ||T^k e_n||_p <= ||theta^{*k}||_{q} ||e_n||_{q} with q = q_mult * p
+    # the single-application column bound at the power symbol:
+    # ||T^k e_n||_p <= ||theta^{*k}||_q ||e_n||_q with q = q_mult * p, the
+    # symbol norm read off the first column of T^k
     q_mult = int(params["q_mult"])
-    space = v.space
-    N = 24
-    M = dense_hat(v.theta, N)
-    Mk = M
-    for k in (1, 2, 3):
-        if k > 1:
-            Mk = dense_matmul(Mk, M)
-        for p in (1, 2):
-            q = q_mult * p
-            sym_norm = _weighted_column_norm(Mk, 1, space, q, N)
-            for n in (1, 3, 8):
-                norm = _weighted_column_norm(Mk, n, space, p, N)
-                if norm > sym_norm * _mp_weight(space, n, q) * (1 + mpmath.mpf("1e-12")):
-                    return False
-    return True
+
+    def bound(Mk, k, p):
+        return _weighted_column_norm(Mk, 1, v.space, q_mult * p, 24), q_mult * p
+    return _columns_within(dense_hat(v.theta, 24), v.space, (1, 2, 3), (1, 2),
+                           (1, 3, 8), 24, bound, _FLOAT)
 
 
 @replayer("toeplitz_power_bound_sum")
 def _replay_toeplitz_pb(v, params):
     space = v.space
     if space.is_finite_type:
-        s_theta, _ = _mp_ell1(v.theta)
-        if v.beta is None or v.beta.is_zero:
-            b = mpmath.mpf(0)
-        else:
-            b = mpmath.mpf(str(params["B_upper"]))
-        total = s_theta + b
+        total, _ = _mp_ell1(v.theta)
+        if v.beta is not None and not v.beta.is_zero:
+            total += mpmath.mpf(str(params["B_upper"]))
     else:
         if v.theta is not None and not v.theta.is_zero:
             return False
-        a_val, _ = _mp_ell1(v.beta)
-        total = a_val
-    if not total <= 1 + _MARGIN:
+        total, _ = _mp_ell1(v.beta)
+    if not _within(total, 1, _TIGHT):
         return False
-    # spot-check power boundedness on a small dense grid
-    M = dense_toeplitz(v.theta, v.beta, 20)
-    for k in (1, 3):
-        Mk = dense_power(M, k)
-        for n in (1, 5):
-            for p in (1, 2):
-                q = params.get("q_of_p", {}).get(str(p), 2 * p if space.is_finite_type else p)
-                norm = _weighted_column_norm(Mk, n, space, p, 12)
-                if norm > _mp_weight(space, n, int(q)) * (1 + mpmath.mpf("1e-9")):
-                    return False
-    return True
+    # power boundedness, ||T^k e_n||_p <= ||e_n||_{q(p)}, on a small dense grid
+
+    def bound(Mk, k, p):
+        q = params.get("q_of_p", {}).get(str(p), 2 * p if space.is_finite_type else p)
+        return 1, int(q)
+    return _columns_within(dense_toeplitz(v.theta, v.beta, 20), space, (1, 3), (1, 2),
+                           (1, 5), 12, bound, _LOOSE)
 
 
 @replayer("strongly_tame_closed_bounds")
 def _replay_tame(v, params):
+    # ||T e_n||_p <= b_p ||e_n||_p, on the truncation of the verdict's
+    # operator with a missing part read as zero
     bounds = {int(p): mpmath.mpf(str(b)) for p, b in params["bounds"].items()}
-    N = 24
-    # the truncation of the verdict's operator, a missing part read as zero
     M = dense_toeplitz(v.theta if v.theta is not None else zero_symbol(),
-                       v.beta if v.beta is not None else zero_symbol(), N)
-    for p, bound in list(bounds.items())[:2]:
-        for n in (1, 3, 9):
-            norm = _weighted_column_norm(M, n, v.space, p, N)
-            if norm > bound * _mp_weight(v.space, n, p) * (1 + mpmath.mpf("1e-9")):
-                return False
-    return True
+                       v.beta if v.beta is not None else zero_symbol(), 24)
+    return _columns_within(M, v.space, (1,), list(bounds)[:2], (1, 3, 9), 24,
+                           lambda Mk, k, p: (bounds[p], p), _LOOSE)
 
 
 @replayer("implied_by_power_bounded")
@@ -635,10 +625,10 @@ def _replay_dual_tame(v, params):
         sup = v.beta.bounded_support()
         terms = sup if sup is not None else 2048
         for i in range(terms):
-            total += abs(_lift(v.beta.coeff_abs_upper(i), False)) * mpmath.e ** (i + 1)
-            if i > 64 and abs(_lift(v.beta.coeff_abs_upper(i), False)) == 0:
+            a = abs(_lift(v.beta.coeff_abs_upper(i), False))
+            total += a * mpmath.e ** (i + 1)
+            if i > 64 and a == 0:
                 break
-        return total <= b * (1 + mpmath.mpf("1e-9"))
-    a_val, exact = _mp_ell1(v.beta)
-    bound = mpmath.mpf(str(params["A_upper"]))
-    return a_val <= bound * (1 + mpmath.mpf("1e-9"))
+        return _within(total, b, _LOOSE)
+    a_val, _ = _mp_ell1(v.beta)
+    return _within(a_val, mpmath.mpf(str(params["A_upper"])), _LOOSE)

@@ -273,10 +273,6 @@ class ExponentialEnvelope:
         if self.scale < 0 or self.grade < 1 or self.sign not in (-1, 1):
             raise ValueError("invalid exponential envelope")
 
-    def log_at(self, alpha_n: float) -> float:
-        rate = self.grade * alpha_n if self.sign > 0 else -alpha_n / self.grade
-        return log_abs(self.scale) + rate if self.scale > 0 else NEG_INF
-
 
 TailCert = Union[FinitelySupported, GeometricEnvelope, ExponentialEnvelope]
 
@@ -699,10 +695,6 @@ class DualCertificate:
         a = space.alpha.value(n)
         rate = self.m0 * a if not space.is_finite_type else -a / self.m0
         return math.log(self.c0) + rate
-
-    def envelope(self, space: SpaceSpec) -> ExponentialEnvelope:
-        sign = 1 if not space.is_finite_type else -1
-        return ExponentialEnvelope(self.c0, self.m0, sign)
 
 
 @dataclass(frozen=True)

@@ -633,10 +633,6 @@ class SeriesSum:
     def lower(self) -> float:
         return self.partial
 
-    @property
-    def is_exact(self) -> bool:
-        return self.exact is not None and not self.infinite
-
 
 def ell1_norm(s: Symbol) -> SeriesSum:
     """sum_i |s_i| with a closed-form tail majorant per certificate.

@@ -11,12 +11,11 @@ from psop import (
     UnsupportedSpace,
     basis_element,
     classify_check_all,
-    classify_check_finite,
-    classify_check_infinite,
     classify_hat_m_top,
     classify_hat_power_bounded_finite,
     classify_hat_power_bounded_infinite,
     classify_hat_topologizable,
+    classify_operator,
     classify_toeplitz,
     delta_symbol,
     finite_symbol,
@@ -140,36 +139,30 @@ def test_hat_power_bounded_infinite(inf):
 
 def test_check_infinite_examples(inf):
     for mode in ("topologizable", "m_topologizable", "power_bounded"):
-        v = classify_check_infinite(inf, delta_symbol(Fraction(1, 2)), mode, GRID)
+        v = classify_check_all(inf, delta_symbol(Fraction(1, 2)), GRID)[mode]
         assert v.status is Status.HOLDS
-    v = classify_check_infinite(inf, finite_symbol([0, 1]), "power_bounded", GRID)
+    v = classify_check_all(inf, finite_symbol([0, 1]), GRID)["power_bounded"]
     assert v.status is Status.HOLDS and replay_verdict(v)
-    v = classify_check_infinite(inf, delta_symbol(3), "power_bounded", GRID)
+    v = classify_check_all(inf, delta_symbol(3), GRID)["power_bounded"]
     assert v.status is Status.FAILS and replay_verdict(v)
     assert v.witness["n"] == 1
     # m-topologizability survives the power-bound failure
-    assert classify_check_infinite(inf, delta_symbol(3), "m_top", GRID).status \
+    op = make_check_operator(inf, delta_symbol(3))
+    assert classify_operator(op, ["m_top"], GRID)["m_topologizable"].status \
         is Status.HOLDS
 
 
 def test_check_finite_examples(fin):
-    v = classify_check_finite(fin, delta_symbol(Fraction(1, 2)), "power_bounded", GRID)
+    v = classify_check_all(fin, delta_symbol(Fraction(1, 2)), GRID)["power_bounded"]
     assert v.status is Status.HOLDS and replay_verdict(v)
-    v = classify_check_finite(fin, finite_symbol([1, 1]), "topologizable", GRID)
+    v = classify_check_all(fin, finite_symbol([1, 1]), GRID)["topologizable"]
     assert v.status is Status.HOLDS and replay_verdict(v)
-    v = classify_check_finite(fin, finite_symbol([1, 1]), "power_bounded", GRID)
+    v = classify_check_all(fin, finite_symbol([1, 1]), GRID)["power_bounded"]
     assert v.status is Status.FAILS and replay_verdict(v)
     grow = sampled_symbol([1.0, 3.0, 9.0],
                           __import__("psop").ExponentialEnvelope(1.0, 1, 1))
     with pytest.raises(OperatorContractError):
-        classify_check_finite(fin, grow, "topologizable", GRID)
-
-
-def test_check_wrong_space_type_raises(fin, inf):
-    with pytest.raises(UnsupportedSpace):
-        classify_check_infinite(fin, delta_symbol(), "topologizable", GRID)
-    with pytest.raises(UnsupportedSpace):
-        classify_check_finite(inf, delta_symbol(), "topologizable", GRID)
+        classify_check_all(fin, grow, GRID)
 
 
 def test_check_hierarchy_propagation(fin, inf):
@@ -199,7 +192,7 @@ def test_check_grid_doubling_never_flips(fin, inf):
 
 
 def test_dual_evidence_fields(inf):
-    v = classify_check_infinite(inf, geometric_symbol(1.0, 0.5), "power_bounded", GRID)
+    v = classify_check_all(inf, geometric_symbol(1.0, 0.5), GRID)["power_bounded"]
     ev = v.evidence
     assert "q_k" in ev and "mtop_fit" in ev and "power_bound_q" in ev
     assert ev["grid"]["Q"] == GRID.Q
@@ -402,3 +395,56 @@ def test_short_sampled_beta_is_classified_inside_its_window(inf):
     assert out["m_topologizable"].status is Status.HOLDS
     assert out["m_topologizable"].certificate.rule == "young_envelope"
     assert out["power_bounded"].status is Status.INCONCLUSIVE
+
+
+# ---------------------------------------------------------------------------
+# classify_operator: one front door, each property decided once per call
+# ---------------------------------------------------------------------------
+
+
+def test_classify_operator_decides_the_hat_m_top_verdict_once(fin, monkeypatch):
+    import psop.classify as cl
+
+    calls = []
+    real = cl.classify_hat_m_top
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cl, "classify_hat_m_top", counted)
+    op = make_hat_operator(fin, finite_symbol([Fraction(1, 2)]))
+    out = classify_operator(op, ["topologizable", "mtop", "m_topologizable", "pb",
+                                 "Topologizable"], GRID)
+    assert list(out) == ["topologizable", "m_topologizable", "power_bounded"]
+    assert len(calls) == 1
+    assert out["topologizable"].certificate.rule == "implied_by_m_topologizable"
+    assert out["topologizable"] == classify_hat_topologizable(fin, op.theta, GRID)
+
+
+@pytest.mark.parametrize("theta", [finite_symbol([Fraction(1, 2)]), finite_symbol([2, 1])])
+def test_classify_operator_matches_the_hat_classifiers(inf, theta):
+    op = make_hat_operator(inf, theta)
+    out = classify_operator(op, ["topologizable", "m_topologizable", "power_bounded",
+                                 "strongly_tame"], GRID)
+    assert out["topologizable"] == classify_hat_topologizable(inf, theta, GRID)
+    assert out["m_topologizable"] == classify_hat_m_top(inf, theta, GRID)
+    assert out["power_bounded"] == classify_hat_power_bounded_infinite(inf, theta, GRID)
+    assert out["strongly_tame"] == strongly_tame_probe(op, GRID).verdict
+
+
+def test_classify_operator_reads_toeplitz_topologizable_off_m_topologizable(fin):
+    theta, beta = finite_symbol([Fraction(1, 4)]), finite_symbol([0, Fraction(1, 40)])
+    out = classify_operator(make_toeplitz_operator(fin, theta, beta),
+                            ["topologizable", "strongly-tame"], GRID)
+    tv = classify_toeplitz(fin, theta, beta, GRID)
+    assert out["strongly_tame"] == tv["strongly_tame"]
+    assert out["topologizable"].prop == "topologizable"
+    assert out["topologizable"].status is tv["m_topologizable"].status is Status.HOLDS
+    assert out["topologizable"].certificate == tv["m_topologizable"].certificate
+
+
+def test_classify_operator_rejects_an_unknown_mode(fin):
+    with pytest.raises(ValueError, match="unknown classification mode"):
+        classify_operator(make_check_operator(fin, delta_symbol(Fraction(1, 2))),
+                          ["pb", "bounded"], GRID)

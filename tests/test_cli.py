@@ -1,9 +1,11 @@
+import ast
 import json
 from pathlib import Path
 
 import pytest
 
-from psop.cli import ConfigError, JobConfig, main, run
+from psop import classify, cli
+from psop.cli import MAX_MATRIX_SIZE, ConfigError, JobConfig, main, run
 
 
 BASE = {
@@ -296,3 +298,45 @@ def test_classify_mode_aliases_agree_across_operator_kinds(tmp_path, kind, sym):
     assert [v["property"] for v in doc["verdicts"]] == ["m_topologizable"] * 3
     job["task"]["modes"] = ["m_top", "bogus"]
     assert main(["run", write(tmp_path, job, "bad.json")]) == 2
+
+
+def _with_task(**task):
+    cfg = json.loads(json.dumps(BASE))
+    cfg["task"].update(task)
+    return cfg
+
+
+@pytest.mark.parametrize("size", [1, MAX_MATRIX_SIZE])
+def test_matrix_size_in_range_parses(size):
+    assert JobConfig.parse(_with_task(matrix_size=size)).task["matrix_size"] == size
+
+
+@pytest.mark.parametrize("size", ["abc", "12", 0, -3, MAX_MATRIX_SIZE + 1, 10 ** 6,
+                                  2.5, True, None])
+def test_matrix_size_outside_range_is_a_config_error(size):
+    """Checked at parse time: no job is run, so no matrix is allocated."""
+    with pytest.raises(ConfigError, match="matrix_size"):
+        JobConfig.parse(_with_task(matrix_size=size))
+
+
+@pytest.mark.parametrize("modes", [["pb", "bogus"], "pb", [1]])
+def test_unknown_classify_mode_is_a_config_error_at_parse(modes):
+    with pytest.raises(ConfigError, match="modes"):
+        JobConfig.parse(_with_task(modes=modes))
+
+
+def test_cli_reaches_the_classifiers_through_classify_operator_only():
+    """cli.py takes from classify only classify_operator, norm_mode and
+    types, so which classifier answers a (kind, space type, mode) is decided
+    in classify alone."""
+    imported = set()
+    for node in ast.walk(ast.parse(Path(cli.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom) and \
+                (node.module or "").removeprefix("psop.") == "classify":
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module in (None, "psop"):
+            assert "classify" not in {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            assert not any(alias.name == "psop.classify" for alias in node.names)
+    functions = {name for name in imported if not isinstance(getattr(classify, name), type)}
+    assert functions == {"classify_operator", "norm_mode"}

@@ -159,6 +159,13 @@ def test_toeplitz_matrix_matches_per_diagonal_sum(theta, beta):
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
+def test_toeplitz_matrix_names_a_coefficient_that_overflows_a_float():
+    """beta_i = (3/2)^i passes the largest float at i = 1751."""
+    with pytest.raises(ValueError, match=r"^coefficient beta_1751 overflows a float$"):
+        toeplitz_matrix(finite_symbol([Fraction(1, 2)]),
+                        geometric_symbol(1, Fraction(3, 2)), 1800)
+
+
 def test_matrix_csv_prints_a_negative_zero_coefficient_as_zero():
     M = toeplitz_matrix(finite_symbol([1.0, -0.0]), finite_symbol([0.0, -0.0]), 2)
     assert matrix_csv(M) == "1,0\n0,1\n"

@@ -266,7 +266,7 @@ def test_circle_modulus_replay_known_answers(fin):
 def test_oracle_imports_from_checked_modules_are_pinned():
     """Replay stays independent of the code it checks: oracle.py takes only
     these names from symbols and operators, so it cannot reuse their
-    integer kernels or convolve."""
+    integer kernels, convolve or absolute sums."""
     names = set()
     for node in ast.walk(ast.parse(Path(oracle.__file__).read_text())):
         if isinstance(node, ast.ImportFrom):
@@ -279,7 +279,7 @@ def test_oracle_imports_from_checked_modules_are_pinned():
             assert not any(alias.name.startswith(("psop.symbols", "psop.operators"))
                            for alias in node.names)
     assert names == {"Symbol", "coeff", "is_rational", "prefix", "readable_length",
-                     "ell1_norm", "zero_symbol"}
+                     "zero_symbol"}
 
 
 @pytest.mark.parametrize("values", [[Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)],
@@ -325,3 +325,208 @@ def test_every_emitted_rule_has_a_replayer():
                     replayed |= _string_leaves(dec.args[0])
     assert {"implied_by_power_bounded", "implied_by_m_topologizable"} <= emitted
     assert emitted == replayed
+
+
+# -- known answers: one real verdict per registered rule ---------------------
+
+
+def _hierarchy_implied(space, beta):
+    """implied_by_power_bounded, which the classifiers emit only when
+    m_topologizable is open while power_bounded holds: hand their hierarchy
+    step that state."""
+    pb = classify_check_all(space, beta, GridParams())["power_bounded"]
+    out = {"power_bounded": pb}
+    for prop in ("m_topologizable", "topologizable"):
+        out[prop] = replace(pb, prop=prop, status=Status.INCONCLUSIVE, certificate=None)
+    _propagate_hierarchy(out)
+    return out["m_topologizable"]
+
+
+def _known_answer_cases():
+    from psop import (classify_toeplitz, explicit_alpha, finite_type_space,
+                      infinite_type_space, make_check_operator)
+
+    fin, inf = finite_type_space(), infinite_type_space()
+    grid = GridParams()
+    F = Fraction
+
+    def check(space, beta, prop):
+        return lambda: classify_check_all(space, beta, grid)[prop]
+
+    def hat_pb(space, theta):
+        fn = classify_hat_power_bounded_finite if space.is_finite_type \
+            else classify_hat_power_bounded_infinite
+        return lambda: fn(space, theta, grid)
+
+    return {
+        "zero_operator": check(inf, zero_symbol(), "power_bounded"),
+        "hat_l1_contraction": hat_pb(fin, geometric_symbol(F(1, 2), F(1, 2))),
+        # fails is true here: |1 + z| -> 2 in the disc
+        "hat_l1_exceeds": hat_pb(fin, finite_symbol([1, 1])),
+        "hat_delta_power_norms": hat_pb(inf, delta_symbol(F(1, 2))),
+        "hat_conv_power_lower_growth": hat_pb(inf, finite_symbol([F(1, 2), 1])),
+        "dual_l1_contraction": check(inf, finite_symbol([F(1, 4), F(1, 4)]), "power_bounded"),
+        "young_envelope": check(inf, finite_symbol([F(1, 4), F(1, 4)]), "m_topologizable"),
+        "young_envelope_shifted": check(fin, finite_symbol([F(1, 4), F(1, 4)]),
+                                        "m_topologizable"),
+        "finite_support_topologizable": check(fin, finite_symbol([F(1, 4), F(1, 4)]),
+                                              "topologizable"),
+        "dual_delta_contraction": check(inf, delta_symbol(F(1, 2)), "power_bounded"),
+        "dual_fixed_index_growth": check(inf, delta_symbol(3), "power_bounded"),
+        # fails is true here: with |beta_0| = 1 the powers grow linearly
+        "dual_fixed_index_floor": check(fin, finite_symbol([1, F(1, 2)]), "power_bounded"),
+        "dual_disc_modulus_bound": check(inf, finite_symbol([F(1, 2), 2]), "power_bounded"),
+        "dual_circle_modulus_bound": check(fin, finite_symbol(CIRCLE_BETA), "power_bounded"),
+        "dual_circle_modulus_exceeds": check(fin, finite_symbol([F(1, 2), F(3, 4)]),
+                                             "power_bounded"),
+        "dual_l1_exceeds_on_circle": check(fin, geometric_symbol(F(1, 2), F(3, 4)),
+                                           "power_bounded"),
+        "dual_l1_decay_bound": check(fin, finite_symbol([F(1, 4), F(1, 4)]), "power_bounded"),
+        "dual_geometric_decay_bound": check(fin, geometric_symbol(F(1, 8), F(1, 2)),
+                                            "power_bounded"),
+        "dual_geometric_decay_bound_topology": check(fin, geometric_symbol(F(1, 8), F(1, 2)),
+                                                     "m_topologizable"),
+        "dual_negbinomial_envelope": check(inf, geometric_symbol(1, F(3, 2)),
+                                           "m_topologizable"),
+        "dual_negbinomial_contraction": check(inf, geometric_symbol(F(1, 2), F(3, 2)),
+                                              "power_bounded"),
+        "hat_power_norm_envelope": lambda: classify_hat_m_top(
+            fin, finite_symbol([F(1, 2)]), grid),
+        "hat_per_power_symbol_norms": lambda: classify_hat_topologizable(
+            infinite_type_space(explicit_alpha(range(1, 9), "arithmetic")),
+            finite_symbol([F(1, 2), F(1, 4)]), grid),
+        "toeplitz_power_bound_sum": lambda: classify_toeplitz(
+            fin, finite_symbol([F(1, 4)]), finite_symbol([0, F(1, 40)]), grid)["power_bounded"],
+        "strongly_tame_closed_bounds": lambda: strongly_tame_probe(
+            make_check_operator(inf, finite_symbol([F(1, 4), F(1, 4)]))).verdict,
+        "implied_by_power_bounded": lambda: _hierarchy_implied(inf, delta_symbol(F(1, 2))),
+        "implied_by_m_topologizable": lambda: classify_hat_topologizable(
+            fin, finite_symbol([F(1, 2)]), grid),
+        "dual_l1_tame_bound": lambda: classify_toeplitz(
+            fin, finite_symbol([F(1, 4)]), finite_symbol([0, F(1, 40)]), grid)["strongly_tame"],
+    }
+
+
+KNOWN_ANSWERS = _known_answer_cases()
+
+
+@pytest.mark.parametrize("rule", sorted(oracle._REPLAYERS))
+def test_every_rule_replays_a_known_answer(rule):
+    """Every registered rule, reached through the classifiers on a case whose
+    decisive verdict is right, replays True."""
+    v = KNOWN_ANSWERS[rule]()
+    assert v.decisive and v.certificate.rule == rule
+    assert replay_verdict(v) is True
+
+
+def test_known_answers_reach_the_second_growth_route_and_a_nonzero_beta():
+    growth = KNOWN_ANSWERS["hat_conv_power_lower_growth"]()
+    assert growth.certificate.params["route"] == "nonneg_sum"
+    toeplitz = KNOWN_ANSWERS["toeplitz_power_bound_sum"]()
+    assert not toeplitz.beta.is_zero
+
+
+# -- each checker rejects a bound tightened below the true value ------------
+
+
+def test_powers_within_rejects_a_tightened_envelope(fin):
+    """young_envelope_shifted on [1/4, 1/4], q = 1: the tightest constant is
+    D = e^2 / 4, from |beta_1| = 1/4 <= D e^{-2}."""
+    v = KNOWN_ANSWERS["young_envelope_shifted"]()
+    assert v.certificate.params["q"] == 1
+    tightest = Fraction(str(mpmath.mpf(mpmath.e ** 2 / 4)))
+
+    def with_d(D):
+        params = dict(v.certificate.params, D=str(D))
+        return replace(v, certificate=replace(v.certificate, params=params))
+
+    assert replay_verdict(with_d(tightest * (1 + Fraction(1, 10 ** 6)))) is True
+    assert replay_verdict(with_d(tightest * (1 - Fraction(1, 10 ** 6)))) is False
+
+
+def test_columns_within_rejects_a_tightened_column_bound(inf):
+    """The check operator of [1/4, 1/4] maps e_n to (e_{n-1} + e_n) / 4, so
+    max_n ||T e_n||_p / ||e_n||_p = (1 + e^{-p}) / 4 on the infinite type."""
+    v = KNOWN_ANSWERS["strongly_tame_closed_bounds"]()
+    with mpmath.workdps(50):
+        true = {p: (1 + mpmath.e ** -p) / 4 for p in (1, 2)}
+
+    def with_bounds(scale):
+        params = dict(v.certificate.params,
+                      bounds={str(p): str(b * scale) for p, b in true.items()})
+        return replace(v, certificate=replace(v.certificate, params=params))
+
+    assert replay_verdict(with_bounds(1 + 1e-6)) is True
+    assert replay_verdict(with_bounds(1 - 1e-6)) is False
+
+
+def test_abs_at_reads_an_exact_coefficient_against_its_bound(inf):
+    v = KNOWN_ANSWERS["hat_delta_power_norms"]()
+    assert replay_verdict(replace(v, theta=delta_symbol(1))) is True
+    assert replay_verdict(replace(v, theta=delta_symbol(1 + Fraction(1, 10 ** 40)))) is False
+
+
+# -- the oracle's own absolute sums ------------------------------------------
+
+
+@pytest.mark.parametrize("sym, want, exact", [
+    (finite_symbol([Fraction(1, 3), Fraction(-1, 6)]), Fraction(1, 2), True),
+    (geometric_symbol(Fraction(-1, 2), Fraction(-3, 4)), Fraction(2), True),
+    (geometric_symbol(1, Fraction(3, 2)), mpmath.inf, True),
+    (finite_symbol([0.5, -0.25j]), Fraction(3, 4), False),
+    (geometric_symbol(0.5, 0.5), Fraction(1), False),
+    # window 3/4 plus the tail 1/2 * (1/2)^2 / (1 - 1/2) = 1/4
+    (sampled_symbol([0.5, -0.25], GeometricEnvelope(0.5, 0.5)), Fraction(1), False),
+    # window 1/2 plus the envelope up to the support bound: 1/2 + 1/4
+    (sampled_symbol([0.5], GeometricEnvelope(1.0, 0.5), support_len=3), Fraction(5, 4),
+     False),
+], ids=["finite", "geometric", "geometric-divergent", "complex", "geometric-float",
+        "sampled-tail", "sampled-support"])
+def test_mp_ell1_derives_each_kind_in_the_oracle(sym, want, exact):
+    with mpmath.workdps(50):
+        val, is_exact = oracle._mp_ell1(sym)
+        expected = want if want == mpmath.inf else \
+            mpmath.mpf(want.numerator) / want.denominator
+        assert is_exact is exact
+        assert abs(val - expected) <= mpmath.mpf("1e-45") or val == expected
+
+
+def test_mp_ell1_without_a_settling_certificate_is_not_replayable():
+    with pytest.raises(NonReplayable):
+        oracle._mp_ell1(sampled_symbol([0.5], GeometricEnvelope(1.0, 1.0)))
+
+
+# -- margins ------------------------------------------------------------------
+
+
+def _margin_literals(tree) -> list:
+    """Float constants and decimal strings (what mpmath would parse into a
+    margin), with their line numbers."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Constant) or isinstance(node.value, bool):
+            continue
+        if isinstance(node.value, float):
+            found.append(node.lineno)
+        elif isinstance(node.value, str) and any(ch.isdigit() for ch in node.value):
+            try:
+                float(node.value)
+            except ValueError:
+                continue
+            found.append(node.lineno)
+    return found
+
+
+def test_oracle_margins_are_the_three_named_constants():
+    """oracle.py writes a margin literal only where it names one of its three
+    margins; every replay pads its bounds through those names."""
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    named = {}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1 and \
+                getattr(node.targets[0], "id", None) in ("_TIGHT", "_FLOAT", "_LOOSE"):
+            named[node.targets[0].id] = node.value.value
+    assert named == {"_TIGHT": "1e-30", "_FLOAT": "1e-12", "_LOOSE": "1e-9"}
+    lines = {node.lineno for node in tree.body
+             if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) in named}
+    assert sorted(set(_margin_literals(tree)) - lines) == []
