@@ -348,7 +348,6 @@ def classify_hat_power_bounded_infinite(space: SpaceSpec, theta: Symbol,
     if space.is_finite_type:
         raise UnsupportedSpace("this route is the infinite-type criterion")
     kind = "hat"
-    stab = stability_constant(space.alpha, grid.N)
     membership = membership_check(space, theta, N=grid.N)
     if membership.overall == "not_member":
         raise OperatorContractError("theta is not a member of the space")
@@ -432,11 +431,9 @@ def _dual_preconditions(space: SpaceSpec, beta: Symbol, grid: GridParams):
     cert = fit_dual_certificate(space, beta, N=min(grid.N, 512))
     if cert is None:
         raise OperatorContractError("beta admits no dual membership certificate")
-    nuc = nuclearity_check(space)
-    if not nuc.nuclear:
+    if not nuclearity_check(space).nuclear:
         raise OperatorContractError("the dual-operator criteria need a nuclear space")
-    stab = stability_constant(space.alpha, grid.N) if space.is_finite_type else None
-    return cert, nuc, stab
+    return cert
 
 
 def _beta0_class(beta: Symbol, tol: float) -> str:
@@ -549,7 +546,7 @@ def _dual_evidence(space: SpaceSpec, beta: Symbol, grid: GridParams) -> dict:
 def classify_check_all(space: SpaceSpec, beta: Symbol,
                        grid: GridParams = GridParams()) -> dict[str, Verdict]:
     kind = "check"
-    dual_cert, nuc, stab = _dual_preconditions(space, beta, grid)
+    dual_cert = _dual_preconditions(space, beta, grid)
     evidence = _dual_evidence(space, beta, grid)
     evidence["dual_certificate"] = {"c0": dual_cert.c0, "m0": dual_cert.m0}
 

@@ -56,6 +56,7 @@ from .symbols import (
     _int_conv,
     Symbol,
     abs_upper_prefix,
+    coeff,
     conv_power,
     convolve,
     ell1_norm,
@@ -444,13 +445,27 @@ def _float_coeffs(dtype, vals: list, name: str) -> list:
     return out
 
 
+def _prefix_to_float(s: Symbol, N: int, name: str) -> list:
+    """prefix(s, N); a float law whose c * r**i overflows raises the
+    ValueError of _float_coeffs, naming the first such index."""
+    try:
+        return prefix(s, N)
+    except OverflowError:
+        for i in range(N):
+            try:
+                coeff(s, i)
+            except OverflowError:
+                raise ValueError(f"coefficient {name}_{i} overflows a float") from None
+        raise
+
+
 def toeplitz_matrix(theta: Symbol, beta: Symbol, N: int) -> np.ndarray:
     """N x N float (or complex) truncation: entry (i, j) = theta_{i-j} below,
     beta_{j-i} above, theta_0 + beta_0 on the diagonal (0-based i, j)."""
     if N < 1:
         raise ValueError("need N >= 1")
-    th = prefix(theta, N)
-    be = prefix(beta, N)
+    th = _prefix_to_float(theta, N, "theta")
+    be = _prefix_to_float(beta, N, "beta")
     complex_entries = any(isinstance(v, complex) for v in th + be)
     dtype = complex if complex_entries else float
     # the diagonal theta_0 + beta_0 is read as index 0 of theta

@@ -219,6 +219,19 @@ def _columns_within(M: DenseTrunc, space, ks, ps, ns, rows: int, bound,
     return True
 
 
+def _dense_size(v, N: int, ns) -> tuple[int, list]:
+    """(N, cols): the size of the dense truncation a column replay of v's
+    operator reads, N or less where a sampled window ends earlier, and the
+    columns ns it checks, a column past the truncation replaced by its last
+    one.  NonReplayable when no coefficient can be read."""
+    for sym in (v.theta, v.beta):
+        if sym is not None:
+            N = readable_length(sym, N)
+    if N == 0:
+        raise NonReplayable("no coefficient of the operator can be read")
+    return N, sorted({min(n, N) for n in ns})
+
+
 def _powers_within(sym: Symbol, ks, N: int, bound, margin: str) -> bool:
     """The coefficient envelope |sym^{*k}_m| <= bound(k, m) for every k in ks
     and every m below N that the symbol's window reaches."""
@@ -329,8 +342,12 @@ def replay_verdict(verdict) -> bool:
 
 @replayer("zero_operator")
 def _replay_zero(v, params):
+    # zero: a support bound below which every coefficient reads, and reads 0
     sym = v.beta if v.beta is not None else v.theta
-    return sym is None or sym.is_zero
+    if sym is None:
+        return True
+    sup = sym.bounded_support()
+    return sup is not None and readable_length(sym, sup) == sup and not any(prefix(sym, sup))
 
 
 @replayer("hat_l1_contraction")
@@ -556,9 +573,9 @@ def _replay_hat_envelope(v, params):
     # ||T^k e_n||_p <= C_p^k ||e_n||_{q(p)}
     q_of_p = {int(p): int(q) for p, q in params["q_of_p"].items()}
     C_p = {int(p): mpmath.mpf(str(c)) for p, c in params["C_p"].items()}
-    return _columns_within(dense_hat(v.theta, 24), v.space, (1, 2, 3), list(C_p)[:2],
-                           (1, 2, 8), 24, lambda Mk, k, p: (C_p[p] ** k, q_of_p[p]),
-                           _FLOAT)
+    N, ns = _dense_size(v, 24, (1, 2, 8))
+    return _columns_within(dense_hat(v.theta, N), v.space, (1, 2, 3), list(C_p)[:2],
+                           ns, N, lambda Mk, k, p: (C_p[p] ** k, q_of_p[p]), _FLOAT)
 
 
 @replayer("hat_per_power_symbol_norms")
@@ -567,11 +584,12 @@ def _replay_hat_per_power(v, params):
     # ||T^k e_n||_p <= ||theta^{*k}||_q ||e_n||_q with q = q_mult * p, the
     # symbol norm read off the first column of T^k
     q_mult = int(params["q_mult"])
+    N, ns = _dense_size(v, 24, (1, 3, 8))
 
     def bound(Mk, k, p):
-        return _weighted_column_norm(Mk, 1, v.space, q_mult * p, 24), q_mult * p
-    return _columns_within(dense_hat(v.theta, 24), v.space, (1, 2, 3), (1, 2),
-                           (1, 3, 8), 24, bound, _FLOAT)
+        return _weighted_column_norm(Mk, 1, v.space, q_mult * p, N), q_mult * p
+    return _columns_within(dense_hat(v.theta, N), v.space, (1, 2, 3), (1, 2),
+                           ns, N, bound, _FLOAT)
 
 
 @replayer("toeplitz_power_bound_sum")
@@ -592,8 +610,9 @@ def _replay_toeplitz_pb(v, params):
     def bound(Mk, k, p):
         q = params.get("q_of_p", {}).get(str(p), 2 * p if space.is_finite_type else p)
         return 1, int(q)
-    return _columns_within(dense_toeplitz(v.theta, v.beta, 20), space, (1, 3), (1, 2),
-                           (1, 5), 12, bound, _LOOSE)
+    N, ns = _dense_size(v, 20, (1, 5))
+    return _columns_within(dense_toeplitz(v.theta, v.beta, N), space, (1, 3), (1, 2),
+                           ns, min(N, 12), bound, _LOOSE)
 
 
 @replayer("strongly_tame_closed_bounds")
@@ -601,9 +620,10 @@ def _replay_tame(v, params):
     # ||T e_n||_p <= b_p ||e_n||_p, on the truncation of the verdict's
     # operator with a missing part read as zero
     bounds = {int(p): mpmath.mpf(str(b)) for p, b in params["bounds"].items()}
+    N, ns = _dense_size(v, 24, (1, 3, 9))
     M = dense_toeplitz(v.theta if v.theta is not None else zero_symbol(),
-                       v.beta if v.beta is not None else zero_symbol(), 24)
-    return _columns_within(M, v.space, (1,), list(bounds)[:2], (1, 3, 9), 24,
+                       v.beta if v.beta is not None else zero_symbol(), N)
+    return _columns_within(M, v.space, (1,), list(bounds)[:2], ns, N,
                            lambda Mk, k, p: (bounds[p], p), _LOOSE)
 
 

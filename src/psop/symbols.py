@@ -14,8 +14,20 @@ The membership convention embeds a symbol s into a space as the element
 x_n = s_{n-1} (the image of the first basis vector under the associated
 lower triangular operator).
 
+What a sampled symbol says past its stored values s_0..s_{W-1}: either
+that they are zero, or that they are unknown from the gap W up to the
+support bound (support_len, or forever when there is none) and zero from
+there on.  Four inputs say "zero": extension="zero" (stored as support_len
+= W), support_len <= W, an envelope of scale 0, and an envelope of ratio 0
+(zero past index 0, so with W >= 1).  Symbol.__post_init__ resolves the
+support bound and the gap (None when every coefficient is known) once, and
+every reader here answers from those two and the envelope, which alone
+bounds the unknown coefficients: none reads a coefficient in the gap as
+zero.  coeff and the prefixes raise OutOfSampledRange there, and the sums
+and envelopes use the envelope or raise TailUnbounded.
+
 Ownership: this module alone decodes how a symbol is stored (its entries
-window, extension rule and support bound).  Every other module reads
+window, support bound and gap).  Every other module reads
 coefficients through the readers here (prefix, float_prefix,
 abs_upper_prefix, readable_length, symbol_abs_and_env, coeff) and the sums
 below, so a change of storage stays here.
@@ -72,7 +84,7 @@ from .spaces import (
 
 
 class OutOfSampledRange(IndexError):
-    """A sampled symbol was read beyond its data without an extension rule."""
+    """A sampled symbol was read in its gap, where its coefficients are unknown."""
 
 
 Number = Union[int, Fraction, float, complex]
@@ -126,17 +138,15 @@ class Symbol:
     c: Number = 0
     r: Number = 0
     envelope: Optional[TailCert] = None
-    extension: Optional[str] = None      # sampled only: "zero" or None
-    support_len: Optional[int] = None    # logical support bound when known
+    support_len: Optional[int] = None    # sampled only: s_i = 0 for i >= support_len
     # the float or complex array of entries, when the caller already holds it
     block: InitVar[Optional[np.ndarray]] = None
     # computed once by __post_init__; == and hash see only the fields above
     _support: Optional[int] = field(init=False, repr=False, compare=False)
+    _gap: Optional[int] = field(init=False, repr=False, compare=False)
     _exact: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self, block: Optional[np.ndarray] = None):
-        if self.kind is SymbolKind.SAMPLED and self.extension not in (None, "zero"):
-            raise ValueError(f"unknown sampled extension {self.extension!r}")
         if block is not None:
             self.__dict__["_floats"] = self._frozen(block)
         if self.kind is SymbolKind.GEOMETRIC:
@@ -145,7 +155,22 @@ class Symbol:
             exact = False   # the entries are the items of a float or complex array
         else:
             exact = _scan_numbers(self.entries) and self.kind is SymbolKind.FINITE
-        object.__setattr__(self, "_support", self._find_support())
+        # the support bound, and the gap: the first coefficient not determined
+        gap = None
+        if self.kind is SymbolKind.FINITE:
+            support = trimmed_len(self.entries)
+        elif self.kind is SymbolKind.GEOMETRIC:
+            support = 0 if self.c == 0 else (1 if self.r == 0 else None)
+        else:
+            W, env = len(self.entries), self.envelope
+            if (self.support_len is not None and self.support_len <= W) or (
+                    isinstance(env, GeometricEnvelope)
+                    and (env.scale == 0 or (env.ratio == 0 and W > 0))):
+                support = trimmed_len(self.entries)
+            else:
+                support, gap = self.support_len, W
+        object.__setattr__(self, "_support", support)
+        object.__setattr__(self, "_gap", gap)
         object.__setattr__(self, "_exact", exact)
         if self.kind is SymbolKind.SAMPLED and isinstance(self.envelope, GeometricEnvelope):
             self._check_dominated()
@@ -192,26 +217,6 @@ class Symbol:
             if abs(self.entries[i]) > env.at(i) * (1.0 + 1e-9) + 1e-300:
                 raise ValueError(f"envelope fails to dominate entry {i}")
 
-    def _find_support(self) -> Optional[int]:
-        if self.kind is SymbolKind.FINITE:
-            return trimmed_len(self.entries)
-        if self.kind is SymbolKind.GEOMETRIC:
-            if self.c == 0:
-                return 0
-            return 1 if self.r == 0 else None
-        if self.support_len is not None:
-            if len(self.entries) >= self.support_len:
-                return trimmed_len(self.entries)
-            return self.support_len
-        if self.extension == "zero":
-            return trimmed_len(self.entries)
-        env = self.envelope
-        if isinstance(env, GeometricEnvelope) and (
-                env.scale == 0 or (env.ratio == 0 and self.entries)):
-            # the envelope certifies zeros past the window (ratio 0: past index 0)
-            return trimmed_len(self.entries)
-        return None
-
     # -- basic access --------------------------------------------------
 
     @property
@@ -220,11 +225,7 @@ class Symbol:
 
     @property
     def is_zero(self) -> bool:
-        if self.kind is SymbolKind.FINITE:
-            return all(v == 0 for v in self.entries)
-        if self.kind is SymbolKind.GEOMETRIC:
-            return self.c == 0
-        return all(v == 0 for v in self.entries) and self.bounded_support() is not None
+        return self._support == 0
 
     def bounded_support(self) -> Optional[int]:
         """Smallest L with s_i = 0 for all i >= L, when certifiable."""
@@ -263,8 +264,15 @@ def geometric_symbol(c: Number, r: Number) -> Symbol:
 def sampled_symbol(values: Sequence[Number], envelope: Optional[TailCert] = None,
                    extension: Optional[str] = None,
                    support_len: Optional[int] = None) -> Symbol:
-    return Symbol(SymbolKind.SAMPLED, entries=tuple(values), envelope=envelope,
-                  extension=extension, support_len=support_len)
+    """extension="zero" says the support ends at the values: it is stored as
+    support_len = len(values), or the given support_len when smaller."""
+    values = tuple(values)
+    if extension not in (None, "zero"):
+        raise ValueError(f"unknown sampled extension {extension!r}")
+    if extension == "zero":
+        support_len = len(values) if support_len is None else min(support_len, len(values))
+    return Symbol(SymbolKind.SAMPLED, entries=values, envelope=envelope,
+                  support_len=support_len)
 
 
 def delta_symbol(c: Number = 1) -> Symbol:
@@ -280,8 +288,7 @@ def float_symbol(s: "Symbol") -> "Symbol":
         return finite_symbol([f(v) for v in s.entries])
     if s.kind is SymbolKind.GEOMETRIC:
         return geometric_symbol(f(s.c), f(s.r))
-    return sampled_symbol([f(v) for v in s.entries], s.envelope, s.extension,
-                          s.support_len)
+    return sampled_symbol([f(v) for v in s.entries], s.envelope, support_len=s.support_len)
 
 
 def zero_symbol() -> Symbol:
@@ -289,56 +296,37 @@ def zero_symbol() -> Symbol:
 
 
 def coeff(s: Symbol, i: int) -> Number:
-    """Exact value for finite/geometric symbols; sampled value or
-    extension-rule zero for sampled ones."""
+    """Exact value for finite/geometric symbols; the stored value, or zero
+    past the support, for sampled ones (OutOfSampledRange in the gap)."""
     if i < 0:
         raise ValueError("symbols are indexed from 0")
-    if s.kind is SymbolKind.FINITE:
-        return s.entries[i] if i < len(s.entries) else 0
     if s.kind is SymbolKind.GEOMETRIC:
-        if s.c == 0:
-            return 0
-        return s.c * s.r ** i
+        return 0 if s.c == 0 else s.c * s.r ** i
     if i < len(s.entries):
         return s.entries[i]
-    sup = s.bounded_support()
-    if (sup is not None and i >= sup) or s.extension == "zero":
-        return 0
-    raise OutOfSampledRange(f"index {i} beyond sampled window of length {len(s.entries)}")
+    if s._gap is not None and (s._support is None or i < s._support):
+        raise OutOfSampledRange(f"index {i} beyond sampled window of length {len(s.entries)}")
+    return 0
 
 
 def symbol_envelope(s: Symbol) -> TailCert:
     """A certificate dominating |s_i| for every index (symbol coordinates)."""
-    if s.kind is SymbolKind.FINITE:
-        return FINITE_TAIL
     if s.kind is SymbolKind.GEOMETRIC:
         if s.c == 0 or s.r == 0:
             return FINITE_TAIL
         return GeometricEnvelope(float(abs(s.c)), float(abs(s.r)))
-    if s.bounded_support() is not None and s.envelope is None:
+    if s.envelope is not None:
+        return s.envelope
+    if s._gap is None:
         return FINITE_TAIL
-    if s.envelope is None:
-        raise TailUnbounded("sampled symbol without envelope or extension rule")
-    return s.envelope
-
-
-def _unreadable_from(s: Symbol, N: int) -> Optional[int]:
-    """First index below N that coeff cannot read (sampled windows only)."""
-    W = len(s.entries)
-    if s.kind is not SymbolKind.SAMPLED or N <= W or s.extension == "zero":
-        return None
-    sup = s.bounded_support()
-    if sup is not None and sup <= W:
-        return None
-    return W
+    raise TailUnbounded("sampled symbol without envelope or extension rule")
 
 
 def _require_readable(s: Symbol, N: int) -> None:
     """Raise OutOfSampledRange where coeff would, reading indices below N."""
-    bad = _unreadable_from(s, N)
-    if bad is not None:
+    if readable_length(s, N) < N:
         raise OutOfSampledRange(
-            f"index {bad} beyond sampled window of length {len(s.entries)}")
+            f"index {s._gap} beyond sampled window of length {len(s.entries)}")
 
 
 def prefix(s: Symbol, N: int) -> list:
@@ -353,16 +341,10 @@ def prefix(s: Symbol, N: int) -> list:
 
 
 def readable_length(s: Symbol, N: int) -> int:
-    """How many leading coefficients can be read, capped at N (finite and
-    geometric symbols read everywhere; sampled windows stop at their data
-    unless an extension rule or support bound covers the rest).  With
-    N = math.inf the result is finite exactly when reads stop at a window."""
-    if s.kind in (SymbolKind.FINITE, SymbolKind.GEOMETRIC):
-        return N
-    sup = s.bounded_support()
-    if s.extension == "zero" or (sup is not None and len(s.entries) >= sup):
-        return N
-    return min(N, len(s.entries))
+    """How many leading coefficients can be read, capped at N: all of them,
+    or those before the gap.  With N = math.inf the result is finite exactly
+    when the symbol has a gap."""
+    return N if s._gap is None else min(N, s._gap)
 
 
 def _to_block(values: Sequence[Number]) -> np.ndarray:
@@ -408,11 +390,11 @@ def _geometric_block(s: Symbol, N: int) -> np.ndarray:
 
 def abs_upper_prefix(s: Symbol, N: int) -> np.ndarray:
     """Upper bounds |s_i| for i < N: exact magnitudes on readable indices,
-    envelope values beyond (inf when no envelope covers them)."""
-    W = _unreadable_from(s, N)
-    if W is None:
+    envelope values in the gap (inf when no envelope covers them)."""
+    W = readable_length(s, N)
+    if W == N:
         return _abs_block(float_prefix(s, N))
-    # indices from the support bound on read as 0; the ones before it need the envelope
+    # the gap runs up to the support bound, and the indices from there on are 0
     sup = s.bounded_support()
     end = N if sup is None else min(N, sup)
     env = s.envelope
@@ -443,26 +425,16 @@ def float_prefix(s: Symbol, N: int) -> np.ndarray:
 
 
 def symbol_abs_and_env(s: Symbol, L: int):
-    """Readable |coefficients| plus the geometric envelope that bounds the
-    rest (None when the returned prefix is the whole support)."""
+    """Readable |coefficients| (at most L of them) plus the geometric
+    envelope that bounds the rest (None when the returned prefix is the whole
+    support)."""
     sup = s.bounded_support()
-    if s.kind is SymbolKind.FINITE:
+    if s._gap is None and sup is not None:
         return np.abs(float_prefix(s, sup)), None
-    if s.kind is SymbolKind.SAMPLED:
-        if sup is not None and len(s.entries) >= sup:
-            return np.abs(float_prefix(s, sup)), None
-        if s.extension == "zero" and sup is not None:
-            return np.abs(float_prefix(s, min(L, sup))), None
-        W = min(L, len(s.entries))
-    else:
-        if sup is not None and sup <= L:
-            return np.abs(float_prefix(s, sup)), None
-        W = L
     env = symbol_envelope(s)
-    geo = env if isinstance(env, GeometricEnvelope) else None
-    if geo is None:
+    if not isinstance(env, GeometricEnvelope):
         raise TailUnbounded("symbol tail beyond the window is not geometrically bounded")
-    return np.abs(float_prefix(s, W)), geo
+    return np.abs(float_prefix(s, readable_length(s, L))), env
 
 
 # ---------------------------------------------------------------------------
@@ -656,29 +628,24 @@ def ell1_norm(s: Symbol) -> SeriesSum:
             exact = abs(Fraction(s.c)) / (1 - abs(Fraction(s.r)))
             return SeriesSum(float(exact), 0.0, exact=exact)
         return SeriesSum(float(abs(s.c)) / (1.0 - float(r_abs)), 0.0)
-    # sampled
-    W = len(s.entries)
+    # sampled: the stored values, plus the envelope over the gap
     partial = math.fsum(abs(v) for v in s.entries)
-    L = s.bounded_support()
-    if L is not None and L <= W:
+    W, L, env = s._gap, s.bounded_support(), s.envelope
+    if W is None:
         return SeriesSum(partial, 0.0)
-    env = s.envelope
-    if isinstance(env, GeometricEnvelope):
-        if env.ratio < 1:
-            return SeriesSum(partial, geometric_tail_sum(env, W))
-        if L is not None:
-            tail = math.fsum(env.at(i) for i in range(W, L))
-            return SeriesSum(partial, tail)
+    if not isinstance(env, GeometricEnvelope):
+        raise TailUnbounded("sampled symbol without a summable certificate")
+    if env.ratio < 1:
+        return SeriesSum(partial, geometric_tail_sum(env, W))
+    if L is None:
         raise TailUnbounded("geometric envelope with ratio >= 1 cannot settle the sum")
-    if L is not None and env is None:
-        return SeriesSum(partial, 0.0)
-    raise TailUnbounded("sampled symbol without a summable certificate")
+    return SeriesSum(partial, math.fsum(env.at(i) for i in range(W, L)))
 
 
 def weighted_beta_sum_finite(beta: Symbol) -> SeriesSum:
     """B = sum |beta_{n-1}| e^n for the finite-type tame bound (alpha = n)."""
     sup = beta.bounded_support()
-    if sup is not None:
+    if beta._gap is None and sup is not None:
         partial = math.fsum(abs(coeff(beta, i)) * math.exp(i + 1.0) for i in range(sup))
         return SeriesSum(partial, 0.0)
     if beta.kind is SymbolKind.GEOMETRIC:
@@ -686,12 +653,12 @@ def weighted_beta_sum_finite(beta: Symbol) -> SeriesSum:
         if t >= 1:
             return SeriesSum(math.inf, 0.0, infinite=True)
         return SeriesSum(float(abs(beta.c)) * math.e / (1 - t), 0.0)
+    # sampled with a gap: the stored values, plus the envelope over the gap
     env = beta.envelope
-    W = len(beta.entries)
     partial = math.fsum(abs(v) * math.exp(i + 1.0) for i, v in enumerate(beta.entries))
     if isinstance(env, GeometricEnvelope):
         if env.ratio * math.e < 1:
-            return SeriesSum(partial, geometric_tail_sum(env, W, math.e))
+            return SeriesSum(partial, geometric_tail_sum(env, beta._gap, math.e))
         raise TailUnbounded("envelope cannot settle the exponentially weighted sum")
     raise TailUnbounded("no certificate for the exponentially weighted sum")
 

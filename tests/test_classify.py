@@ -7,6 +7,7 @@ import pytest
 from psop import (
     GridParams,
     NonReplayable,
+    OutOfSampledRange,
     Status,
     UnsupportedSpace,
     basis_element,
@@ -34,7 +35,7 @@ from psop import (
 from psop.classify import _dual_log_ratios
 from psop.numerics import log_nonneg
 from psop.operators import OperatorContractError, hat_column_log_norms
-from psop.spaces import GeometricEnvelope
+from psop.spaces import GeometricEnvelope, TailUnbounded
 from psop.symbols import ConvPowerTable, float_prefix, float_symbol, readable_length
 
 GRID = GridParams()
@@ -103,6 +104,32 @@ def test_hat_power_bounded_finite_tail_unbounded_is_inconclusive(fin):
     assert v.status is Status.INCONCLUSIVE
     with pytest.raises(NonReplayable):
         replay_verdict(v)
+
+
+@pytest.mark.parametrize("sym", [
+    sampled_symbol([0], GeometricEnvelope(1.0, 0.5), support_len=3),
+    sampled_symbol([0], support_len=3),
+], ids=["envelope", "no_envelope"])
+@pytest.mark.parametrize("make", [make_hat_operator, make_check_operator],
+                         ids=["hat", "check"])
+@pytest.mark.parametrize("space_type", ["finite", "infinite"])
+def test_zero_values_before_a_gap_get_no_zero_operator_verdict(fin, inf, sym, make,
+                                                               space_type):
+    """Entries 1 and 2 are unknown, so the operator need not be zero: a typed
+    error is a fine answer, a zero_operator verdict is not."""
+    space = fin if space_type == "finite" else inf
+    for mode in ("topologizable", "m_topologizable", "power_bounded"):
+        try:
+            v = classify_operator(make(space, sym), [mode], GRID)[mode]
+        except (TailUnbounded, OutOfSampledRange, OperatorContractError):
+            continue
+        assert v.certificate is None or v.certificate.rule != "zero_operator"
+
+
+def test_hat_power_bounded_finite_reads_no_gap_as_zeros(fin):
+    v = classify_hat_power_bounded_finite(fin, sampled_symbol([Fraction(1, 4)], support_len=3),
+                                          GRID)
+    assert v.status is Status.INCONCLUSIVE
 
 
 def test_hat_power_bounded_finite_consistency_with_orbit(fin):

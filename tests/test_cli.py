@@ -340,3 +340,23 @@ def test_cli_reaches_the_classifiers_through_classify_operator_only():
             assert not any(alias.name == "psop.classify" for alias in node.names)
     functions = {name for name in imported if not isinstance(getattr(classify, name), type)}
     assert functions == {"classify_operator", "norm_mode"}
+
+
+@pytest.mark.parametrize("space_type,values", [("infinite", ["0"]), ("finite", ["1/4"])])
+def test_hat_jobs_with_a_gap_print_no_holds_verdict(tmp_path, capsys, space_type, values):
+    """A support bound past the values without an envelope leaves entries 1
+    and 2 unknown: the job ends without a holds verdict, or in exit 3."""
+    job = json.loads(json.dumps(BASE))
+    job["space"]["type"] = space_type
+    job["operator"]["theta"] = {"sampled": {"values": values, "support_len": 3}}
+    code = main(["run", write(tmp_path, job), "--out", str(tmp_path / "out")])
+    assert code == 3 or (code == 0 and ": holds" not in capsys.readouterr().out)
+
+
+def test_matrix_export_of_an_overflowing_float_law_is_a_task_error(tmp_path):
+    job = {"schema": 1,
+           "space": {"type": "infinite", "alpha": {"kind": "linear"}},
+           "operator": {"kind": "toeplitz", "theta": {"finite": ["1/2"]},
+                        "beta": {"geometric": {"c": 1.0, "r": 1.5}}},
+           "task": {"type": "classify", "matrix_size": 1800}}
+    assert main(["run", write(tmp_path, job), "--out", str(tmp_path / "out")]) == 3

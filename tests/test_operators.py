@@ -166,6 +166,14 @@ def test_toeplitz_matrix_names_a_coefficient_that_overflows_a_float():
                         geometric_symbol(1, Fraction(3, 2)), 1800)
 
 
+def test_toeplitz_matrix_names_a_float_law_coefficient_that_overflows():
+    """A float law computes c * r**i in floats, and 1.5**1751 overflows."""
+    with pytest.raises(ValueError, match=r"^coefficient beta_1751 overflows a float$"):
+        toeplitz_matrix(finite_symbol([Fraction(1, 2)]), geometric_symbol(1.0, 1.5), 1800)
+    with pytest.raises(ValueError, match=r"^coefficient theta_1751 overflows a float$"):
+        toeplitz_matrix(geometric_symbol(1.0, 1.5), zero_symbol(), 1800)
+
+
 def test_matrix_csv_prints_a_negative_zero_coefficient_as_zero():
     M = toeplitz_matrix(finite_symbol([1.0, -0.0]), finite_symbol([0.0, -0.0]), 2)
     assert matrix_csv(M) == "1,0\n0,1\n"

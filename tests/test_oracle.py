@@ -32,6 +32,8 @@ from psop import (
 )
 from psop import oracle
 from psop.classify import GridParams, _propagate_hierarchy
+from psop.operators import make_check_operator
+from psop.spaces import infinite_type_space
 from psop.oracle import _mp_abs_conv_power, column, leading_block
 from psop.symbols import prefix
 
@@ -530,3 +532,24 @@ def test_oracle_margins_are_the_three_named_constants():
     lines = {node.lineno for node in tree.body
              if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) in named}
     assert sorted(set(_margin_literals(tree)) - lines) == []
+
+
+def test_zero_operator_replay_reads_the_symbol_itself(inf):
+    """Entries 1 and 2 are unknown: a zero_operator verdict must not replay."""
+    sym = sampled_symbol([0], GeometricEnvelope(1.0, 0.5), support_len=3)
+    v = classify_check_all(inf, finite_symbol([0]))["power_bounded"]
+    assert v.certificate.rule == "zero_operator" and replay_verdict(v)
+    assert replay_verdict(replace(v, beta=sym)) is False
+    assert replay_verdict(replace(v, beta=sampled_symbol([0, 0], extension="zero")))
+
+
+def test_dense_column_replays_read_inside_a_short_window():
+    beta = sampled_symbol([0.25, -0.125], GeometricEnvelope(0.25, 0.5))
+    v = strongly_tame_probe(make_check_operator(infinite_type_space(), beta)).verdict
+    assert v.certificate.rule == "strongly_tame_closed_bounds" and replay_verdict(v)
+    params = v.certificate.params
+    halved = {p: b / 2 for p, b in params["bounds"].items()}
+    cert = replace(v.certificate, params={**params, "bounds": halved})
+    assert replay_verdict(replace(v, certificate=cert)) is False
+    with pytest.raises(NonReplayable):
+        replay_verdict(replace(v, beta=sampled_symbol([], GeometricEnvelope(1.0, 0.5))))

@@ -4,11 +4,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import psop
 from psop import (
+    ExponentialEnvelope,
     GeometricEnvelope,
     OutOfSampledRange,
     TailUnbounded,
@@ -18,12 +19,14 @@ from psop import (
     delta_symbol,
     ell1_norm,
     finite_symbol,
+    finite_type_space,
     geometric_symbol,
     membership_check,
     parse_symbol,
     sampled_symbol,
     zero_symbol,
 )
+from psop.spaces import FINITE_TAIL
 from psop.symbols import (
     ConvPowerTable,
     SymbolKind,
@@ -31,7 +34,9 @@ from psop.symbols import (
     conv_power_binary,
     float_prefix,
     prefix,
+    readable_length,
     symbol_envelope,
+    weighted_beta_sum_finite,
 )
 
 rationals = st.fractions(min_value=-4, max_value=4)
@@ -238,9 +243,9 @@ def test_envelope_domination_tolerance_and_overflow():
 def test_only_symbols_decodes_symbol_storage():
     """Outside symbols.py no module reads the stored window, extension rule or
     support bound of anything but itself (ExponentSequence reads its own),
-    nor a symbol's cached float blocks, by attribute or by name."""
+    nor a symbol's gap or cached float blocks, by attribute or by name."""
     storage = {"entries", "extension", "support_len"}
-    caches = {"_floats", "_geo_floats"}
+    caches = {"_floats", "_geo_floats", "_gap"}
     reads = []
     for path in sorted(Path(psop.__file__).parent.glob("*.py")):
         if path.name == "symbols.py":
@@ -355,3 +360,134 @@ def test_exact_convolve_and_powers_match_nested_fraction_sums(xs, ys, N):
             break
         want = _conv_scalar(want, tb, N)
         assert _typed(conv_power(b, k, N).entries) == _typed(want)
+
+
+# -- what a sampled symbol says past its stored values ----------------------
+
+# envelope shapes: none, ratio < 1, = 1 and > 1, scale 0, ratio 0, exponential
+ENVELOPES = [None, GeometricEnvelope(4.0, 0.5), GeometricEnvelope(1.0, 1.0),
+             GeometricEnvelope(1.0, 1.5), GeometricEnvelope(0.0, 0.5),
+             GeometricEnvelope(1.0, 0.0), ExponentialEnvelope(1.0, 1, -1)]
+
+
+def _completions(values, env, extension, support_len):
+    """The two completions of what the construction inputs leave unknown, as
+    (coefficient list, infinite tail) pairs: every unknown coefficient 0, and
+    every unknown coefficient at its envelope bound (1 where no geometric
+    envelope bounds it).  The tail (scale, ratio) of the second stands for
+    the unknown coefficients past the list when no support bound ends them.
+    The rule is read off the inputs, not off the symbol."""
+    W = len(values)
+    zero_past = extension == "zero" or (support_len is not None and support_len <= W) or (
+        isinstance(env, GeometricEnvelope) and (env.scale == 0 or (env.ratio == 0 and W > 0)))
+    if zero_past:
+        return [(list(values), None)] * 2
+    geo = isinstance(env, GeometricEnvelope)
+    end = support_len if support_len is not None else W
+    bound = [env.at(i) if geo else 1.0 for i in range(W, end)]
+    tail = None if support_len is not None else ((env.scale, env.ratio) if geo else (1.0, 1.0))
+    return [(list(values), None), (list(values) + bound, tail)]
+
+
+def _sum(coeffs, tail, growth=1.0):
+    """sum_i |c_i| growth**(i + 1) over the list and the geometric tail."""
+    total = math.fsum(abs(v) * growth ** (i + 1) for i, v in enumerate(coeffs))
+    if tail is None or tail[0] == 0:
+        return total
+    scale, ratio = tail
+    t = ratio * growth
+    if t >= 1:
+        return math.inf
+    return total + scale * growth * t ** len(coeffs) / (1 - t)
+
+
+def _at_least(upper, exact):
+    return upper >= exact * (1 - 1e-12)
+
+
+@given(st.lists(st.sampled_from([0, 0, Fraction(1, 4), Fraction(-1, 2), 0.125]), max_size=4),
+       st.sampled_from(ENVELOPES), st.sampled_from([None, "zero"]),
+       st.sampled_from([None, 0, 1, 2, 3, 5, 7]))
+@settings(max_examples=300, deadline=None)
+def test_sampled_readers_agree_with_both_completions(values, env, extension, support_len):
+    """Each reader raises a typed error or answers what holds for both
+    completions of the unknown coefficients."""
+    try:
+        s = sampled_symbol(values, env, extension, support_len)
+    except ValueError:
+        assume(False)   # an envelope that does not dominate the values
+    both = _completions(values, env, extension, support_len)
+    assert readable_length(s, math.inf) == (len(values) if both[0] != both[1] else math.inf)
+    if s.is_zero:
+        assert all(v == 0 for c, tail in both for v in c) and all(t is None for _, t in both)
+    for i in range(10):
+        try:
+            v = coeff(s, i)
+        except OutOfSampledRange:
+            assert i >= len(values)
+            continue
+        for c, tail in both:
+            assert v == (c[i] if i < len(c) else 0)
+            assert tail is None or i < len(c)
+    for reader, growth in ((ell1_norm, 1.0), (weighted_beta_sum_finite, math.e)):
+        try:
+            total = reader(s)
+        except (TailUnbounded, OutOfSampledRange):
+            continue
+        for c, tail in both:
+            assert _at_least(total.upper, _sum(c, tail, growth))
+    try:
+        env_out = symbol_envelope(s)
+    except TailUnbounded:
+        return
+    bounds = abs_upper_prefix(s, 10)
+    for c, tail in both:
+        full = c + ([tail[0] * tail[1] ** i for i in range(len(c), 10)] if tail else [])
+        for i in range(10):
+            v = abs(full[i]) if i < len(full) else 0
+            assert bounds[i] >= v * (1 - 1e-12)
+            if isinstance(env_out, GeometricEnvelope):
+                assert env_out.at(i) * (1 + 1e-9) >= v
+            elif env_out is FINITE_TAIL and i >= len(values):
+                assert v == 0
+
+
+def test_zero_values_with_a_support_bound_past_them_are_not_zero():
+    assert not sampled_symbol([0], GeometricEnvelope(1.0, 0.5), support_len=3).is_zero
+    assert not sampled_symbol([0], support_len=3).is_zero
+    # a truncated product whose stored window is all zero: z^2 * z^2 = z^4
+    assert not convolve(finite_symbol([0, 0, 1]), finite_symbol([0, 0, 1]), 3).is_zero
+    for zero in (sampled_symbol([0, 0], extension="zero"), sampled_symbol([0], support_len=1),
+                 sampled_symbol([0], GeometricEnvelope(0.0, 0.5), support_len=3),
+                 sampled_symbol([0], GeometricEnvelope(1.0, 0.0))):
+        assert zero.is_zero
+
+
+def test_ell1_norm_does_not_read_the_gap_as_zeros():
+    with pytest.raises(TailUnbounded):
+        ell1_norm(sampled_symbol([Fraction(1, 4)], support_len=3))
+    with_env = sampled_symbol([Fraction(1, 4)], GeometricEnvelope(1.0, 0.1), support_len=3)
+    assert ell1_norm(with_env).upper >= 0.25 + 0.1 + 0.01
+
+
+def test_a_gap_without_an_envelope_has_no_envelope_or_membership():
+    s = sampled_symbol([Fraction(1, 4)], support_len=3)
+    with pytest.raises(TailUnbounded):
+        symbol_envelope(s)
+    assert membership_check(finite_type_space(), s).overall != "member_on_grid"
+
+
+def test_weighted_beta_sum_bounds_the_gap_by_the_envelope():
+    s = sampled_symbol([Fraction(1, 4)], GeometricEnvelope(1.0, 0.1), support_len=3)
+    assert weighted_beta_sum_finite(s).upper >= \
+        0.25 * math.e + 0.1 * math.e ** 2 + 0.01 * math.e ** 3
+
+
+def test_extension_zero_is_stored_as_the_support_bound():
+    s = sampled_symbol([1, 2, 0], extension="zero")
+    assert s == sampled_symbol([1, 2, 0], support_len=3) and s.bounded_support() == 2
+    # the smaller of the two bounds is kept
+    assert sampled_symbol([1, 2], extension="zero", support_len=5).bounded_support() == 2
+    assert not hasattr(s, "extension")
+    with pytest.raises(ValueError, match="unknown sampled extension 'hold'"):
+        sampled_symbol([1], extension="hold")
