@@ -879,6 +879,7 @@ def strongly_tame_probe(op: OperatorSpec, grid: GridParams = GridParams()) -> Ta
         constants[p] = float(np.max(np.exp(log_norms - logw)))
     closed: dict[int, float] = {}
     bound_kind = "none"
+    reason = "only grid constants available at this truncation"
     if op.kind is OperatorKind.HAT:
         if space.is_linear:
             for p in range(1, P + 1):
@@ -887,16 +888,16 @@ def strongly_tame_probe(op: OperatorSpec, grid: GridParams = GridParams()) -> Ta
                 scale = math.exp(1.0 / (2 * p)) if space.is_finite_type else 1.0
                 closed[p] = scale * exp_guarded(hi)
             bound_kind = "hat_linear"
-    elif not space.is_finite_type:
-        a_sum = ell1_norm(op.beta)
-        val = math.inf if a_sum.infinite else a_sum.upper
-        closed = dict.fromkeys(range(1, P + 1), val)
-        bound_kind = "dual_abs_sum"
-    elif space.is_linear:
-        b_sum = weighted_beta_sum_finite(op.beta)
-        val = math.inf if b_sum.infinite else b_sum.upper
-        closed = dict.fromkeys(range(1, P + 1), val)
-        bound_kind = "dual_weighted_sum"
+    elif not space.is_finite_type or space.is_linear:
+        bound_kind, dual_sum_of = ("dual_weighted_sum", weighted_beta_sum_finite) \
+            if space.is_finite_type else ("dual_abs_sum", ell1_norm)
+        try:
+            dual_sum = dual_sum_of(op.beta)
+        except TailUnbounded as exc:
+            reason = f"the envelope {op.beta.envelope!r} does not settle the dual sum: {exc}"
+        else:
+            val = math.inf if dual_sum.infinite else dual_sum.upper
+            closed = dict.fromkeys(range(1, P + 1), val)
     slack = {p: closed[p] - constants[p] for p in closed} if closed else {}
     if closed and all(math.isfinite(v) for v in closed.values()):
         cert = Certificate("strongly_tame_closed_bounds",
@@ -908,8 +909,7 @@ def strongly_tame_probe(op: OperatorSpec, grid: GridParams = GridParams()) -> Ta
                          theta=op.theta, beta=op.beta,
                          evidence={"grid_constants": constants})
     else:
-        verdict = _open("strongly_tame", space, op.kind.value,
-                        "only grid constants available at this truncation",
+        verdict = _open("strongly_tame", space, op.kind.value, reason,
                         theta=op.theta, beta=op.beta,
                         evidence={"grid_constants": constants,
                                   "closed_bounds": {p: closed.get(p) for p in closed}})

@@ -12,9 +12,11 @@ sums, so its exact convolution powers clear denominators with their own
 code and its absolute sums come from each symbol kind's closed form.
 
 Each claim shape has one checker: _powers_within for coefficient envelopes
-of convolution powers, _columns_within for dense column bounds, and
-_abs_at for one lifted coefficient.  Comparisons pad a bound by one of
-three named margins.
+of convolution powers, _columns_within for dense column bounds, _abs_at
+for one lifted coefficient, and _circle_form for the two circle-modulus
+rules.  Comparisons at 50 digits pad a bound by one of three named margins;
+the circle-modulus rules take none: they are decided exactly in integers,
+by Sturm's theorem or the sign at one rational point.
 
 Truncation-then-power equals power-then-truncation exactly for triangular
 matrices; for the mixed Toeplitz kind the leading-block stability is
@@ -317,6 +319,141 @@ def _mp_abs_conv_power(sym: Symbol, k: int, N: int) -> list:
     return [Fraction(abs(v), scale) for v in out] + [Fraction(0)] * (N - len(out))
 
 
+# ---------------------------------------------------------------------------
+# Exact circle-modulus decisions
+# ---------------------------------------------------------------------------
+
+
+_EXP_TERMS = 24      # Taylor terms of e^{1/q}: the remainder is below 2^-80
+_GRID_BITS = 64      # a replayed bound and coefficients sit on the grid 2^-64 Z
+
+
+def _exp_upper(q: int) -> Fraction:
+    """An upper bound of e^{1/q} (q >= 1): the Taylor sum and its Lagrange
+    remainder e^x x^{n+1} / (n+1)! <= 3 x^{n+1} / (n+1)! at x = 1/q."""
+    x = Fraction(1, q)
+    term = total = Fraction(1)
+    for k in range(1, _EXP_TERMS + 1):
+        term = term * x / k
+        total += term
+    return total + 3 * term * x / (_EXP_TERMS + 1)
+
+
+def _grid_floor(x: Fraction) -> Fraction:
+    """The largest multiple of 2^-_GRID_BITS at most x."""
+    return Fraction(math.floor(x * (1 << _GRID_BITS)), 1 << _GRID_BITS)
+
+
+def _gaussian(v) -> tuple[Fraction, Fraction]:
+    """v as an exact (real, imaginary) pair: ints, Fractions, floats and
+    complex floats are all Gaussian rationals."""
+    if is_rational(v):
+        return Fraction(v), Fraction(0)
+    z = complex(v)
+    return Fraction(z.real), Fraction(z.imag)
+
+
+def _circle_form(pairs: Sequence, T: Fraction) -> list:
+    """Integer coefficients, lowest degree first, of a positive multiple of
+    F(s) = T^2 (1 + s^2)^d - |P(s)|^2, where pairs holds the real and
+    imaginary parts of gamma_0, ..., gamma_d and
+    P(s) = sum_k gamma_k (1 + is)^k (1 - is)^{d-k}.
+
+    At s = tan(t/2), |gamma(e^{it})|^2 = |P(s)|^2 / (1 + s^2)^d, so F(s) > 0
+    exactly where |gamma| < T on the unit circle.  The s^{2d} coefficient is
+    T^2 - |gamma(-1)|^2, the point t = pi."""
+    d = max(len(pairs) - 1, 0)
+    den = math.lcm(T.denominator, *(f.denominator for pair in pairs for f in pair))
+    g = [(int(a * den), int(b * den)) for a, b in pairs]
+    re, im = [0] * (d + 1), [0] * (d + 1)
+    for n in range(d + 1):
+        # (1 + is)^k (1 - is)^{d-k} has s^n coefficient i^n K_k(n)
+        hr = hi = 0
+        for k, (gr, gi) in enumerate(g):
+            kn = sum((-1) ** (n - j) * math.comb(k, j) * math.comb(d - k, n - j)
+                     for j in range(n + 1))
+            hr += gr * kn
+            hi += gi * kn
+        re[n], im[n] = ((hr, hi), (-hi, hr), (-hr, -hi), (hi, -hr))[n % 4]
+    t2 = int(T * den) ** 2
+    form = [0] * (2 * d + 1)
+    for j in range(d + 1):
+        form[2 * j] = t2 * math.comb(d, j)
+    for i in range(d + 1):
+        for j in range(d + 1):
+            form[i + j] -= re[i] * re[j] + im[i] * im[j]
+    return form
+
+
+def _primitive(p: list) -> list:
+    """p without trailing zeros, divided by the gcd of its coefficients."""
+    p = list(p)
+    while p and p[-1] == 0:
+        p.pop()
+    g = math.gcd(*p)
+    return [c // g for c in p] if g > 1 else p
+
+
+def _negated_remainder(a: list, b: list) -> list:
+    """-(c * a mod b) for a positive integer c that keeps the division in the
+    integers."""
+    lb = b[-1]
+    while len(a) >= len(b):
+        la, shift = a[-1], len(a) - len(b)
+        g = math.gcd(la, lb)
+        ca, cb = abs(lb) // g, la // g if lb > 0 else -la // g
+        a = [ca * c for c in a]
+        for i, c in enumerate(b):
+            a[shift + i] -= cb * c
+        while a and a[-1] == 0:
+            a.pop()
+    return [-c for c in a]
+
+
+def _real_root_count(f: list) -> int:
+    """How many distinct real roots the integer polynomial f has, by Sturm's
+    theorem: sign changes of its chain f, f', -rem, ... at -inf less those at
+    +inf.  Each link is scaled by a positive integer, which keeps every sign."""
+    f = _primitive(f)
+    if len(f) <= 1:
+        return 0
+    chain = [f, _primitive([j * c for j, c in enumerate(f)][1:])]
+    while len(chain[-1]) > 1:
+        r = _primitive(_negated_remainder(chain[-2], chain[-1]))
+        if not r:
+            break
+        chain.append(r)
+
+    def changes(signs):
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+    at_plus = [p[-1] > 0 for p in chain]
+    at_minus = [(p[-1] > 0) == (len(p) % 2 == 1) for p in chain]
+    return changes(at_minus) - changes(at_plus)
+
+
+def _circle_modulus_below(pairs: Sequence, T: Fraction) -> bool:
+    """Whether |gamma| < T everywhere on the unit circle, decided exactly: F
+    is positive at s = 0 and at t = pi (its leading coefficient), and has no
+    real root.  A touch of the bound is False."""
+    form = _circle_form(pairs, T)
+    return form[0] > 0 and form[-1] > 0 and _real_root_count(form) == 0
+
+
+def _circle_bound_holds(coefs: Sequence, q: int) -> bool:
+    """max |beta| <= e^{-1/q} on |z| = e^{1/q}, proved exactly.
+
+    With R >= e^{1/q}, gamma_k = beta_k R^k floored to the grid in both parts
+    and T = 1/R - 2 (d + 1) 2^-_GRID_BITS floored to it, |gamma| < T on the
+    unit circle gives |beta(Rw)| < T + 2 (d + 1) 2^-_GRID_BITS <= 1/R there.
+    By maximum modulus, max |beta| on |z| = e^{1/q} is no larger than on
+    |z| = R, and 1/R <= e^{-1/q}."""
+    R = _exp_upper(q)
+    gamma = [(_grid_floor(a * R ** k), _grid_floor(b * R ** k))
+             for k, (a, b) in enumerate(map(_gaussian, coefs))]
+    T = _grid_floor(1 / R - Fraction(2 * len(gamma), 1 << _GRID_BITS))
+    return T > 0 and _circle_modulus_below(gamma, T)
+
+
 _REPLAYERS = {}
 
 
@@ -474,32 +611,21 @@ def _replay_disc_modulus(v, params):
 def _replay_circle_modulus(v, params):
     q = int(params["q"])
     sup = v.beta.bounded_support()
-    if sup is None:
+    if sup is None or q < 1:
         return False
-    R = mpmath.e ** (mpmath.mpf(1) / q)
-    M = 4096
-    coefs = [_lift(c, False) for c in prefix(v.beta, sup)]
-    lip = sum(i * abs(c) * R ** i for i, c in enumerate(coefs))
-    best = mpmath.mpf(0)
-    for j in range(M):
-        z = R * mpmath.expjpi(mpmath.mpf(2 * j) / M)
-        val = mpmath.mpf(0)
-        for c in reversed(coefs):    # Horner
-            val = val * z + c
-        best = max(best, abs(val))
-    best += lip * mpmath.pi / M
-    return _within(best, mpmath.e ** (-mpmath.mpf(1) / q), _FLOAT)
+    return _circle_bound_holds(prefix(v.beta, sup), q)
 
 
 @replayer("dual_circle_modulus_exceeds")
 def _replay_circle_exceeds(v, params):
-    t = mpmath.mpf(str(params["angle"]))
+    # |beta(w)| > 1 at w = (1 + is) / (1 - is), which lies on the unit circle
+    # for every real s; s is the rational tan(t/2) of the recorded angle t
     sup = v.beta.bounded_support()
     if sup is None:
         return False
-    z = mpmath.e ** (1j * t)
-    val = abs(sum(_lift(b, False) * z ** i for i, b in enumerate(prefix(v.beta, sup))))
-    return not _within(val, 1, _FLOAT)
+    s = Fraction(math.tan(float(params["angle"]) / 2))
+    form = _circle_form([_gaussian(b) for b in prefix(v.beta, sup)], Fraction(1))
+    return sum(c * s ** j for j, c in enumerate(form)) < 0
 
 
 @replayer("dual_l1_exceeds_on_circle")

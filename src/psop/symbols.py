@@ -163,7 +163,8 @@ class Symbol:
             support = 0 if self.c == 0 else (1 if self.r == 0 else None)
         else:
             W, env = len(self.entries), self.envelope
-            if (self.support_len is not None and self.support_len <= W) or (
+            if (self.support_len is not None and self.support_len <= W) or \
+                    isinstance(env, FinitelySupported) or (
                     isinstance(env, GeometricEnvelope)
                     and (env.scale == 0 or (env.ratio == 0 and W > 0))):
                 support = trimmed_len(self.entries)

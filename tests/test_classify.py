@@ -35,7 +35,7 @@ from psop import (
 from psop.classify import _dual_log_ratios
 from psop.numerics import log_nonneg
 from psop.operators import OperatorContractError, hat_column_log_norms
-from psop.spaces import GeometricEnvelope, TailUnbounded
+from psop.spaces import GeometricEnvelope, TailUnbounded, infinite_type_space
 from psop.symbols import ConvPowerTable, float_prefix, float_symbol, readable_length
 
 GRID = GridParams()
@@ -285,6 +285,26 @@ def test_strongly_tame_probe_divergent_weighted_sum(fin, small_grid):
     op = make_check_operator(fin, geometric_symbol(1.0, Fraction(1, 2)))
     rep = strongly_tame_probe(op, small_grid)
     assert rep.verdict.status is Status.INCONCLUSIVE
+
+
+@pytest.mark.parametrize("finite_type,env", [(True, GeometricEnvelope(0.5, 0.5)),
+                                              (False, GeometricEnvelope(0.5, 1.5))],
+                         ids=["finite", "infinite"])
+def test_strongly_tame_probe_with_an_unsettled_envelope_is_inconclusive(finite_type, env):
+    """An envelope of ratio >= 1/e cannot settle the exponentially weighted
+    dual sum on the finite type, nor one of ratio >= 1 the plain sum on the
+    infinite type: strong tameness is inconclusive and names the envelope,
+    and the other requested modes keep their verdicts."""
+    space = finite_type_space() if finite_type else infinite_type_space()
+    op = make_check_operator(space, sampled_symbol([Fraction(1, 4), Fraction(1, 8)], env))
+    out = classify_operator(op, ["power_bounded", "strongly_tame"], GridParams())
+    tame = out["strongly_tame"]
+    assert tame.status is Status.INCONCLUSIVE
+    assert repr(env) in tame.evidence["reason"]
+    alone = classify_operator(op, ["power_bounded"], GridParams())["power_bounded"]
+    pb = out["power_bounded"]
+    assert (pb.status, pb.certificate, pb.evidence["reason"]) == \
+        (alone.status, alone.certificate, alone.evidence["reason"])
 
 
 def test_strongly_tame_probe_leaves_a_toeplitz_operator_to_classify_toeplitz(fin, small_grid):

@@ -1,9 +1,12 @@
 import ast
+import math
+import random
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import mpmath
+import numpy as np
 import pytest
 
 from psop import (
@@ -255,7 +258,7 @@ def test_circle_modulus_replay_known_answers(fin):
     def scaled(s):
         return replace(v, beta=finite_symbol([s * c for c in CIRCLE_BETA]))
 
-    # 1% below the bound the sampling and Lipschitz margin still fit
+    # 1% below the bound the exact decision holds
     assert replay_verdict(scaled(on_bound * Fraction(99, 100))) is True
     # just above it the modulus at z alone exceeds the bound
     assert replay_verdict(scaled(on_bound * (1 + Fraction(1, 10 ** 9)))) is False
@@ -263,6 +266,118 @@ def test_circle_modulus_replay_known_answers(fin):
     for q, want in ((10, True), (9, False), (1, False)):
         mutant = replace(v, certificate=replace(v.certificate, params={"q": q}))
         assert replay_verdict(mutant) is want
+
+
+UNIT_CIRCLE = np.exp(2j * np.pi * np.arange(100_000) / 100_000)
+
+
+def _sampled_circle_ratio(coefs, q):
+    """max |beta| over 100 000 equally spaced points of |z| = e^{1/q}, over
+    e^{-1/q}."""
+    c = np.array([complex(v) for v in coefs])
+    return float(np.abs(np.polyval(c[::-1], math.exp(1 / q) * UNIT_CIRCLE)).max()) \
+        * math.exp(1 / q)
+
+
+def _circle_draws(count, seed=20261019):
+    """Supports 1 to 6, entries j/8, about one draw in five Gaussian."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        gaussian = rng.random() < 0.2
+        yield [complex(rng.randint(-4, 4), rng.randint(-4, 4)) / 8 if gaussian
+               else Fraction(rng.randint(-4, 4), 8)
+               for _ in range(rng.randint(1, 6))], rng.randint(1, 48)
+
+
+def test_exact_circle_decision_agrees_with_dense_sampling():
+    """The exact decision behind dual_circle_modulus_bound against a
+    100 000-point float sample of the circle, wherever the sampled maximum
+    lies outside a 1e-9 band around the bound."""
+    outcomes = []
+    for coefs, q in _circle_draws(300):
+        ratio = _sampled_circle_ratio(coefs, q)
+        if abs(ratio - 1) > 1e-9:
+            assert oracle._circle_bound_holds(coefs, q) is (ratio < 1), (coefs, q)
+            outcomes.append(ratio < 1)
+    assert len(outcomes) >= 290 and 50 <= sum(outcomes) <= len(outcomes) - 50
+
+
+@pytest.mark.parametrize("gaussian", [False, True], ids=["real", "gaussian"])
+def test_exact_circle_decision_at_support_16(gaussian):
+    """Scaled to 0.999 and 1.001 of the sampled peak over the bound."""
+    rng = random.Random(16)
+    coefs = [complex(rng.randint(-4, 4), rng.randint(-4, 4)) / 8 if gaussian
+             else rng.randint(-4, 4) / 8 for _ in range(16)]
+    peak = _sampled_circle_ratio(coefs, 5)
+    for scale, want in ((0.999, True), (1.001, False)):
+        assert oracle._circle_bound_holds([c * scale / peak for c in coefs], 5) is want
+
+
+def test_circle_modulus_exceeds_replays_at_its_recorded_angle(fin):
+    """|1/2 + 3z/4| = 5/4 at z = 1; at half the symbol the maximum is 5/8."""
+    v = classify_check_all(fin, finite_symbol([Fraction(1, 2), Fraction(3, 4)]),
+                           GridParams())["power_bounded"]
+    assert v.certificate.rule == "dual_circle_modulus_exceeds"
+    assert replay_verdict(v) is True
+    half = replace(v, beta=finite_symbol([Fraction(1, 4), Fraction(3, 8)]))
+    assert replay_verdict(half) is False
+
+
+def test_circle_form_is_the_half_angle_identity():
+    """F(s) = c (T^2 - |gamma(w)|^2) (1 + s^2)^d at w = (1 + is)/(1 - is),
+    for one positive constant c, checked in Fractions."""
+    F = Fraction
+    gamma = [(F(1, 2), F(-1, 3)), (F(0), F(3, 4)), (F(-5, 8), F(1, 8))]
+    T = F(7, 5)
+    form = oracle._circle_form(gamma, T)
+    d = len(gamma) - 1
+    ratios = set()
+    for s in (F(0), F(1), F(-2, 3), F(5, 7), F(-11, 3)):
+        f_s = sum(c * s ** j for j, c in enumerate(form))
+        wr, wi = (1 - s * s) / (1 + s * s), 2 * s / (1 + s * s)
+        val_r, val_i, pr, pi = F(0), F(0), F(1), F(0)
+        for a, b in gamma:
+            val_r, val_i = val_r + a * pr - b * pi, val_i + a * pi + b * pr
+            pr, pi = pr * wr - pi * wi, pr * wi + pi * wr
+        ratios.add(f_s / ((T * T - val_r ** 2 - val_i ** 2) * (1 + s * s) ** d))
+    assert len(ratios) == 1 and ratios.pop() > 0
+
+
+def test_circle_decision_is_strict_at_a_touch_at_t_pi():
+    """|(1 - w)/2| < 1 on the unit circle except at w = -1, where it is 1."""
+    gamma = [(Fraction(1, 2), Fraction(0)), (Fraction(-1, 2), Fraction(0))]
+    assert oracle._circle_modulus_below(gamma, Fraction(1)) is False
+    assert oracle._circle_modulus_below(gamma, 1 + Fraction(1, 2 ** 64)) is True
+
+
+def _poly_mul(*factors):
+    out = [1]
+    for f in factors:
+        out = [sum(out[i] * f[n - i] for i in range(len(out)) if 0 <= n - i < len(f))
+               for n in range(len(out) + len(f) - 1)]
+    return out
+
+
+def test_real_root_count_counts_distinct_roots():
+    # (s^2 - 2)(s - 1)^2 (s^2 + 1): roots -sqrt 2, 1 (double), sqrt 2
+    f = _poly_mul([-2, 0, 1], [-1, 1], [-1, 1], [1, 0, 1])
+    assert oracle._real_root_count(f) == 3
+    assert oracle._real_root_count([-c for c in f]) == 3
+    # odd degree, a triple root: (u + 2)(u - 1)^3
+    assert oracle._real_root_count(_poly_mul([2, 1], [-1, 1], [-1, 1], [-1, 1])) == 2
+    assert oracle._real_root_count([1, 0, 1]) == 0
+    assert oracle._real_root_count([5]) == 0
+
+
+def test_circle_rules_replay_without_sampling_or_float_margins():
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    assert not any(isinstance(node, ast.Attribute) and node.attr in ("expj", "expjpi")
+                   for node in ast.walk(tree))
+    fns = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for name in ("_replay_circle_modulus", "_replay_circle_exceeds", "_circle_bound_holds",
+                 "_circle_modulus_below", "_circle_form"):
+        names = {n.id for n in ast.walk(fns[name]) if isinstance(n, ast.Name)}
+        assert not names & {"mpmath", "_FLOAT", "_TIGHT", "_LOOSE", "_within"}, name
 
 
 def test_oracle_imports_from_checked_modules_are_pinned():

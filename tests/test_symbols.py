@@ -483,6 +483,17 @@ def test_weighted_beta_sum_bounds_the_gap_by_the_envelope():
         0.25 * math.e + 0.1 * math.e ** 2 + 0.01 * math.e ** 3
 
 
+def test_a_finite_tail_envelope_leaves_no_gap():
+    """The envelope {"finite": ...} says every coefficient past the values is
+    zero, and every reader agrees."""
+    s = sampled_symbol([Fraction(1, 4)], FINITE_TAIL)
+    assert coeff(s, 1) == 0 and prefix(s, 3) == [Fraction(1, 4), 0, 0]
+    assert ell1_norm(s).upper == 0.25 and not ell1_norm(s).infinite
+    assert readable_length(s, math.inf) == math.inf and s.bounded_support() == 1
+    assert symbol_envelope(s) is FINITE_TAIL
+    assert membership_check(finite_type_space(), s).overall == "member_on_grid"
+
+
 def test_extension_zero_is_stored_as_the_support_bound():
     s = sampled_symbol([1, 2, 0], extension="zero")
     assert s == sampled_symbol([1, 2, 0], support_len=3) and s.bounded_support() == 2
