@@ -889,15 +889,18 @@ def strongly_tame_probe(op: OperatorSpec, grid: GridParams = GridParams()) -> Ta
                 closed[p] = scale * exp_guarded(hi)
             bound_kind = "hat_linear"
     elif not space.is_finite_type or space.is_linear:
-        bound_kind, dual_sum_of = ("dual_weighted_sum", weighted_beta_sum_finite) \
+        kind, dual_sum_of = ("dual_weighted_sum", weighted_beta_sum_finite) \
             if space.is_finite_type else ("dual_abs_sum", ell1_norm)
         try:
             dual_sum = dual_sum_of(op.beta)
         except TailUnbounded as exc:
-            reason = f"the envelope {op.beta.envelope!r} does not settle the dual sum: {exc}"
+            reason = f"the dual sum is not settled: {exc}"
+            if op.beta.envelope is not None:
+                reason += f" (envelope {op.beta.envelope!r})"
         else:
             val = math.inf if dual_sum.infinite else dual_sum.upper
             closed = dict.fromkeys(range(1, P + 1), val)
+            bound_kind = kind
     slack = {p: closed[p] - constants[p] for p in closed} if closed else {}
     if closed and all(math.isfinite(v) for v in closed.values()):
         cert = Certificate("strongly_tame_closed_bounds",

@@ -163,8 +163,9 @@ class Symbol:
             support = 0 if self.c == 0 else (1 if self.r == 0 else None)
         else:
             W, env = len(self.entries), self.envelope
-            if (self.support_len is not None and self.support_len <= W) or \
-                    isinstance(env, FinitelySupported) or (
+            # FINITE_TAIL bounds no value, so a support bound past W keeps its gap
+            if (self.support_len is not None and self.support_len <= W) or (
+                    self.support_len is None and isinstance(env, FinitelySupported)) or (
                     isinstance(env, GeometricEnvelope)
                     and (env.scale == 0 or (env.ratio == 0 and W > 0))):
                 support = trimmed_len(self.entries)
@@ -316,11 +317,13 @@ def symbol_envelope(s: Symbol) -> TailCert:
         if s.c == 0 or s.r == 0:
             return FINITE_TAIL
         return GeometricEnvelope(float(abs(s.c)), float(abs(s.r)))
-    if s.envelope is not None:
-        return s.envelope
     if s._gap is None:
-        return FINITE_TAIL
-    raise TailUnbounded("sampled symbol without envelope or extension rule")
+        return s.envelope if s.envelope is not None else FINITE_TAIL
+    if s.envelope is None:
+        raise TailUnbounded("sampled symbol without envelope or extension rule")
+    if isinstance(s.envelope, FinitelySupported):
+        raise TailUnbounded("a finite-support envelope bounds no coefficient in the gap")
+    return s.envelope
 
 
 def _require_readable(s: Symbol, N: int) -> None:
@@ -488,7 +491,11 @@ def _float_conv(xs: Sequence[Number], ys: Sequence[Number], N: int) -> list:
 def convolve_envelopes(ea: TailCert, eb: TailCert, a: Symbol, b: Symbol) -> TailCert:
     """Envelope for a*b from the factors' envelopes, by the rules in spaces
     (convolve_finite, convolve_geometric)."""
-    if isinstance(ea, FinitelySupported) and isinstance(eb, FinitelySupported):
+    def ends_support(e: TailCert) -> bool:
+        return isinstance(e, FinitelySupported) or (isinstance(e, GeometricEnvelope)
+                                                    and e.ratio == 0)
+
+    if ends_support(ea) and ends_support(eb):
         # both supports finite; used when the product is truncated below its
         # full support, so bound the unstored coefficients by the sum product
         la = ell1_norm(a)

@@ -305,6 +305,7 @@ def test_strongly_tame_probe_with_an_unsettled_envelope_is_inconclusive(finite_t
     pb = out["power_bounded"]
     assert (pb.status, pb.certificate, pb.evidence["reason"]) == \
         (alone.status, alone.certificate, alone.evidence["reason"])
+    assert strongly_tame_probe(op, GridParams()).bound_kind == "none"
 
 
 def test_strongly_tame_probe_leaves_a_toeplitz_operator_to_classify_toeplitz(fin, small_grid):

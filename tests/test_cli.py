@@ -353,6 +353,19 @@ def test_hat_jobs_with_a_gap_print_no_holds_verdict(tmp_path, capsys, space_type
     assert code == 3 or (code == 0 and ": holds" not in capsys.readouterr().out)
 
 
+@pytest.mark.parametrize("space_type,values", [("infinite", ["0"]), ("finite", ["1/4"])])
+def test_hat_jobs_with_a_finite_envelope_and_a_gap_print_no_holds_verdict(
+        tmp_path, capsys, space_type, values):
+    """The envelope {"finite": null} bounds no value, so with a support bound
+    past the values entries 1 and 2 stay unknown, as without an envelope."""
+    job = json.loads(json.dumps(BASE))
+    job["space"]["type"] = space_type
+    job["operator"]["theta"] = {"sampled": {"values": values, "envelope": {"finite": None},
+                                            "support_len": 3}}
+    code = main(["run", write(tmp_path, job), "--out", str(tmp_path / "out")])
+    assert code == 3 or (code == 0 and ": holds" not in capsys.readouterr().out)
+
+
 def test_matrix_export_of_an_overflowing_float_law_is_a_task_error(tmp_path):
     job = {"schema": 1,
            "space": {"type": "infinite", "alpha": {"kind": "linear"}},

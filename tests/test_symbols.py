@@ -367,7 +367,7 @@ def test_exact_convolve_and_powers_match_nested_fraction_sums(xs, ys, N):
 # envelope shapes: none, ratio < 1, = 1 and > 1, scale 0, ratio 0, exponential
 ENVELOPES = [None, GeometricEnvelope(4.0, 0.5), GeometricEnvelope(1.0, 1.0),
              GeometricEnvelope(1.0, 1.5), GeometricEnvelope(0.0, 0.5),
-             GeometricEnvelope(1.0, 0.0), ExponentialEnvelope(1.0, 1, -1)]
+             GeometricEnvelope(1.0, 0.0), ExponentialEnvelope(1.0, 1, -1), FINITE_TAIL]
 
 
 def _completions(values, env, extension, support_len):
@@ -379,7 +379,8 @@ def _completions(values, env, extension, support_len):
     The rule is read off the inputs, not off the symbol."""
     W = len(values)
     zero_past = extension == "zero" or (support_len is not None and support_len <= W) or (
-        isinstance(env, GeometricEnvelope) and (env.scale == 0 or (env.ratio == 0 and W > 0)))
+        isinstance(env, GeometricEnvelope) and (env.scale == 0 or (env.ratio == 0 and W > 0))) or (
+        env is FINITE_TAIL and support_len is None)
     if zero_past:
         return [(list(values), None)] * 2
     geo = isinstance(env, GeometricEnvelope)
@@ -492,6 +493,26 @@ def test_a_finite_tail_envelope_leaves_no_gap():
     assert readable_length(s, math.inf) == math.inf and s.bounded_support() == 1
     assert symbol_envelope(s) is FINITE_TAIL
     assert membership_check(finite_type_space(), s).overall == "member_on_grid"
+
+
+def test_a_finite_tail_envelope_does_not_end_a_support_bound_past_the_values():
+    """FINITE_TAIL bounds no coefficient: with a support bound past the
+    values, the coefficients between them stay unknown."""
+    # a truncated product of z^0 + z + z^2 and 1/2: the third coefficient is 1/2
+    s = convolve(finite_symbol([1, 1, 1]),
+                 sampled_symbol([Fraction(1, 2)], GeometricEnvelope(1.0, 0.0)), 2)
+    assert s.bounded_support() == 3
+    with pytest.raises(OutOfSampledRange):
+        coeff(s, 2)
+    assert ell1_norm(s).upper >= 1.5
+    config = parse_symbol({"sampled": {"values": ["1/4"], "envelope": {"finite": None},
+                                       "support_len": 3}})
+    with pytest.raises(OutOfSampledRange):
+        coeff(config, 1)
+    for reader in (ell1_norm, symbol_envelope):
+        with pytest.raises(TailUnbounded):
+            reader(config)
+    assert membership_check(finite_type_space(), config).overall == "inconclusive"
 
 
 def test_extension_zero_is_stored_as_the_support_bound():
