@@ -61,6 +61,10 @@ from .symbols import (
 )
 
 
+# the band around 1 inside which a float sum or modulus stays undecided
+_TOL = 1e-9
+
+
 class UnsupportedSpace(ValueError):
     """The classifier's closed forms require alpha_n = n."""
 
@@ -77,16 +81,13 @@ class GridParams:
     K: int = 64
     P: int = 8
     Q: int = 32
-    tol: float = 1e-9
 
     def __post_init__(self):
         if min(self.N, self.K, self.P, self.Q) < 1:
             raise ValueError("grid axes must be >= 1")
-        if not 0.0 < self.tol <= 1e-6:
-            raise ValueError("tol must lie in (0, 1e-6]")
 
     def doubled(self) -> "GridParams":
-        return GridParams(2 * self.N, 2 * self.K, 2 * self.P, 2 * self.Q, self.tol)
+        return GridParams(2 * self.N, 2 * self.K, 2 * self.P, 2 * self.Q)
 
 
 @dataclass(frozen=True)
@@ -151,15 +152,15 @@ def _scaled_delta(s: Symbol):
     return None
 
 
-def _three_way_vs_one(total: SeriesSum, tol: float) -> str:
+def _three_way_vs_one(total: SeriesSum) -> str:
     """'le' / 'gt' / 'boundary' for a tail-bounded sum against 1."""
     if total.infinite:
         return "gt"
     if total.exact is not None:
         return "le" if total.exact <= 1 else "gt"
-    if total.upper <= 1.0 - tol:
+    if total.upper <= 1.0 - _TOL:
         return "le"
-    if total.lower > 1.0 + tol:
+    if total.lower > 1.0 + _TOL:
         return "gt"
     return "boundary"
 
@@ -313,7 +314,7 @@ def classify_hat_power_bounded_finite(space: SpaceSpec, theta: Symbol,
     except TailUnbounded as exc:
         return _open("power_bounded", space, kind, f"tail certificate cannot settle "
                      f"the absolute sum: {exc}", theta=theta)
-    verdictside = _three_way_vs_one(total, grid.tol)
+    verdictside = _three_way_vs_one(total)
     evidence = {"ell1_lower": total.lower, "ell1_upper": total.upper,
                 "ell1_exact": str(total.exact) if total.exact is not None else None}
     if verdictside == "le":
@@ -358,12 +359,12 @@ def classify_hat_power_bounded_infinite(space: SpaceSpec, theta: Symbol,
     if delta is not None:
         c_abs = _exact_abs(delta[0])
         c_float = abs(delta[0])
-        if (c_abs is not None and c_abs <= 1) or (c_abs is None and c_float <= 1 - grid.tol):
+        if (c_abs is not None and c_abs <= 1) or (c_abs is None and c_float <= 1 - _TOL):
             cert = Certificate(
                 "hat_delta_power_norms", {"c": str(delta[0])},
                 "scalar symbol: power norms are |c|^k * ||e_1||_p <= ||e_1||_p")
             return _holds("power_bounded", space, kind, cert, theta=theta)
-        if (c_abs is not None and c_abs > 1) or (c_abs is None and c_float > 1 + grid.tol):
+        if (c_abs is not None and c_abs > 1) or (c_abs is None and c_float > 1 + _TOL):
             cert = Certificate(
                 "hat_conv_power_lower_growth", {"route": "theta0", "growth": float(c_float)},
                 "first-column norms grow like |c|^k, unbounded over powers")
@@ -412,7 +413,7 @@ def classify_hat_power_bounded_infinite(space: SpaceSpec, theta: Symbol,
                 for p in range(1, grid.P + 1)},
         "median_growth_ratio": {str(p): float(median_ratio[p - 1])
                                 for p in range(1, grid.P + 1)},
-        "growth_suspected": bool((median_ratio > 1.0 + 10 * grid.tol).any()),
+        "growth_suspected": bool((median_ratio > 1.0 + 10 * _TOL).any()),
     })
     return _open("power_bounded", space, kind,
                  "no certificate settles the power-norm supremum for this symbol",
@@ -436,16 +437,16 @@ def _dual_preconditions(space: SpaceSpec, beta: Symbol, grid: GridParams):
     return cert
 
 
-def _beta0_class(beta: Symbol, tol: float) -> str:
+def _beta0_class(beta: Symbol) -> str:
     """Magnitude class of beta_0: 'lt1' | 'eq1' | 'gt1' | 'boundary'."""
     b0 = coeff(beta, 0)
     ex = _exact_abs(b0)
     if ex is not None:
         return "lt1" if ex < 1 else ("eq1" if ex == 1 else "gt1")
     m = abs(b0)
-    if m < 1 - tol:
+    if m < 1 - _TOL:
         return "lt1"
-    if m > 1 + tol:
+    if m > 1 + _TOL:
         return "gt1"
     return "boundary"
 
@@ -528,10 +529,10 @@ def _dual_evidence(space: SpaceSpec, beta: Symbol, grid: GridParams) -> dict:
         sol, *_ = np.linalg.lstsq(A, lk[finite], rcond=None)
         resid = lk[finite] - A @ sol
         d_hat = float(np.exp(sol[0]))
-        fit_ok = bool(np.max(np.abs(resid)) < math.log1p(grid.tol) * grid.K + 1.0)
+        fit_ok = bool(np.max(np.abs(resid)) < math.log1p(_TOL) * grid.K + 1.0)
     pb_q = None
     for jq, q in enumerate(q_list):
-        if float(L[:, jq].max()) <= math.log1p(grid.tol):
+        if float(L[:, jq].max()) <= math.log1p(_TOL):
             pb_q = q
             break
     return {
@@ -563,7 +564,7 @@ def classify_check_all(space: SpaceSpec, beta: Symbol,
     if not space.is_finite_type:
         out.update(_check_infinite_decisions(space, beta, grid, evidence))
     else:
-        out.update(_check_finite_decisions(space, beta, grid, evidence))
+        out.update(_check_finite_decisions(space, beta, evidence))
 
     for prop in _PROPS:
         out.setdefault(prop, open_v(prop, "no decisive certificate for this symbol class"))
@@ -595,7 +596,6 @@ def _propagate_hierarchy(out: dict[str, Verdict]) -> None:
 def _check_infinite_decisions(space, beta, grid, evidence) -> dict[str, Verdict]:
     kind = "check"
     out: dict[str, Verdict] = {}
-    tol = grid.tol
     try:
         l1 = ell1_norm(beta)
     except TailUnbounded:
@@ -624,7 +624,7 @@ def _check_infinite_decisions(space, beta, grid, evidence) -> dict[str, Verdict]
                                         beta=beta, evidence=evidence)
 
     # power boundedness
-    b0c = _beta0_class(beta, tol)
+    b0c = _beta0_class(beta)
     delta = _scaled_delta(beta)
     if b0c == "gt1":
         cert = Certificate("dual_fixed_index_growth",
@@ -653,7 +653,7 @@ def _check_infinite_decisions(space, beta, grid, evidence) -> dict[str, Verdict]
                                           {"n": j + 1, "k": grid.K}, beta=beta,
                                           evidence=evidence)
             return out
-    if l1 is not None and not l1.infinite and _three_way_vs_one(l1, tol) == "le":
+    if l1 is not None and not l1.infinite and _three_way_vs_one(l1) == "le":
         cert = Certificate("dual_l1_contraction", {},
                            "coefficients of every power are bounded by the "
                            "absolute sum <= 1, below every growth target")
@@ -689,10 +689,9 @@ def _check_infinite_decisions(space, beta, grid, evidence) -> dict[str, Verdict]
     return out
 
 
-def _check_finite_decisions(space, beta, grid, evidence) -> dict[str, Verdict]:
+def _check_finite_decisions(space, beta, evidence) -> dict[str, Verdict]:
     kind = "check"
     out: dict[str, Verdict] = {}
-    tol = grid.tol
     sup = beta.bounded_support()
     dominated = space.alpha.dominated_by_index()
     try:
@@ -730,7 +729,7 @@ def _check_finite_decisions(space, beta, grid, evidence) -> dict[str, Verdict]:
                                                     cert, beta=beta, evidence=evidence)
                     break
 
-    b0c = _beta0_class(beta, tol)
+    b0c = _beta0_class(beta)
     a1 = space.alpha.value(1)
     if b0c in ("eq1", "gt1") and a1 > 0:
         cert = Certificate("dual_fixed_index_floor", {"witness_n": 1},
@@ -747,7 +746,7 @@ def _check_finite_decisions(space, beta, grid, evidence) -> dict[str, Verdict]:
                                       {"n": None, "k": None}, beta=beta, evidence=evidence)
         return out
     if l1 is not None and dominated:
-        side = _three_way_vs_one(l1, tol)
+        side = _three_way_vs_one(l1)
         if side == "le" and (l1.exact is None or l1.exact < 1) and l1.upper < 1.0:
             s_eff = sup if sup is not None else None
             if s_eff is not None:
@@ -856,7 +855,6 @@ class TameReport:
     closed_bounds: dict        # p -> float closed-form bound (when available)
     bound_kind: str
     verdict: Verdict
-    slack: dict                # p -> closed_bound - grid_constant
 
 
 def strongly_tame_probe(op: OperatorSpec, grid: GridParams = GridParams()) -> TameReport:
@@ -901,7 +899,6 @@ def strongly_tame_probe(op: OperatorSpec, grid: GridParams = GridParams()) -> Ta
             val = math.inf if dual_sum.infinite else dual_sum.upper
             closed = dict.fromkeys(range(1, P + 1), val)
             bound_kind = kind
-    slack = {p: closed[p] - constants[p] for p in closed} if closed else {}
     if closed and all(math.isfinite(v) for v in closed.values()):
         cert = Certificate("strongly_tame_closed_bounds",
                            {"bounds": {str(p): closed[p] for p in closed},
@@ -916,7 +913,7 @@ def strongly_tame_probe(op: OperatorSpec, grid: GridParams = GridParams()) -> Ta
                         theta=op.theta, beta=op.beta,
                         evidence={"grid_constants": constants,
                                   "closed_bounds": {p: closed.get(p) for p in closed}})
-    return TameReport(constants, closed, bound_kind, verdict, slack)
+    return TameReport(constants, closed, bound_kind, verdict)
 
 
 # ---------------------------------------------------------------------------
@@ -983,7 +980,7 @@ def classify_toeplitz(space: SpaceSpec, theta: Symbol, beta: Symbol,
                 total = SeriesSum(s_theta.lower + dual_sum.lower,
                                   (s_theta.upper - s_theta.lower)
                                   + (dual_sum.upper - dual_sum.lower))
-            side = _three_way_vs_one(total, grid.tol)
+            side = _three_way_vs_one(total)
             if side == "le":
                 cert = Certificate("toeplitz_power_bound_sum",
                                    {"B_upper": dual_sum.upper,
@@ -1005,7 +1002,7 @@ def classify_toeplitz(space: SpaceSpec, theta: Symbol, beta: Symbol,
         return out
     # infinite type
     if theta.is_zero and dual_sum is not None:
-        side = _three_way_vs_one(dual_sum, grid.tol)
+        side = _three_way_vs_one(dual_sum)
         if side == "le":
             cert = Certificate("toeplitz_power_bound_sum",
                                {"A_upper": dual_sum.upper, "q_of_p": {}},

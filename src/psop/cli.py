@@ -96,16 +96,19 @@ def parse_alpha(obj: dict) -> ExponentSequence:
     _require_keys(obj, {"kind", "degree", "values", "extension"}, {"kind"},
                   "space.alpha")
     kind = obj["kind"]
-    if kind == "linear":
-        return linear_alpha()
-    if kind == "root":
-        return root_alpha(int(obj.get("degree", 2)))
-    if kind == "log":
-        return log_alpha()
-    if kind == "explicit":
-        if "values" not in obj:
-            raise ConfigError("space.alpha: explicit kind needs values")
-        return explicit_alpha(obj["values"], obj.get("extension", "hold"))
+    if kind == "explicit" and "values" not in obj:
+        raise ConfigError("space.alpha: explicit kind needs values")
+    try:
+        if kind == "linear":
+            return linear_alpha()
+        if kind == "root":
+            return root_alpha(int(obj.get("degree", 2)))
+        if kind == "log":
+            return log_alpha()
+        if kind == "explicit":
+            return explicit_alpha(obj["values"], obj.get("extension", "hold"))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"space.alpha: {exc}") from exc
     raise ConfigError(f"space.alpha: unknown kind {kind!r}")
 
 
@@ -121,13 +124,12 @@ def parse_space(obj: dict) -> SpaceSpec:
 def parse_grid(obj: Optional[dict]) -> GridParams:
     if obj is None:
         return GridParams()
-    _require_keys(obj, {"N", "K", "P", "Q", "tol"}, set(), "grid")
+    _require_keys(obj, {"N", "K", "P", "Q"}, set(), "grid")
     base = GridParams()
     try:
         return GridParams(int(obj.get("N", base.N)), int(obj.get("K", base.K)),
-                          int(obj.get("P", base.P)), int(obj.get("Q", base.Q)),
-                          float(obj.get("tol", base.tol)))
-    except ValueError as exc:
+                          int(obj.get("P", base.P)), int(obj.get("Q", base.Q)))
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"grid: {exc}") from exc
 
 
@@ -177,6 +179,13 @@ class JobConfig:
                     norm_mode(m)
             except (ValueError, AttributeError) as exc:
                 raise ConfigError(f"task.modes: {exc}") from None
+        if task["type"] in ("orbit", "cesaro") and "K" in task:
+            try:
+                k_ok = int(task["K"]) >= 1
+            except (TypeError, ValueError):
+                k_ok = False
+            if not k_ok:
+                raise ConfigError(f"task.K must be an integer >= 1, got {task['K']!r}")
         size = task.get("matrix_size", 1)
         if type(size) is not int or not 1 <= size <= MAX_MATRIX_SIZE:
             raise ConfigError(f"task.matrix_size must be an integer in "
@@ -200,10 +209,13 @@ class JobConfig:
             raise ConfigError("task laurent needs an operator with a rational source")
         if self.operator and self.operator["kind"] in ("check", "toeplitz") \
                 and self.space is not None and self.space.is_finite_type:
-            from .spaces import nuclearity_check
+            from .spaces import AlphaBeyondPrefix, nuclearity_check
 
-            nuc = nuclearity_check(self.space)
-            if not nuc.nuclear:
+            try:
+                nuclear = nuclearity_check(self.space).nuclear
+            except AlphaBeyondPrefix as exc:
+                raise ConfigError(f"space.alpha: {exc}") from exc
+            if not nuclear:
                 raise ConfigError(
                     "a dual operator on this finite-type space is outside the "
                     "classifiers' hypotheses: the space is not nuclear")

@@ -293,7 +293,7 @@ def toeplitz_from_function(F: HoloSymbol, space: SpaceSpec, r: float,
     """Quadrature, split, envelope fit, membership checks, and the sufficient
     classification sums, end to end."""
     from .classify import GridParams, classify_operator
-    from .operators import make_toeplitz_operator
+    from .operators import OperatorKind, OperatorSpec
     from .spaces import fit_dual_certificate
     from .symbols import membership_check
 
@@ -314,7 +314,9 @@ def toeplitz_from_function(F: HoloSymbol, space: SpaceSpec, r: float,
     if cert is None:
         raise CertificateFitFailed(
             "backward coefficients admit no dual membership certificate")
-    op = make_toeplitz_operator(space, theta, beta, certificate=cert, grid_n=grid.N)
+    # the checks above are stricter than make_toeplitz_operator's, and a
+    # linear alpha is nuclear, so the hypotheses hold
+    op = OperatorSpec(OperatorKind.TOEPLITZ, space, theta=theta, beta=beta)
     # the sufficient sums from the coefficient side: sum over n >= 1 of
     # |a_{-n+1}| (entire case) or |a_{-n+1}| e^n (disc case); the n = 1 term
     # is |a_0|, overlapping the forward constant at the diagonal.  The split

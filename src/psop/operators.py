@@ -28,31 +28,27 @@ import numpy as np
 from .numerics import NEG_INF, fmt17, log_nonneg, sum_exp
 from .spaces import (
     FINITE_TAIL,
-    DualCertificate,
     FinitelySupported,
     GeometricEnvelope,
-    NuclearityCert,
     SpaceSpec,
-    StabilityCert,
     TailCert,
     TailUnbounded,
     add_envelopes,
     convolve_finite,
     convolve_geometric,
     correlate_envelope,
+    fit_dual_certificate,
     fold_values,
     geometric_for,
     nuclearity_check,
     scale_envelope,
     seminorm,
     shift_envelope,
-    stability_constant,
     tail_majorant,
 )
 from .symbols import (
     _exact_list_conv,
     _float_conv,
-    MembershipReport,
     _int_conv,
     Symbol,
     abs_upper_prefix,
@@ -160,22 +156,13 @@ class OperatorKind(str, Enum):
 
 @dataclass(frozen=True)
 class OperatorSpec:
+    """An operator is its kind, its space and its symbols; the builders below
+    check the hypotheses on them before a spec is made."""
+
     kind: OperatorKind
     space: SpaceSpec
     theta: Optional[Symbol] = None
     beta: Optional[Symbol] = None
-    theta_membership: Optional[MembershipReport] = None
-    beta_certificate: Optional[DualCertificate] = None
-    stability: Optional[StabilityCert] = None
-    nuclearity: Optional[NuclearityCert] = None
-
-    def describe(self) -> str:
-        parts = [self.kind.value, "on", self.space.describe()]
-        if self.theta is not None:
-            parts.append(f"theta={self.theta.describe()}")
-        if self.beta is not None:
-            parts.append(f"beta={self.beta.describe()}")
-        return " ".join(parts)
 
 
 class OperatorContractError(ValueError):
@@ -183,52 +170,25 @@ class OperatorContractError(ValueError):
 
 
 def make_hat_operator(space: SpaceSpec, theta: Symbol, grid_n: int = 256) -> OperatorSpec:
-    membership = membership_check(space, theta, N=grid_n)
-    if membership.overall == "not_member":
+    if membership_check(space, theta, N=grid_n).overall == "not_member":
         raise OperatorContractError("theta is not a member of the space")
-    stab = None
-    if not space.is_finite_type:
-        stab = stability_constant(space.alpha, max(4, grid_n))
-    return OperatorSpec(OperatorKind.HAT, space, theta=theta,
-                        theta_membership=membership, stability=stab)
+    return OperatorSpec(OperatorKind.HAT, space, theta=theta)
 
 
-def make_check_operator(space: SpaceSpec, beta: Symbol,
-                        certificate: Optional[DualCertificate] = None,
-                        grid_n: int = 256) -> OperatorSpec:
-    from .spaces import dual_certificate_check, fit_dual_certificate
-
-    cert = certificate or fit_dual_certificate(space, beta, N=grid_n)
-    if cert is None:
+def make_check_operator(space: SpaceSpec, beta: Symbol, grid_n: int = 256) -> OperatorSpec:
+    if fit_dual_certificate(space, beta, N=grid_n) is None:
         raise OperatorContractError("no dual membership certificate for beta")
-    if certificate is not None:
-        res = dual_certificate_check(space, beta, cert, min(grid_n, 256))
-        if not res.passed:
-            raise OperatorContractError(
-                f"dual certificate fails at n = {res.witness}")
-    stab = nuc = None
-    if space.is_finite_type:
-        stab = stability_constant(space.alpha, max(4, grid_n))
-        nuc = nuclearity_check(space)
-        if not nuc.nuclear:
-            raise OperatorContractError(
-                "dual operator on a finite-type space needs a nuclear space")
-    else:
-        nuc = nuclearity_check(space)
-    return OperatorSpec(OperatorKind.CHECK, space, beta=beta,
-                        beta_certificate=cert, stability=stab, nuclearity=nuc)
+    if space.is_finite_type and not nuclearity_check(space).nuclear:
+        raise OperatorContractError(
+            "dual operator on a finite-type space needs a nuclear space")
+    return OperatorSpec(OperatorKind.CHECK, space, beta=beta)
 
 
 def make_toeplitz_operator(space: SpaceSpec, theta: Symbol, beta: Symbol,
-                           certificate: Optional[DualCertificate] = None,
                            grid_n: int = 256) -> OperatorSpec:
-    hat = make_hat_operator(space, theta, grid_n)
-    chk = make_check_operator(space, beta, certificate, grid_n)
-    return OperatorSpec(OperatorKind.TOEPLITZ, space, theta=theta, beta=beta,
-                        theta_membership=hat.theta_membership,
-                        beta_certificate=chk.beta_certificate,
-                        stability=hat.stability or chk.stability,
-                        nuclearity=chk.nuclearity)
+    make_hat_operator(space, theta, grid_n)
+    make_check_operator(space, beta, grid_n)
+    return OperatorSpec(OperatorKind.TOEPLITZ, space, theta=theta, beta=beta)
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,11 @@ class TailUnbounded(ValueError):
     """The tail certificate cannot bound the weighted tail in this grade."""
 
 
+class AlphaBeyondPrefix(IndexError, ValueError):
+    """An explicit alpha without an extension rule is read past its entries.
+    It is a ValueError too, so the CLI reports it as a task error."""
+
+
 # ---------------------------------------------------------------------------
 # Exponent sequences
 # ---------------------------------------------------------------------------
@@ -102,7 +107,8 @@ class ExponentSequence:
         if self.extension == "arithmetic":
             step = self.entries[-1] - self.entries[-2] if m >= 2 else 1.0
             return self.entries[-1] + step * (n - m)
-        raise IndexError(f"alpha_{n} beyond explicit prefix of length {m} (no extension rule)")
+        raise AlphaBeyondPrefix(
+            f"alpha_{n} beyond explicit prefix of length {m} (no extension rule)")
 
     def block(self, n0: int, n1: int) -> np.ndarray:
         """Vector (alpha_n0, ..., alpha_n1)."""
@@ -129,7 +135,7 @@ class ExponentSequence:
             ext = self.entries[-1] - self.entries[-2] if m >= 2 else 1.0
         else:
             return math.inf
-        return max(diffs + [ext]) if diffs or ext is not None else math.inf
+        return max(diffs + [ext])
 
     def increment_lower(self, start: int) -> float:
         """Lower bound for alpha_{n+1}-alpha_n over n >= start."""
@@ -581,7 +587,6 @@ class NuclearityCert:
     m1: Optional[int] = None
     decay_sum: Optional[float] = None
     partial_sum: Optional[float] = None
-    note: str = ""
 
     def __post_init__(self):
         if self.decay_sum is not None and self.partial_sum is not None:
@@ -615,22 +620,18 @@ def nuclearity_check(space: SpaceSpec, N: int = 4096) -> NuclearityCert:
     ratio_max = _log_ratio_window(alpha, N)
     if space.is_finite_type:
         if alpha.kind in (AlphaKind.LINEAR, AlphaKind.ROOT):
-            return NuclearityCert(space.space_type, True, True, ratio_max,
-                                  note="ln(n)/alpha_n -> 0 in closed form")
-        if alpha.kind is AlphaKind.LOG:
-            return NuclearityCert(space.space_type, False, True, ratio_max,
-                                  note="ln(n)/ln(n+1) -> 1, not 0")
+            return NuclearityCert(space.space_type, True, True, ratio_max)
+        if alpha.kind is AlphaKind.LOG:  # ln(n)/ln(n+1) -> 1, not 0
+            return NuclearityCert(space.space_type, False, True, ratio_max)
         trend_ok = ratio_max < _log_ratio_window(alpha, max(2, N // 2))
-        return NuclearityCert(space.space_type, trend_ok, False, ratio_max,
-                              note="prefix evidence only")
+        return NuclearityCert(space.space_type, trend_ok, False, ratio_max)
     # infinite type: certificate (m1, decay_sum)
     if alpha.kind is AlphaKind.LINEAR:
         m1 = 1
         exact = 1.0 / (math.e - 1.0)
         partial = math.fsum(math.exp(-j) for j in range(1, min(N, 64) + 1))
         return NuclearityCert(space.space_type, True, True, ratio_max, m1,
-                              exact * (1.0 + 1e-13), partial,
-                              note="geometric decay sum in closed form")
+                              exact * (1.0 + 1e-13), partial)
     if alpha.kind is AlphaKind.ROOT:
         import mpmath
 
@@ -640,13 +641,13 @@ def nuclearity_check(space: SpaceSpec, N: int = 4096) -> NuclearityCert:
         # integral tail: sum_{j>N} exp(-j^(1/d)) <= d * Gamma(d, N^(1/d))
         tail = float(d * mpmath.gammainc(d, N ** (1.0 / d)))
         return NuclearityCert(space.space_type, True, True, ratio_max, m1,
-                              partial + tail, partial, note="integral tail bound")
+                              partial + tail, partial)
     if alpha.kind is AlphaKind.LOG:
         m1 = 2
         partial = math.fsum((j + 1.0) ** (-2) for j in range(1, N + 1))
         tail = 1.0 / (N + 1.0)
         return NuclearityCert(space.space_type, True, True, ratio_max, m1,
-                              partial + tail, partial, note="zeta-type tail bound")
+                              partial + tail, partial)
     nuclear = math.isfinite(ratio_max)
     m1 = None
     partial = None
@@ -654,7 +655,7 @@ def nuclearity_check(space: SpaceSpec, N: int = 4096) -> NuclearityCert:
         m1 = max(1, math.ceil(ratio_max + 1.0))
         partial = math.fsum(math.exp(-m1 * alpha.value(j)) for j in range(1, N + 1))
     return NuclearityCert(space.space_type, nuclear, False, ratio_max, m1,
-                          partial, partial, note="prefix evidence only")
+                          partial, partial)
 
 
 def decay_compensation_constant(space: SpaceSpec, k: int, n_max: int = 10_000) -> float:

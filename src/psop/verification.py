@@ -332,10 +332,10 @@ def inequality_suite(symbols_per_case: int = 50, n_max: int = 256,
                           "tame_hat_finite"),
         sweep_tame_bounds([make_hat_operator(inf_, th) for th in thetas_inf[:20]],
                           "tame_hat_infinite"),
-        sweep_tame_bounds([make_check_operator(inf_, b, c)
-                           for b, c in betas_inf[:20]], "tame_dual_infinite"),
-        sweep_tame_bounds([make_check_operator(fin, b, c)
-                           for b, c in betas_fin[:20]
+        sweep_tame_bounds([make_check_operator(inf_, b)
+                           for b, _ in betas_inf[:20]], "tame_dual_infinite"),
+        sweep_tame_bounds([make_check_operator(fin, b)
+                           for b, _ in betas_fin[:20]
                            if _b_sum_finite(b)], "tame_dual_finite"),
         sweep_partial_sum_weight_bound(),
         sweep_nuclear_decay_bound(),

@@ -373,3 +373,39 @@ def test_matrix_export_of_an_overflowing_float_law_is_a_task_error(tmp_path):
                         "beta": {"geometric": {"c": 1.0, "r": 1.5}}},
            "task": {"type": "classify", "matrix_size": 1800}}
     assert main(["run", write(tmp_path, job), "--out", str(tmp_path / "out")]) == 3
+
+
+def _space_job(space_type, alpha, kind="hat"):
+    job = json.loads(json.dumps(BASE))
+    job["space"] = {"type": space_type, "alpha": alpha}
+    if kind == "check":
+        job["operator"] = {"kind": "check", "beta": {"finite": ["1/2"]}}
+    return job
+
+
+def _orbit_job(task_type, K):
+    return _with_task(type=task_type, K=K, p_grid=[1])
+
+
+@pytest.mark.parametrize("job,code,message", [
+    (_space_job("infinite", {"kind": "root", "degree": 0}), 2, "root degree"),
+    (_space_job("infinite", {"kind": "explicit", "values": [2, 1]}), 2, "decreases"),
+    (_space_job("infinite", {"kind": "explicit", "values": [1, 2],
+                             "extension": "wrap"}), 2, "unknown extension rule"),
+    (_orbit_job("orbit", 0), 2, "task.K"),
+    (_orbit_job("cesaro", 0), 2, "task.K"),
+    (dict(BASE, grid={"tol": 1e-8}), 2, "unknown fields ['tol']"),
+    (_space_job("infinite", {"kind": "explicit", "values": [1, 2, 3],
+                             "extension": None}), 3, "beyond explicit prefix"),
+    (_space_job("finite", {"kind": "explicit", "values": [1, 2, 3],
+                           "extension": None}, "check"), 2, "beyond explicit prefix"),
+], ids=["root_degree_0", "decreasing_values", "extension_wrap", "orbit_K_0",
+        "cesaro_K_0", "grid_tol", "hat_past_explicit_prefix",
+        "check_nuclearity_past_explicit_prefix"])
+def test_invalid_configs_end_in_an_exit_code_without_a_traceback(
+        tmp_path, capsys, job, code, message):
+    assert main(["run", write(tmp_path, job), "--out", str(tmp_path / "out")]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("config error:" if code == 2 else "task error:")
+    assert message in err

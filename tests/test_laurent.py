@@ -11,6 +11,7 @@ from psop import (
     finite_type_space,
     infinite_type_space,
     laurent_coeffs,
+    make_toeplitz_operator,
     rational_symbol,
     symbol_split,
     toeplitz_from_function,
@@ -106,6 +107,7 @@ def test_toeplitz_from_function_disc():
     F = rational_symbol([1], [2, -1], 0.0, 2.0, "disc")
     space = finite_type_space()
     rep = toeplitz_from_function(F, space, 0.9)
+    assert rep.operator == make_toeplitz_operator(space, rep.theta, rep.beta)
     assert rep.verdicts["m_topologizable"].status.value == "holds"
     assert rep.beta.is_zero
     # backward weighted sum reduces to |a_0| e
@@ -116,6 +118,7 @@ def test_toeplitz_from_function_entire_exponential():
     F = blackbox_symbol(lambda z: cmath.exp(1.0 / z), 0.0, math.inf, "entire")
     space = infinite_type_space()
     rep = toeplitz_from_function(F, space, 1.0)
+    assert rep.operator == make_toeplitz_operator(space, rep.theta, rep.beta)
     assert abs(rep.backward_sum - math.e) <= 1e-8
     assert rep.verdicts["m_topologizable"].status.value == "holds"
 

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from psop import (
     Element,
+    ExponentialEnvelope,
     GeometricEnvelope,
     TailUnbounded,
     basis_element,
@@ -26,8 +28,10 @@ from psop import (
     hat_apply,
     hat_column,
     infinite_type_space,
+    log_alpha,
     make_check_operator,
     make_hat_operator,
+    make_toeplitz_operator,
     power_apply,
     root_alpha,
     sampled_symbol,
@@ -38,6 +42,8 @@ from psop import (
 )
 from psop.operators import (
     OperatorContractError,
+    OperatorKind,
+    OperatorSpec,
     add_elements,
     check_column_log_norms,
     hat_column_log_norms,
@@ -212,12 +218,22 @@ def test_commutation_same_kind_only():
 
 
 def test_operator_contract_errors(fin, inf):
+    half = finite_symbol([Fraction(1, 2)])
+    grow = sampled_symbol([1.0, 3.0, 9.0], ExponentialEnvelope(1.0, 1, 1))
     with pytest.raises(OperatorContractError):
         make_hat_operator(fin, geometric_symbol(1, 2))  # not a member
-    grow = __import__("psop").sampled_symbol(
-        [1.0, 3.0, 9.0], __import__("psop").ExponentialEnvelope(1.0, 1, 1))
     with pytest.raises(OperatorContractError):
         make_check_operator(fin, grow)  # growth envelope violates the dual
+    with pytest.raises(OperatorContractError, match="nuclear"):
+        make_check_operator(finite_type_space(log_alpha()), half)
+    with pytest.raises(OperatorContractError, match="theta is not a member"):
+        make_toeplitz_operator(fin, geometric_symbol(1, 2), half)
+    with pytest.raises(OperatorContractError, match="dual membership certificate"):
+        make_toeplitz_operator(fin, half, grow)
+    # what passes the checks is a plain value of kind, space and symbols
+    assert [f.name for f in fields(OperatorSpec)] == ["kind", "space", "theta", "beta"]
+    assert make_toeplitz_operator(fin, half, half) == \
+        OperatorSpec(OperatorKind.TOEPLITZ, fin, theta=half, beta=half)
 
 
 def test_check_apply_enveloped_input_composes(inf):
