@@ -282,7 +282,9 @@ def _exact_correlation(xs: Sequence, bs: Sequence) -> list:
     X, dx = scaled_ints(xs)
     B, db = scaled_ints(bs)
     d = dx * db
-    rev = _int_conv(X[::-1], B, S)   # rev[S - n] = c_n * d
+    # rev[S - n] = c_n * d; b's trailing zeros add no term
+    rev = _int_conv(X[::-1], B[:trimmed_len(B)], S)
+    rev += [0] * (S - len(rev))
     last_x = max((j + 1 for j, v in enumerate(xs) if not isinstance(v, Integral)), default=0)
     first_b = next((i for i, v in enumerate(bs) if not isinstance(v, Integral)), S)
     cut = max(last_x, S - first_b)

@@ -14,9 +14,13 @@ code and its absolute sums come from each symbol kind's closed form.
 Each claim shape has one checker: _powers_within for coefficient envelopes
 of convolution powers, _columns_within for dense column bounds, _abs_at
 for one lifted coefficient, and _circle_form for the two circle-modulus
-rules.  Comparisons at 50 digits pad a bound by one of three named margins;
-the circle-modulus rules take none: they are decided exactly in integers,
-by Sturm's theorem or the sign at one rational point.
+rules.  Convolution powers come from one routine, _conv_powers, which reads
+the symbol once and iterates k upward with one product per step; an exact
+power stays integer numerators over den**k, and _powers_within compares
+each numerator against scale * bound without building a Fraction.
+Comparisons at 50 digits pad a bound by one of three named margins; the
+circle-modulus rules take none: they are decided exactly in integers, by
+Sturm's theorem or the sign at one rational point.
 
 Truncation-then-power equals power-then-truncation exactly for triangular
 matrices; for the mixed Toeplitz kind the leading-block stability is
@@ -25,6 +29,7 @@ asserted by comparing the N and 2N truncations, never assumed.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -236,14 +241,25 @@ def _dense_size(v, N: int, ns) -> tuple[int, list]:
 
 def _powers_within(sym: Symbol, ks, N: int, bound, margin: str) -> bool:
     """The coefficient envelope |sym^{*k}_m| <= bound(k, m) for every k in ks
-    and every m below N that the symbol's window reaches."""
-    return all(a == 0 or _within(a, bound(k, m), margin)
-               for k in ks for m, a in enumerate(_mp_abs_conv_power(sym, k, N)))
+    and every m below N that the symbol's window reaches.  The powers come
+    upward from one read of the symbol, and each entry is compared as its
+    numerator against scale * bound, with no division."""
+    pad = 1 + mpmath.mpf(margin)
+    for k, nums, scale in _conv_powers(sym, N):
+        if k in ks and not all(a == 0 or abs(a) <= scale * (bound(k, m) * pad)
+                               for m, a in enumerate(nums)):
+            return False
+        if k >= max(ks):
+            return True
 
 
 def _decay_target(space, q: int):
-    """m -> e^{-alpha_{m+1}/q}, the finite-type target of power coefficient m."""
-    return lambda m: mpmath.e ** (-mpmath.mpf(space.alpha.value(m + 1)) / q)
+    """m -> e^{-alpha_{m+1}/q}, the finite-type target of power coefficient
+    m, each value computed once per target."""
+    @functools.lru_cache(maxsize=None)
+    def target(m):
+        return mpmath.e ** (-mpmath.mpf(space.alpha.value(m + 1)) / q)
+    return target
 
 
 def _mp_ell1(sym: Symbol):
@@ -290,33 +306,37 @@ def _cleared_ints(vals: Sequence) -> tuple[list, int]:
     return [int(f.numerator) * (den // int(f.denominator)) for f in fr], den
 
 
-def _mp_abs_conv_power(sym: Symbol, k: int, N: int) -> list:
-    """|beta^{*k}| prefix computed independently with exact/high-precision
-    arithmetic (direct nested convolution, no shared code with symbols).
-    Exact symbols convolve denominator-cleared Python ints and divide once
-    per entry; every entry is then a Fraction.  The prefix stops at the
-    symbol's readable window when that is shorter than N: entry m of the
-    power depends only on entries 0..m of the symbol."""
+def _conv_powers(sym: Symbol, N: int):
+    """(k, nums, scale) for k = 1, 2, ...: sym^{*k}_m = nums[m] / scale for
+    every m below N that the symbol's window reaches, and 0 past nums.  An
+    exact symbol is cleared of denominators once (nums are ints, scale is
+    den**k); otherwise nums are 50-digit numbers and scale is 1.  Each power
+    is one direct product with the symbol (no code shared with symbols), and
+    entry m depends only on entries 0..m of the symbol, so the window bounds
+    what is read."""
     N = readable_length(sym, N)
     base = prefix(sym, N)
     exact = _all_exact(base)
     vals, den = _cleared_ints(base) if exact else ([_lift(v, False) for v in base], 1)
     while vals and vals[-1] == 0:
         vals.pop()
-    zero = 0 if exact else mpmath.mpf(0)
-    out = vals
-    for _ in range(k - 1):
-        new = [zero] * min(N, len(out) + len(vals) - 1)
+    out, scale, k = vals, den, 1
+    while True:
+        yield k, out, scale
+        new = [0] * min(N, len(out) + len(vals) - 1)
         for i, a in enumerate(out):
             if a == 0:
                 continue
             for j, b in enumerate(vals[:len(new) - i]):
                 new[i + j] += a * b
-        out = new
-    if not exact:
-        return [abs(v) for v in out]
-    scale = den ** k
-    return [Fraction(abs(v), scale) for v in out] + [Fraction(0)] * (N - len(out))
+        out, scale, k = new, scale * den, k + 1
+
+
+def _abs_entry(nums: list, scale: int, m: int):
+    """|entry m| of a power from _conv_powers: a Fraction when exact, else a
+    50-digit number."""
+    a = abs(nums[m]) if m < len(nums) else 0
+    return Fraction(a, scale) if isinstance(a, int) else a
 
 
 # ---------------------------------------------------------------------------
@@ -550,11 +570,11 @@ def _replay_fin_top(v, params):
     sup = v.beta.bounded_support()
     if sup is None or sup > s:
         return False
-    for k in (2, 3):
-        absck = _mp_abs_conv_power(v.beta, k, k * s + 4)
-        if any(a != 0 for a in absck[k * (s - 1) + 1:]):
+    for k, nums, _ in _conv_powers(v.beta, 3 * s + 4):
+        if k >= 2 and any(a != 0 for a in nums[k * (s - 1) + 1:]):
             return False
-    return True
+        if k == 3:
+            return True
 
 
 @replayer("dual_delta_contraction")
@@ -575,19 +595,20 @@ def _replay_dual_growth(v, params):
     if params["form"] == "beta0_power":
         if not b0 > 1:
             return False
-        probe = _mp_abs_conv_power(v.beta, 3, n + 1)
-        return _num(probe[n - 1]) >= b0 ** 3 * (1 - tight)
+        _, nums, scale = next(p for p in _conv_powers(v.beta, n + 1) if p[0] == 3)
+        return _num(_abs_entry(nums, scale, n - 1)) >= b0 ** 3 * (1 - tight)
     # k-linear growth at the first positive support index j = n - 1
     j = n - 1
     bj = _abs_at(v.beta, j)
     if bj == 0 or _num(abs(b0 - 1)) > tight:
         return False
-    for k in (2, 5):
-        probe = _mp_abs_conv_power(v.beta, k, j + 1)
+    for k, nums, scale in _conv_powers(v.beta, j + 1):
         expected = k * bj
-        if abs(_num(probe[j]) - expected) > tight * max(1, expected):
+        if k in (2, 5) and abs(_num(_abs_entry(nums, scale, j)) - expected) > \
+                tight * max(1, expected):
             return False
-    return True
+        if k == 5:
+            return True
 
 
 @replayer("dual_fixed_index_floor")

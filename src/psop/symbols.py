@@ -6,9 +6,13 @@ dominating envelope.  Every entry (and c, r) must be a number; anything else
 raises TypeError at construction.  Convolution is exact (rational) when both
 inputs are finite lists with rational entries and floating otherwise; the
 exact path clears each input's denominators once, sums Python ints and
-builds one Fraction per output entry.  Geometric symbols keep exact closed
-forms for their absolute sums, which is what the boundary cases of the
-classifiers need.
+builds one Fraction per output entry.  An exact finite power that fits the
+truncation is carried the same way: integer numerators over d**k, d the
+base's common denominator, with Fractions built only for the result; every
+other power (float, geometric or sampled base, or an exact one cut by the
+truncation) is the ConvPowerTable chain of convolve calls.  Geometric
+symbols keep exact closed forms for their absolute sums, which is what the
+boundary cases of the classifiers need.
 
 The membership convention embeds a symbol s into a space as the element
 x_n = s_{n-1} (the image of the first basis vector under the associated
@@ -545,7 +549,8 @@ def convolve(a: Symbol, b: Symbol, N: int) -> Symbol:
 @dataclass
 class ConvPowerTable:
     """Cache of truncated convolution powers of one symbol (powers fill on
-    demand)."""
+    demand), each from the previous one by convolve: the chain for float,
+    geometric and sampled bases and for exact powers cut by the truncation."""
 
     base: Symbol
     truncation: int
@@ -564,27 +569,62 @@ class ConvPowerTable:
         return out
 
 
+def _power_by(x, k: int, mul, binary: bool):
+    """x^k under the product mul: k - 1 products upward, or square-and-multiply
+    (floor(log2 k) + popcount(k) - 1 products) when binary."""
+    if not binary:
+        out = x
+        for _ in range(k - 1):
+            out = mul(out, x)
+        return out
+    out, e = None, k
+    while e:
+        if e & 1:
+            out = x if out is None else mul(out, x)
+        e >>= 1
+        if e:
+            x = mul(x, x)
+    return out
+
+
+def _exact_power(a: Symbol, k: int, N: int, binary: bool) -> Optional[Symbol]:
+    """a^{*k} for k >= 2 when a is an exact finite symbol of support s whose
+    power fits the truncation, k (s - 1) + 1 <= N; None otherwise.  The
+    entries are integer numerators over d**k, d the least common denominator
+    of a, with one Fraction built per output entry."""
+    if k < 2 or N < 1 or a.kind is not SymbolKind.FINITE or not a.is_exact:
+        return None
+    s = a.bounded_support()
+    if k * (s - 1) + 1 > N:
+        return None
+    if s == 0:
+        return zero_symbol()
+    ints, d = scaled_ints(a.entries[:s])
+    out = _power_by(ints, k, lambda u, v: _int_conv(u, v, N), binary)
+    scale = d ** k
+    # a list first: tuple() of a generator grows its tuple by repeated
+    # resizes, which left the process's peak RSS climbing over repeated calls
+    return Symbol(SymbolKind.FINITE, entries=tuple([Fraction(v, scale) for v in out]))
+
+
 def conv_power(a: Symbol, k: int, N: int) -> Symbol:
-    """k-fold convolution power via iterated convolve."""
-    return ConvPowerTable(a, N).power(k)
+    """k-fold convolution power: integer numerators over d**k for an exact
+    finite a whose power fits below N, else the ConvPowerTable chain."""
+    out = _exact_power(a, k, N, binary=False)
+    return out if out is not None else ConvPowerTable(a, N).power(k)
 
 
 def conv_power_binary(a: Symbol, k: int, N: int) -> Symbol:
-    """Square-and-multiply variant; agrees with conv_power exactly on the
-    truncation because truncated convolution is associative prefix-wise."""
+    """Square-and-multiply variant of conv_power, in integers over d**k where
+    conv_power is and by convolve otherwise; agrees with conv_power exactly
+    on the truncation because truncated convolution is associative
+    prefix-wise."""
     if k < 1:
         raise ValueError("powers start at k = 1")
-    result: Optional[Symbol] = None
-    sq = a
-    e = k
-    while e:
-        if e & 1:
-            result = sq if result is None else convolve(result, sq, N)
-        e >>= 1
-        if e:
-            sq = convolve(sq, sq, N)
-    assert result is not None
-    return result
+    out = _exact_power(a, k, N, binary=True)
+    if out is None:
+        out = _power_by(a, k, lambda u, v: convolve(u, v, N), binary=True)
+    return out
 
 
 # ---------------------------------------------------------------------------

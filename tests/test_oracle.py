@@ -37,7 +37,7 @@ from psop import oracle
 from psop.classify import GridParams, _propagate_hierarchy
 from psop.operators import make_check_operator
 from psop.spaces import infinite_type_space
-from psop.oracle import _mp_abs_conv_power, column, leading_block
+from psop.oracle import _abs_entry, _conv_powers, column, leading_block
 from psop.symbols import prefix
 
 
@@ -196,7 +196,7 @@ def test_implied_by_rules_replay_through_the_inner_rule(fin, inf):
                 replay_verdict(replace(v, certificate=cert))
 
 
-# -- the exact branch of _mp_abs_conv_power against the nested Fraction loop --
+# -- the exact branch of _conv_powers against the nested Fraction loop -------
 
 
 def _abs_conv_power_scalar(sym, k, N):
@@ -227,9 +227,14 @@ def _abs_conv_power_scalar(sym, k, N):
     sampled_symbol([Fraction(1, 2), Fraction(-1, 3), Fraction(1, 5)], extension="zero"),
 ], ids=lambda s: s.describe())
 def test_mp_abs_conv_power_matches_nested_fraction_loop(sym):
+    """|beta^{*k}| as the oracle reads it off _conv_powers (_abs_entry of each
+    numerator over its scale), against the nested Fraction loop."""
     for N in (1, 2, 7, 40):
-        for k in (1, 2, 3, 5):
-            got = _mp_abs_conv_power(sym, k, N)
+        powers = _conv_powers(sym, N)
+        for k in range(1, 6):
+            k_got, nums, scale = next(powers)
+            assert k_got == k and all(type(a) is int for a in nums)
+            got = [_abs_entry(nums, scale, m) for m in range(N)]
             want = _abs_conv_power_scalar(sym, k, N)
             assert [(type(v), v) for v in got] == [(type(v), v) for v in want]
 
@@ -411,7 +416,8 @@ def test_young_envelope_replays_on_a_window_shorter_than_the_spot_check(inf, val
     assert top.certificate.rule == "implied_by_m_topologizable"
     assert replay_verdict(mtop) is True
     assert replay_verdict(top) is True
-    assert len(_mp_abs_conv_power(beta, 2, 40)) == 3
+    _, nums, _ = next(p for p in _conv_powers(beta, 40) if p[0] == 2)
+    assert len(nums) == 3
 
 
 def _string_leaves(node) -> set:
@@ -559,6 +565,32 @@ def test_powers_within_rejects_a_tightened_envelope(fin):
 
     assert replay_verdict(with_d(tightest * (1 + Fraction(1, 10 ** 6)))) is True
     assert replay_verdict(with_d(tightest * (1 - Fraction(1, 10 ** 6)))) is False
+
+
+@pytest.mark.parametrize("beta", [
+    finite_symbol([Fraction(1, 3), Fraction(-2, 5), Fraction(1, 7), Fraction(3, 8)]),
+    geometric_symbol(Fraction(3, 7), Fraction(-5, 11)),
+    finite_symbol([0.3, -0.45, 0.2, 0.1]),
+], ids=["rational", "geometric", "float"])
+def test_powers_within_rejects_a_bound_just_under_one_power(beta):
+    """With ks = (1, 2, 4), a bound just under max_m |beta^{*4}_m| at k = 4,
+    or just under max_m |beta^{*2}_m| at k = 2 alone, fails the claim, on
+    integer numerators (a rational and a geometric beta, whose denominators
+    grow to hundreds of bits) and on the 50-digit path (a float beta)."""
+    N, eps = 24, Fraction(1, 10 ** 20)
+    peak = {k: max(_abs_conv_power_scalar(beta, k, N)) for k in (1, 2, 4)}
+
+    def bound_under(at):
+        def bound(k, m):
+            c = peak[k] * (1 - eps if k == at else 1 + eps)
+            return mpmath.mpf(c.numerator) / c.denominator
+        return bound
+
+    with mpmath.workdps(50):
+        assert oracle._powers_within(beta, (1, 2, 4), N, bound_under(None), oracle._TIGHT)
+        for at in (4, 2):
+            assert not oracle._powers_within(beta, (1, 2, 4), N, bound_under(at),
+                                             oracle._TIGHT)
 
 
 def test_columns_within_rejects_a_tightened_column_bound(inf):

@@ -4,10 +4,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import psop
+import psop.symbols as symbols_module
 from psop import (
     ExponentialEnvelope,
     GeometricEnvelope,
@@ -360,6 +361,80 @@ def test_exact_convolve_and_powers_match_nested_fraction_sums(xs, ys, N):
             break
         want = _conv_scalar(want, tb, N)
         assert _typed(conv_power(b, k, N).entries) == _typed(want)
+
+
+def _convolve_chain(b, k, N, binary):
+    """b^{*k} by convolve alone: k - 1 products upward, or square-and-multiply."""
+    if not binary:
+        out = b
+        for _ in range(k - 1):
+            out = convolve(out, b, N)
+        return out
+    out, sq = None, b
+    while k:
+        if k & 1:
+            out = sq if out is None else convolve(out, sq, N)
+        k >>= 1
+        if k:
+            sq = convolve(sq, sq, N)
+    return out
+
+
+@given(st.lists(st.one_of(st.just(0), st.integers(-6, 6), rationals), max_size=8),
+       st.integers(1, 8), st.integers(-3, 12))
+@example([0, 2, -1, 3, 0, 0], 4, 0)           # int-only, zeros at both ends, exact fit
+@example([Fraction(1, 2), 0, Fraction(-1, 3)], 3, -1)   # one index past the fit
+@example([0, 0], 5, 0)                        # a zero symbol
+@example([Fraction(3, 2)], 8, 0)              # support 1 fits every N
+@settings(max_examples=150, deadline=None)
+def test_exact_powers_in_integers_match_nested_sums_and_the_chain(xs, k, offset):
+    """Where the power of an exact finite symbol fits, k (s - 1) + 1 <= N,
+    conv_power and conv_power_binary equal the nested Fraction sums, types
+    included; one index past the fit and beyond, they are the convolve chain
+    in kind, entries and envelope."""
+    b = finite_symbol(xs)
+    s = b.bounded_support()
+    N = max(1, k * (s - 1) + 1 + offset)
+    tb = xs[:s]
+    want = tb
+    for _ in range(k - 1):
+        want = _conv_scalar(want, tb, N)
+    for binary, power in ((False, conv_power), (True, conv_power_binary)):
+        got = power(b, k, N)
+        if k == 1:
+            assert got is b
+        elif k * (s - 1) + 1 <= N:
+            assert got.kind is SymbolKind.FINITE and _typed(got.entries) == _typed(want)
+        else:
+            chain = _convolve_chain(b, k, N, binary)
+            assert (got.kind, got.envelope, got.support_len) == \
+                (chain.kind, chain.envelope, chain.support_len)
+            assert _typed(got.entries) == _typed(chain.entries)
+
+
+def test_exact_powers_count_integer_products_not_convolutions(monkeypatch):
+    """An exact finite power that fits makes no convolve call: k - 1 integer
+    products for conv_power, floor(log2 k) + popcount(k) - 1 for
+    conv_power_binary."""
+    calls = {"convolve": 0, "_int_conv": 0}
+
+    def count(name):
+        real = getattr(symbols_module, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(symbols_module, name, counted)
+
+    count("convolve")
+    count("_int_conv")
+    a = finite_symbol([Fraction(1, 2), Fraction(-1, 3), 0, Fraction(2, 5), 1,
+                       Fraction(1, 7), 0, Fraction(3, 4)])
+    conv_power(a, 8, 64)
+    assert calls == {"convolve": 0, "_int_conv": 7}
+    calls["_int_conv"] = 0
+    conv_power_binary(a, 7, 64)
+    assert calls == {"convolve": 0, "_int_conv": 4}
 
 
 # -- what a sampled symbol says past its stored values ----------------------
