@@ -488,20 +488,49 @@ def _dual_log_ratios(space: SpaceSpec, beta: Symbol, K: int, n_max: int,
     """L[k-1, q-1] = log sup_{n <= n_max} |beta^{*k}_{n-1}| / target_q(n) for
     k <= K and q <= Q.
 
-    The (Q, n_max) block of log targets is built once and each power takes
-    one reduction over it.  Its entries are the products and quotients a
-    per-q loop computes, so L is bit-identical to that loop's."""
+    The powers' magnitudes fill one (K, n_max) array, row k from row k - 1
+    by np.convolve with beta's float prefix, on the lengths convolve reads
+    in a ConvPowerTable chain, so every entry has the chain's bits.  With s
+    the support of beta and t that of power k - 1 (None when unbounded),
+    the product keeps m = min(n_max, t + s - 1) entries, reading min(m, t)
+    of the previous row and min(m, s) of beta; power k's support is the
+    trimmed length of the product when t + s - 1 <= n_max, and t + s - 1
+    (or None) otherwise.  A zero support makes every later row zero.
+
+    The columns past the last nonzero entry of every row are dropped before
+    the reduction: there each row holds log 0 = -inf, and -inf minus a
+    finite log target is -inf, which no maximum takes over a kept column
+    (a row that is zero on every kept column is -inf either way).  L is
+    then reduced one q at a time over the (K, kept) block."""
     alpha_n = space.alpha.block(1, n_max)
     qs = np.arange(1, Q + 1)[:, None]
     log_targets = -alpha_n / qs if space.is_finite_type else qs * alpha_n
-    table = ConvPowerTable(float_symbol(beta), n_max)
+    base = float_symbol(beta)
+    s = base.bounded_support()
+    mags = np.zeros((K, n_max))
+    row = float_prefix(base, readable_length(base, n_max))
+    mags[0, :len(row)] = np.abs(row)
+    t = s
+    for k in range(1, K):
+        if t == 0:
+            break
+        full = t + s - 1 if t is not None and s is not None else None
+        m = n_max if full is None else min(n_max, full)
+        la = m if t is None else min(m, t)
+        # the first power is beta itself, read at la the way convolve reads it
+        prev = float_prefix(base, la) if k == 1 else row[:la]
+        row = np.convolve(prev, float_prefix(base, m if s is None else min(m, s)))[:m]
+        mags[k, :m] = np.abs(row)
+        if full is not None and full <= n_max:
+            nonzero = np.flatnonzero(row)
+            t = int(nonzero[-1]) + 1 if nonzero.size else 0
+        else:
+            t = full
+    columns = np.flatnonzero(mags.any(axis=0))
+    logs = log_nonneg(mags[:, :int(columns[-1]) + 1 if columns.size else 1])
     L = np.empty((K, Q))
-    for k in range(1, K + 1):
-        pk = table.power(k)
-        a = np.abs(float_prefix(pk, readable_length(pk, n_max)))
-        if len(a) < n_max:
-            a = np.pad(a, (0, n_max - len(a)))
-        L[k - 1] = np.max(log_nonneg(a) - log_targets, axis=1)
+    for j in range(Q):
+        L[:, j] = np.max(logs - log_targets[j, :logs.shape[1]], axis=1)
     return L
 
 
@@ -512,11 +541,10 @@ def _dual_evidence(space: SpaceSpec, beta: Symbol, grid: GridParams) -> dict:
     n_max = readable_length(beta, max(8, grid.N))
     q_list = list(range(1, grid.Q + 1))
     L = _dual_log_ratios(space, beta, K, n_max, grid.Q)
-    q_k = []
-    cap = math.log(1e12)
-    for k in range(K):
-        qs = [q_list[j] for j in range(len(q_list)) if L[k, j] <= cap]
-        q_k.append(qs[0] if qs else None)
+    # q_k: the first q with L_{k,q} <= log 1e12, or None
+    within = L <= math.log(1e12)
+    q_k = [int(j) + 1 if hit else None
+           for j, hit in zip(within.argmax(axis=1), within.any(axis=1))]
     # geometric-constant fit at the largest workable q
     jq = len(q_list) - 1
     lk = L[:, jq]

@@ -705,24 +705,37 @@ class DualCheckResult:
     max_log_excess: float   # max over n of log|beta_{n-1}| - log bound(n)
 
 
+def _dual_bounds(beta, N: int) -> list:
+    """b_{n-1} for n = 1..N with |b_{n-1}| >= |beta_{n-1}|: the exact
+    coefficients on the readable window, the envelope values past it (inf
+    where no envelope covers them).  One read of beta, by prefix and
+    abs_upper_prefix, for dual_certificate_check and fit_dual_certificate;
+    a window entry too large for a float (abs_upper_prefix floats the
+    window) sends the envelope values to coeff_abs_upper, index by index."""
+    # local import to keep module layering acyclic
+    from .symbols import abs_upper_prefix, prefix, readable_length
+
+    W = readable_length(beta, N)
+    bounds = prefix(beta, W)
+    if W < N:
+        try:
+            bounds += abs_upper_prefix(beta, N)[W:].tolist()
+        except OverflowError:
+            bounds += [beta.coeff_abs_upper(i) for i in range(W, N)]
+    return bounds
+
+
 def dual_certificate_check(space: SpaceSpec, beta, cert: DualCertificate,
                            N: int) -> DualCheckResult:
     """Verify the certificate inequality for n = 1..N (symbol indexed from 0),
     up to a relative slack of 1e-12: on exact values inside the readable
     window, on the envelope beyond it (the bounds fit_dual_certificate fits)."""
-    # local import to keep module layering acyclic
-    from .symbols import abs_upper_prefix, prefix, readable_length
-
     if N < 1:
         raise ValueError("need N >= 1")
-    W = readable_length(beta, N)
-    bounds = prefix(beta, W)
-    if W < N:
-        bounds += abs_upper_prefix(beta, N)[W:].tolist()
     witness = None
     worst = NEG_INF
     slack = math.log1p(1e-12)
-    for n, b in enumerate(bounds, 1):
+    for n, b in enumerate(_dual_bounds(beta, N), 1):
         excess = log_abs(b) - cert.log_bound(space, n)
         worst = max(worst, excess)
         if excess > slack and witness is None:
@@ -740,9 +753,9 @@ def fit_dual_certificate(space: SpaceSpec, beta, N: int = 512) -> Optional[DualC
     # (alpha_n, log of the upper bound of |beta_{n-1}|) for n = 1..N where that
     # bound is positive, read once for every m0
     log_bounds = []
-    for n in range(1, N + 1):
-        a, b = space.alpha.value(n), beta.coeff_abs_upper(n - 1)
-        if b > 0:
+    for n, b in enumerate(_dual_bounds(beta, N), 1):
+        a = space.alpha.value(n)
+        if abs(b) > 0:
             log_bounds.append((a, log_abs(b)))
     for m0 in range(1, 33):
         # beyond N the per-index excess env(n)/target(n) must be nonincreasing,

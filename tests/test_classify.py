@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psop import (
     GridParams,
@@ -32,10 +34,16 @@ from psop import (
     strongly_tame_probe,
     zero_symbol,
 )
-from psop.classify import _dual_log_ratios
+from psop import symbols
+from psop.classify import _dual_evidence, _dual_log_ratios
 from psop.numerics import log_nonneg
 from psop.operators import OperatorContractError, hat_column_log_norms
-from psop.spaces import GeometricEnvelope, TailUnbounded, infinite_type_space
+from psop.spaces import (
+    ExponentialEnvelope,
+    GeometricEnvelope,
+    TailUnbounded,
+    infinite_type_space,
+)
 from psop.symbols import ConvPowerTable, float_prefix, float_symbol, readable_length
 
 GRID = GridParams()
@@ -400,11 +408,12 @@ def test_mean_ergodic_probe_complex_toeplitz_matches_hat(fin, small_grid):
         assert abs(got[p][1] - ratio) <= 1e-12
 
 
-# -- _dual_log_ratios against the per-q loop it replaced --------------------
+# -- _dual_log_ratios against the power chain and per-q loop it replaced ----
 
 
 def _dual_log_ratios_per_q(space, beta, K, n_max, Q):
-    """One reduction per (k, q), as _dual_evidence computed L before."""
+    """The powers from a ConvPowerTable chain and one reduction per (k, q),
+    as _dual_evidence computed L before."""
     alpha_n = space.alpha.block(1, n_max)
     table = ConvPowerTable(float_symbol(beta), n_max)
     L = np.full((K, Q), -math.inf)
@@ -434,6 +443,107 @@ def test_dual_log_ratios_bit_identical_to_per_q_loop(fin, inf, space_type, beta)
     n_max = readable_length(beta, 48)
     got = _dual_log_ratios(space, beta, 12, n_max, 9)
     assert got.tobytes() == _dual_log_ratios_per_q(space, beta, 12, n_max, 9).tobytes()
+
+
+def _sampled_under(units, r, support, extra):
+    """A sampled beta dominated by GeometricEnvelope(1, r): beta_i = u_i r**i
+    with |u_i| <= 1, with a gap past the window ("gap"), a support bound past
+    it ("support"), one inside it ("inside") or the zero extension."""
+    values = [u * r ** i for i, u in enumerate(units)]
+    env = GeometricEnvelope(1.0, r)
+    if support == "gap":
+        return sampled_symbol(values, env)
+    if support == "support":
+        return sampled_symbol(values, env, support_len=len(values) + extra)
+    if support == "inside":
+        return sampled_symbol(values, env, support_len=extra % (len(values) + 1))
+    return sampled_symbol(values, env, extension="zero")
+
+
+_PAD = st.integers(0, 3)
+_DUAL_BETAS = st.one_of(
+    # finite rational, with leading and trailing zeros
+    st.builds(lambda lead, body, trail: finite_symbol([0] * lead + body + [0] * trail),
+              _PAD, st.lists(st.fractions(-2, 2, max_denominator=16), min_size=1,
+                             max_size=12), _PAD),
+    st.lists(st.integers(-3, 3), min_size=1, max_size=12).map(finite_symbol),
+    # tails that underflow in the powers
+    st.sampled_from([[1, 1e-200, 1e-200], [1e-200], [0.5, 1e-300],
+                     [1, 1e-160, 0, 1e-160]]).map(finite_symbol),
+    # complex entries, also after real leading ones
+    st.builds(lambda reals, zs: finite_symbol(reals + zs),
+              st.lists(st.floats(-1, 1), max_size=4),
+              st.lists(st.complex_numbers(max_magnitude=1), min_size=1, max_size=4)),
+    st.builds(geometric_symbol, st.sampled_from([Fraction(3, 4), 1, 0.5, -2]),
+              st.sampled_from([Fraction(1, 2), Fraction(-3, 4), 0.9,
+                               Fraction(3, 2), 1.25, -1.1])),
+    st.builds(_sampled_under, st.lists(st.floats(-1, 1), min_size=1, max_size=40),
+              st.sampled_from([0.3, 0.5, 0.9]),
+              st.sampled_from(["gap", "support", "inside", "zero"]), st.integers(1, 30)),
+    st.just(zero_symbol()),
+)
+
+
+@given(_DUAL_BETAS, st.sampled_from(["finite", "infinite", "root"]),
+       st.sampled_from([8, 64, 256]), st.sampled_from([1, 9, 32]))
+@settings(max_examples=80, deadline=None)
+def test_dual_log_ratios_bit_identical_to_the_power_chain(beta, space_type, n, Q):
+    """L from the array sweep equals, byte for byte, L from the
+    ConvPowerTable chain at K = 64; q_k equals the per-row reading of it."""
+    space = {"finite": finite_type_space(), "infinite": infinite_type_space(),
+             "root": finite_type_space(root_alpha(2))}[space_type]
+    n_max = readable_length(beta, n)
+    want = _dual_log_ratios_per_q(space, beta, 64, n_max, Q)
+    assert _dual_log_ratios(space, beta, 64, n_max, Q).tobytes() == want.tobytes()
+    ev = _dual_evidence(space, beta, GridParams(N=n, K=64, P=1, Q=Q))
+    cap = math.log(1e12)
+    q_k = []
+    for k in range(64):
+        qs = [q for q in range(1, Q + 1) if want[k, q - 1] <= cap]
+        q_k.append(qs[0] if qs else None)
+    assert ev["q_k"] == q_k
+
+
+@pytest.mark.parametrize("beta", [finite_symbol([Fraction(1, 2), Fraction(-1, 4), 1]),
+                                  geometric_symbol(Fraction(3, 4), Fraction(1, 2))],
+                         ids=lambda s: s.describe())
+def test_dual_log_ratios_builds_no_symbol_power(inf, monkeypatch, beta):
+    calls = {"power": 0, "convolve": 0}
+    power, convolve = symbols.ConvPowerTable.power, symbols.convolve
+
+    def counted_power(self, k):
+        calls["power"] += 1
+        return power(self, k)
+
+    def counted_convolve(a, b, N):
+        calls["convolve"] += 1
+        return convolve(a, b, N)
+
+    monkeypatch.setattr(symbols.ConvPowerTable, "power", counted_power)
+    monkeypatch.setattr(symbols, "convolve", counted_convolve)
+    L = _dual_log_ratios(inf, beta, 64, 256, 32)
+    assert np.isfinite(L).all()
+    assert calls == {"power": 0, "convolve": 0}
+
+
+@pytest.mark.parametrize("space_type, env", [
+    ("infinite", ExponentialEnvelope(1.0, 1, 1)),
+    ("finite", ExponentialEnvelope(1.0, 2, -1)),
+])
+def test_check_with_an_exponential_envelope_is_classified_past_the_truncation(
+        fin, inf, small_grid, space_type, env):
+    """A sampled beta with a known support and an exponential envelope: the
+    power chain cut at N composes the envelope, which the convolution
+    rules cannot, and raises; the sweep reads only the powers' values."""
+    space = inf if space_type == "infinite" else fin
+    beta = sampled_symbol([Fraction(1, 2 ** (i + 1)) for i in range(8)], env,
+                          extension="zero")
+    with pytest.raises(TailUnbounded):
+        ConvPowerTable(float_symbol(beta), small_grid.N).power(small_grid.K)
+    out = classify_check_all(space, beta, small_grid)
+    assert all(v.status is Status.HOLDS for v in out.values())
+    for v in out.values():
+        assert replay_verdict(v)
 
 
 def test_short_sampled_beta_is_classified_inside_its_window(inf):

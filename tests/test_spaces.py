@@ -24,6 +24,7 @@ from psop import (
     stability_constant,
     weight,
 )
+from psop.numerics import NEG_INF, exp_guarded, log_abs
 from psop.spaces import (
     ExponentialEnvelope,
     convolve_finite,
@@ -37,7 +38,14 @@ from psop.spaces import (
     geometric_tail_sum,
     tail_majorant,
 )
-from psop.symbols import delta_symbol, finite_symbol, geometric_symbol, sampled_symbol
+from psop.symbols import (
+    Symbol,
+    delta_symbol,
+    finite_symbol,
+    geometric_symbol,
+    sampled_symbol,
+    symbol_envelope,
+)
 
 
 def test_weight_examples(fin, inf):
@@ -235,6 +243,99 @@ PINNED_FITS = [
 def test_fit_dual_certificate_values_are_pinned(space, beta, want):
     cert = fit_dual_certificate(FIT_SPACES[space], FIT_BETAS[beta])
     assert (None if cert is None else (repr(cert.c0), cert.m0)) == want
+
+
+def _fit_per_index(space, beta, N):
+    """fit_dual_certificate as it read beta before: one coeff_abs_upper call
+    per index."""
+    env = symbol_envelope(beta)
+    log_bounds = []
+    for n in range(1, N + 1):
+        a, b = space.alpha.value(n), beta.coeff_abs_upper(n - 1)
+        if b > 0:
+            log_bounds.append((a, log_abs(b)))
+    for m0 in range(1, 33):
+        if isinstance(env, GeometricEnvelope) and env.ratio > 0:
+            if not space.is_finite_type:
+                step = -m0 * space.alpha.increment_lower(N)
+            else:
+                step = space.alpha.increment_upper(N) / m0
+            if math.log(env.ratio) + step > 0:
+                continue
+        elif isinstance(env, ExponentialEnvelope):
+            if (env.sign > 0) == space.is_finite_type or env.grade > m0:
+                continue
+        log_c0 = NEG_INF
+        for a, log_b in log_bounds:
+            rate = m0 * a if not space.is_finite_type else -a / m0
+            log_c0 = max(log_c0, log_b - rate)
+        if log_c0 == NEG_INF:
+            return DualCertificate(1e-300, m0)
+        c0 = exp_guarded(log_c0 + 1e-12)
+        if math.isfinite(c0):
+            return DualCertificate(c0, m0)
+    return None
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (TailUnbounded, ValueError) as e:
+        return type(e)
+
+
+_REALS = st.floats(-2, 2)
+_FIT_BETAS = st.one_of(
+    st.lists(st.fractions(-3, 3, max_denominator=64), max_size=12).map(finite_symbol),
+    st.builds(geometric_symbol,
+              st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=16), _REALS),
+              st.one_of(st.integers(-2, 2), st.fractions(-2, 2, max_denominator=16), _REALS)),
+    st.lists(st.complex_numbers(max_magnitude=2), min_size=1, max_size=8).map(finite_symbol),
+    # a gap past the window under a geometric, an exponential or no envelope
+    st.builds(lambda units, env: sampled_symbol(
+                  [u * 0.5 ** i for i, u in enumerate(units)], env),
+              st.lists(st.floats(-1, 1), min_size=1, max_size=20),
+              st.sampled_from([GeometricEnvelope(1.0, 0.5), ExponentialEnvelope(1.0, 1, 1),
+                               ExponentialEnvelope(1.0, 2, -1), None])),
+)
+
+
+@given(_FIT_BETAS, st.booleans(), st.sampled_from([64, 256, 512]))
+@settings(max_examples=120, deadline=None)
+def test_fit_dual_certificate_equals_the_per_index_read(beta, finite_type, N):
+    space = finite_type_space() if finite_type else infinite_type_space()
+    got = _outcome(fit_dual_certificate, space, beta, N)
+    want = _outcome(_fit_per_index, space, beta, N)
+    if isinstance(want, DualCertificate):
+        assert isinstance(got, DualCertificate)
+        assert (got.c0.hex(), got.m0) == (want.c0.hex(), want.m0)
+    else:
+        assert got == want
+
+
+@pytest.mark.parametrize("beta", [finite_symbol([Fraction(1, 2), Fraction(-1, 4), 1]),
+                                  geometric_symbol(Fraction(3, 4), Fraction(1, 2))],
+                         ids=lambda s: s.describe())
+def test_fit_dual_certificate_reads_no_coefficient_one_at_a_time(monkeypatch, beta):
+    calls = []
+    upper = Symbol.coeff_abs_upper
+
+    def counted(self, i):
+        calls.append(i)
+        return upper(self, i)
+
+    monkeypatch.setattr(Symbol, "coeff_abs_upper", counted)
+    assert fit_dual_certificate(infinite_type_space(), beta, 256) is not None
+    assert calls == []
+
+
+def test_dual_bounds_survive_a_window_entry_too_large_for_a_float(inf):
+    """An entry past the float range on the window: the fit still reads the
+    envelope values past it, and the check reports instead of overflowing."""
+    beta = sampled_symbol([Fraction(10) ** 400, Fraction(1, 2)], ExponentialEnvelope(1.0, 1, 1))
+    assert fit_dual_certificate(inf, beta, 64) is None
+    res = dual_certificate_check(inf, beta, DualCertificate(1.0, 1), 64)
+    assert not res.passed and res.witness == 1
 
 
 def test_decay_compensation_constant_linear(fin):
