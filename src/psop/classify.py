@@ -23,12 +23,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .numerics import NEG_INF, exp_guarded, log_nonneg
+from .numerics import NEG_INF, exp_guarded, log_nonneg, sum_exp_rows
 from .operators import (
     Element,
     OperatorContractError,
     OperatorKind,
     OperatorSpec,
+    _NORM_WINDOW,
     _float_element,
     check_column_log_norms,
     compute_orbit,
@@ -51,6 +52,7 @@ from .symbols import (
     coeff,
     ell1_norm,
     finite_symbol,
+    float_power_rows,
     float_prefix,
     float_symbol,
     is_rational,
@@ -398,13 +400,15 @@ def classify_hat_power_bounded_infinite(space: SpaceSpec, theta: Symbol,
     K = min(grid.K, 64)
     sup = theta.bounded_support()
     trunc = max(grid.N, K * max((sup or 1) - 1, 1) + 1)
-    table = ConvPowerTable(float_symbol(theta), trunc)
-    log_norms = np.full((K, grid.P), NEG_INF)
-    for k in range(1, K + 1):
-        pk = table.power(k)
-        for j, p in enumerate(range(1, grid.P + 1)):
-            lo, _ = symbol_log_norm_bounds(space, pk, p)
-            log_norms[k - 1, j] = lo
+    # the first power's norms are symbol_log_norm_bounds' (its tail's errors too); a
+    # cut later power is summed on the _NORM_WINDOW coefficients that function reads
+    grades = range(1, grid.P + 1)
+    first = [symbol_log_norm_bounds(space, float_symbol(theta), p)[0] for p in grades]
+    mags, windows = float_power_rows(theta, K, trunc)
+    logs = log_nonneg(mags[1:])
+    logs[np.isfinite(windows[1:]), _NORM_WINDOW:] = NEG_INF
+    rest = [sum_exp_rows(logs + space.log_weights(1, logs.shape[1], p)) for p in grades]
+    log_norms = np.vstack([first, np.stack(rest, axis=1)])
     ratios = log_norms[1:] - log_norms[:-1]
     top = ratios[ratios.shape[0] // 2:]
     median_ratio = np.exp(np.median(top, axis=0))
@@ -488,46 +492,13 @@ def _dual_log_ratios(space: SpaceSpec, beta: Symbol, K: int, n_max: int,
     """L[k-1, q-1] = log sup_{n <= n_max} |beta^{*k}_{n-1}| / target_q(n) for
     k <= K and q <= Q.
 
-    The powers' magnitudes fill one (K, n_max) array, row k from row k - 1
-    by np.convolve with beta's float prefix, on the lengths convolve reads
-    in a ConvPowerTable chain, so every entry has the chain's bits.  With s
-    the support of beta and t that of power k - 1 (None when unbounded),
-    the product keeps m = min(n_max, t + s - 1) entries, reading min(m, t)
-    of the previous row and min(m, s) of beta; power k's support is the
-    trimmed length of the product when t + s - 1 <= n_max, and t + s - 1
-    (or None) otherwise.  A zero support makes every later row zero.
-
-    The columns past the last nonzero entry of every row are dropped before
-    the reduction: there each row holds log 0 = -inf, and -inf minus a
-    finite log target is -inf, which no maximum takes over a kept column
-    (a row that is zero on every kept column is -inf either way).  L is
-    then reduced one q at a time over the (K, kept) block."""
+    The powers' magnitudes are float_power_rows on at most n_max columns,
+    which end at the last nonzero one: past it every row is log 0 = -inf,
+    which no maximum takes.  L is reduced one q at a time."""
     alpha_n = space.alpha.block(1, n_max)
     qs = np.arange(1, Q + 1)[:, None]
     log_targets = -alpha_n / qs if space.is_finite_type else qs * alpha_n
-    base = float_symbol(beta)
-    s = base.bounded_support()
-    mags = np.zeros((K, n_max))
-    row = float_prefix(base, readable_length(base, n_max))
-    mags[0, :len(row)] = np.abs(row)
-    t = s
-    for k in range(1, K):
-        if t == 0:
-            break
-        full = t + s - 1 if t is not None and s is not None else None
-        m = n_max if full is None else min(n_max, full)
-        la = m if t is None else min(m, t)
-        # the first power is beta itself, read at la the way convolve reads it
-        prev = float_prefix(base, la) if k == 1 else row[:la]
-        row = np.convolve(prev, float_prefix(base, m if s is None else min(m, s)))[:m]
-        mags[k, :m] = np.abs(row)
-        if full is not None and full <= n_max:
-            nonzero = np.flatnonzero(row)
-            t = int(nonzero[-1]) + 1 if nonzero.size else 0
-        else:
-            t = full
-    columns = np.flatnonzero(mags.any(axis=0))
-    logs = log_nonneg(mags[:, :int(columns[-1]) + 1 if columns.size else 1])
+    logs = log_nonneg(float_power_rows(beta, K, n_max)[0][:, :n_max])
     L = np.empty((K, Q))
     for j in range(Q):
         L[:, j] = np.max(logs - log_targets[j, :logs.shape[1]], axis=1)

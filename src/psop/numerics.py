@@ -45,6 +45,8 @@ def sum_exp(log_terms: Sequence[float] | np.ndarray) -> tuple[float, float]:
     so log_value stays finite and accurate even when value overflows.  The
     masking and the shift run in numpy; the exponentials stay libm's
     math.exp, because np.exp differs from it in the last bit on some inputs.
+    Terms more than 746 below the maximum are dropped: their exp is +0.0
+    (x < log 2**-1075 = -745.13), and fsum is correctly rounded, so the sum keeps its bits.
     """
     a = np.asarray(log_terms, dtype=float)
     terms = a[a != NEG_INF]
@@ -53,9 +55,23 @@ def sum_exp(log_terms: Sequence[float] | np.ndarray) -> tuple[float, float]:
     top = terms.max()
     if top == math.inf:
         return math.inf, math.inf
-    s = math.fsum(map(math.exp, (terms - top).tolist()))
-    logv = top + math.log(s)
+    logv = _shifted_log_sum(top, terms - top)
     return exp_guarded(logv), logv
+
+
+def sum_exp_rows(a: np.ndarray) -> np.ndarray:
+    """sum_exp(row)[1] for each row of a 2-D float array, bit for bit, one
+    row's shift and exponentials at a time."""
+    out = np.max(a, axis=1, initial=NEG_INF)
+    for i in np.flatnonzero(~np.isinf(out)).tolist():   # a row of -inf or with +inf is its max
+        out[i] = _shifted_log_sum(out[i], a[i] - out[i])
+    return out
+
+
+def _shifted_log_sum(top: float, shifted: np.ndarray) -> float:
+    """top + log(fsum(exp(shifted))) without the terms below -746 (a NaN stays)."""
+    kept = shifted[~(shifted < -746.0)].tolist()
+    return top + math.log(math.fsum(map(math.exp, kept)))
 
 
 def logaddexp(a: float, b: float) -> float:

@@ -9,9 +9,7 @@ Truncation policy: forward application of an N-entry element needs only the
 first N symbol coefficients and is exact entrywise; dual application on a
 certified-tail element is prefix-truncated, and the per-entry truncation
 error is folded into Element.residual with the composed envelope attached
-as the output tail.  Powers go through convolution powers of the symbol
-for the pure kinds and through iterated application for the mixed Toeplitz
-kind, which has no closed form.
+as the output tail.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .numerics import NEG_INF, fmt17, log_nonneg, sum_exp
+from .numerics import NEG_INF, fmt17, log_nonneg, sum_exp, sum_exp_rows
 from .spaces import (
     FINITE_TAIL,
     FinitelySupported,
@@ -53,8 +51,6 @@ from .symbols import (
     Symbol,
     abs_upper_prefix,
     coeff,
-    conv_power,
-    convolve,
     ell1_norm,
     is_rational,
     membership_check,
@@ -360,22 +356,6 @@ def apply_operator(op: OperatorSpec, x: Element) -> Element:
     return toeplitz_apply(op.theta, op.beta, x)
 
 
-def power_apply(op: OperatorSpec, k: int, x: Element) -> Element:
-    """k-th power via the symbol route (power of the symbol) for the pure
-    kinds, iterated application for the Toeplitz kind."""
-    if k < 1:
-        raise ValueError("powers start at k = 1")
-    N = x.truncation
-    if op.kind is OperatorKind.HAT:
-        return hat_apply(conv_power(op.theta, k, N), x)
-    if op.kind is OperatorKind.CHECK:
-        return check_apply(conv_power(op.beta, k, N), x)
-    out = x
-    for _ in range(k):
-        out = toeplitz_apply(op.theta, op.beta, out)
-    return out
-
-
 def cesaro_mean(op: OperatorSpec, k: int, x: Element) -> Element:
     """(1/k) sum_{m<=k} T^m x, reusing the orbit prefix."""
     if k < 1:
@@ -391,7 +371,7 @@ def cesaro_mean(op: OperatorSpec, k: int, x: Element) -> Element:
 
 
 # ---------------------------------------------------------------------------
-# Matrices and composition
+# Matrices
 # ---------------------------------------------------------------------------
 
 
@@ -438,18 +418,6 @@ def toeplitz_matrix(theta: Symbol, beta: Symbol, N: int) -> np.ndarray:
     idx = np.arange(N)
     # added to zeros, each entry is 0.0 + value: a -0.0 coefficient stores 0.0
     return np.zeros((N, N), dtype=dtype) + diags[N - 1 + idx[:, None] - idx[None, :]]
-
-
-def compose_hat(phi: Symbol, theta: Symbol, N: int) -> Symbol:
-    """Symbol of the composition of two forward operators: phi * theta
-    (the operators commute)."""
-    return convolve(phi, theta, N)
-
-
-def compose_check(beta: Symbol, psi: Symbol, N: int) -> Symbol:
-    """Symbol of the composition of two dual operators (applied beta after
-    psi): psi * beta (the operators commute)."""
-    return convolve(psi, beta, N)
 
 
 def matrix_csv(M) -> str:
@@ -544,23 +512,30 @@ def orbit_csv(rec: OrbitRecord) -> str:
 # ---------------------------------------------------------------------------
 
 
+def forward_log_sums(space: SpaceSpec, logs: np.ndarray, p: int,
+                     geo: Optional[GeometricEnvelope] = None) -> np.ndarray:
+    """log sum_i |s_i| e^{rate i} per row of logs = log |s_i| (rate -1/p on the
+    finite type, p on the infinite), plus geo's bound past the row if given:
+    ||T_s e_n||_p / w_{n,p}, a forward column over its weight (linear alpha)."""
+    rate = -1.0 / p if space.is_finite_type else float(p)
+    out = sum_exp_rows(logs + rate * np.arange(logs.shape[1]))
+    if geo is not None:
+        t = geo.ratio * math.exp(rate)
+        if t >= 1.0:
+            raise TailUnbounded("envelope does not decay against the weights")
+        log_tail = math.log(geo.scale) + logs.shape[1] * math.log(t) - math.log1p(-t) \
+            if geo.scale > 0 else NEG_INF
+        out = np.logaddexp(out, log_tail)
+    return out
+
+
 def hat_column_log_norms(space: SpaceSpec, s: Symbol, p: int, n_max: int) -> np.ndarray:
     """log upper bounds for the grade-p norms of the forward columns
     ||T_s e_n||_p, n = 1..n_max (tail majorant included)."""
     c, geo = symbol_abs_and_env(s, n_max + 1)
     if space.is_linear:
-        rate = -1.0 / p if space.is_finite_type else float(p)
-        logs = log_nonneg(c) + rate * np.arange(len(c))
-        _, log_w = sum_exp(logs)
-        if geo is not None:
-            t = geo.ratio * math.exp(rate)
-            if t >= 1.0:
-                raise TailUnbounded("envelope does not decay against the weights")
-            log_tail = math.log(geo.scale) + len(c) * math.log(t) - math.log1p(-t) \
-                if geo.scale > 0 else NEG_INF
-            log_w = np.logaddexp(log_w, log_tail)
-        logw_n = space.log_weights(1, n_max, p)
-        return logw_n + log_w
+        log_w = forward_log_sums(space, log_nonneg(c)[None], p, geo)[0]
+        return space.log_weights(1, n_max, p) + log_w
     # generic alpha: per-n aggregation
     out = np.empty(n_max)
     for n in range(1, n_max + 1):
@@ -577,8 +552,11 @@ def hat_column_log_norms(space: SpaceSpec, s: Symbol, p: int, n_max: int) -> np.
 def check_column_log_norms(space: SpaceSpec, s: Symbol, p: int, n_max: int) -> np.ndarray:
     """log upper bounds for the grade-p norms of the dual columns
     ||T_s e_n||_p, n = 1..n_max (exact finite sums on readable coefficients,
-    envelope values beyond a sampled window)."""
-    b = abs_upper_prefix(s, n_max)
+    envelope values beyond a sampled window; TailUnbounded past the floats)."""
+    try:
+        b = abs_upper_prefix(s, n_max)
+    except OverflowError:
+        raise TailUnbounded("a dual symbol coefficient overflows a float") from None
     if not np.all(np.isfinite(b)):
         raise TailUnbounded("dual column norms need envelope-bounded coefficients")
     log_b = log_nonneg(b)

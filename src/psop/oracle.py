@@ -159,10 +159,6 @@ def _dense_add(A: DenseTrunc, B: DenseTrunc) -> DenseTrunc:
     return DenseTrunc(rows, A.exact and B.exact)
 
 
-def leading_block(M: DenseTrunc, n: int) -> tuple:
-    return tuple(tuple(row[:n]) for row in M.rows[:n])
-
-
 def column(M: DenseTrunc, j: int) -> list:
     """1-based column extraction (the image of e_j)."""
     return [M.rows[i][j - 1] for i in range(M.n)]

@@ -10,9 +10,10 @@ builds one Fraction per output entry.  An exact finite power that fits the
 truncation is carried the same way: integer numerators over d**k, d the
 base's common denominator, with Fractions built only for the result; every
 other power (float, geometric or sampled base, or an exact one cut by the
-truncation) is the ConvPowerTable chain of convolve calls.  Geometric
-symbols keep exact closed forms for their absolute sums, which is what the
-boundary cases of the classifiers need.
+truncation) is the ConvPowerTable chain of convolve calls, one Symbol and
+envelope per power; sweeps of the magnitudes alone take float_power_rows,
+its values as one array.  Geometric symbols keep exact closed forms for
+their absolute sums, which is what the boundary cases of the classifiers need.
 
 The membership convention embeds a symbol s into a space as the element
 x_n = s_{n-1} (the image of the first basis vector under the associated
@@ -286,15 +287,19 @@ def delta_symbol(c: Number = 1) -> Symbol:
 
 
 def float_symbol(s: "Symbol") -> "Symbol":
-    """Floating-point copy (for evidence sweeps; certificates stay exact)."""
+    """Floating-point copy (for evidence sweeps; certificates stay exact).
+    An exact value past the float range has no copy: TailUnbounded."""
     def f(v):
         return complex(v) if isinstance(v, complex) else float(v)
 
-    if s.kind is SymbolKind.FINITE:
-        return finite_symbol([f(v) for v in s.entries])
-    if s.kind is SymbolKind.GEOMETRIC:
-        return geometric_symbol(f(s.c), f(s.r))
-    return sampled_symbol([f(v) for v in s.entries], s.envelope, support_len=s.support_len)
+    try:
+        if s.kind is SymbolKind.FINITE:
+            return finite_symbol([f(v) for v in s.entries])
+        if s.kind is SymbolKind.GEOMETRIC:
+            return geometric_symbol(f(s.c), f(s.r))
+        return sampled_symbol([f(v) for v in s.entries], s.envelope, support_len=s.support_len)
+    except OverflowError:
+        raise TailUnbounded("a symbol coefficient overflows a float") from None
 
 
 def zero_symbol() -> Symbol:
@@ -518,6 +523,16 @@ def convolve_envelopes(ea: TailCert, eb: TailCert, a: Symbol, b: Symbol) -> Tail
     raise TailUnbounded("cannot compose these envelope shapes under convolution")
 
 
+def _product_lengths(sa: Optional[int], sb: Optional[int], N: int):
+    """convolve's (full, L, la, lb) for supports sa, sb (nonzero; None: unbounded):
+    the product is finite, of its trimmed length, when full <= N."""
+    full = sa + sb - 1 if (sa is not None and sb is not None) else None
+    L = min(N, full) if full is not None else N
+    la = min(L, sa) if sa is not None else L
+    lb = min(L, sb) if sb is not None else L
+    return full, L, la, lb
+
+
 def convolve(a: Symbol, b: Symbol, N: int) -> Symbol:
     """Truncated Cauchy product (a*b)_m = sum_{i<=m} a_i b_{m-i}, m < N.
 
@@ -529,10 +544,7 @@ def convolve(a: Symbol, b: Symbol, N: int) -> Symbol:
     sa, sb = a.bounded_support(), b.bounded_support()
     if sa == 0 or sb == 0:
         return zero_symbol()
-    full = sa + sb - 1 if (sa is not None and sb is not None) else None
-    L = min(N, full) if full is not None else N
-    la = min(L, sa) if sa is not None else L
-    lb = min(L, sb) if sb is not None else L
+    full, L, la, lb = _product_lengths(sa, sb, N)
     if a.is_exact and b.is_exact and a.kind is SymbolKind.FINITE and b.kind is SymbolKind.FINITE:
         block = None
         entries = tuple(_exact_list_conv(prefix(a, la), prefix(b, lb), L))
@@ -548,9 +560,9 @@ def convolve(a: Symbol, b: Symbol, N: int) -> Symbol:
 
 @dataclass
 class ConvPowerTable:
-    """Cache of truncated convolution powers of one symbol (powers fill on
-    demand), each from the previous one by convolve: the chain for float,
-    geometric and sampled bases and for exact powers cut by the truncation."""
+    """Cache of truncated convolution powers of one symbol, filled on demand
+    by convolve: the chain for float, geometric and sampled bases and cut exact
+    powers, for conv_power and classify's readers of the powers' envelopes."""
 
     base: Symbol
     truncation: int
@@ -567,6 +579,32 @@ class ConvPowerTable:
             out = convolve(self.power(k - 1), self.base, self.truncation)
         self._powers[k] = out
         return out
+
+
+def float_power_rows(theta: Symbol, K: int, N: int) -> tuple[np.ndarray, list]:
+    """|coefficients| of the powers k <= K of ConvPowerTable(float_symbol(theta),
+    N) as rows of one array (to its last nonzero column), and each power's
+    readable length (math.inf without a gap).  Row 1 is the base's window,
+    support or first N; row k is np.convolve(row k - 1, base) on convolve's
+    lengths: the chain's bits, with no Symbol or envelope per power."""
+    base = float_symbol(theta)
+    t = s = base.bounded_support()
+    window = readable_length(base, math.inf)
+    row = float_prefix(base, window if window < math.inf else (N if s is None else s))
+    windows = [window] + [math.inf] * (K - 1)
+    # row k holds at most min(N, k(s - 1) + 1) entries
+    out = np.zeros((K, max(1, len(row), N if s is None else min(N, K * (s - 1) + 1))))
+    out[0, :len(row)] = np.abs(row)
+    for k in range(2, K + 1):
+        if t == 0:
+            break
+        full, L, la, lb = _product_lengths(t, s, N)
+        prev = float_prefix(base, la) if k == 2 else row[:la]
+        row = np.convolve(prev, float_prefix(base, lb))[:L]
+        out[k - 1, :L] = np.abs(row)
+        t, windows[k - 1] = (full, L) if full is None or full > N else (trimmed_len(row), math.inf)
+    nonzero = np.flatnonzero(out.any(axis=0))
+    return out[:, :int(nonzero[-1]) + 1 if nonzero.size else 1], windows
 
 
 def _power_by(x, k: int, mul, binary: bool):

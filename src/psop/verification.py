@@ -24,9 +24,11 @@ from .classify import (
     classify_check_all,
     strongly_tame_probe,
 )
+from .numerics import log_nonneg
 from .operators import (
     OperatorSpec,
     check_column_log_norms,
+    forward_log_sums,
     hat_column_log_norms,
     make_check_operator,
     make_hat_operator,
@@ -50,7 +52,6 @@ from .spaces import (
     nuclearity_check,
 )
 from .symbols import (
-    ConvPowerTable,
     Symbol,
     conv_power,
     conv_power_binary,
@@ -58,7 +59,7 @@ from .symbols import (
     delta_symbol,
     ell1_norm,
     finite_symbol,
-    float_prefix,
+    float_power_rows,
     float_symbol,
     geometric_symbol,
     prefix,
@@ -170,41 +171,40 @@ def sweep_hat_power_bound(space: SpaceSpec, thetas: Sequence[Symbol],
     t0 = time.time()
     assert space.is_linear
     L_conv = n_max + 8 * max(k_max, 1) * 8 + 8
+    ks = np.arange(1, k_max + 1)
 
     def one_symbol(theta: Symbol) -> tuple[float, dict]:
-        table = ConvPowerTable(float_symbol(theta), L_conv)
         log_l1 = math.log(max(ell1_norm(theta).upper, 1e-300))
-        # each power once for every grade; a truncated one (readable only on
-        # a window) as that window
-        powers = []
-        for k in range(1, k_max + 1):
-            pk = table.power(k)
-            window = readable_length(pk, math.inf)
-            if window < math.inf:
-                assert space.is_finite_type
-                pk = finite_symbol(float_prefix(pk, window))
-            powers.append((pk, window))
+        # |theta^{*k}| as rows (a truncated power on its window), logged once
+        mags, windows = float_power_rows(theta, k_max, L_conv)
+        assert space.is_finite_type or min(windows) == math.inf
+        logs = log_nonneg(mags)
+        # a law of unbounded support and no gap (geometric) keeps its envelope
+        # tail in its first power's columns: that row is hat_column_log_norms'
+        first = windows[0] == math.inf and theta.bounded_support() is None
+        rows = logs[1:] if first else logs
         worst = (math.inf, {})
         for p in range(1, p_max + 1):
-            q = 2 * p
-            log_norm_lower, _ = symbol_log_norm_bounds(space, theta, q)
-            logw_q = space.log_weights(1, n_max, q)
-            for k, (pk, L) in enumerate(powers, 1):
-                lhs = hat_column_log_norms(space, pk, p, n_max)
-                if L < math.inf:
-                    tail = k * log_l1 + space.log_weights(1 + L, n_max + L, p)
-                    lhs = np.logaddexp(lhs, tail)
-                rhs = k * log_norm_lower + logw_q
-                if corrected and space.is_finite_type:
-                    rhs = rhs + (k - 1) / (2.0 * p)
-                # a zero column (lhs = -inf) holds vacuously, whatever rhs is
-                slack = np.subtract(rhs, lhs, out=np.full(n_max, math.inf),
-                                    where=lhs != -math.inf)
-                s = float(np.min(slack))
-                if math.isnan(s):
-                    return s, {"p": p, "k": k}   # an undefined cell fails the sweep
-                if s < worst[0]:
-                    worst = (s, {"p": p, "k": k})
+            log_norm_lower, _ = symbol_log_norm_bounds(space, theta, 2 * p)
+            # ||T^k e_n||_p = w_{n,p} sum_i |theta^{*k}_i| e^{rate i}
+            lhs = space.log_weights(1, n_max, p) + forward_log_sums(space, rows, p)[:, None]
+            if first:
+                lhs = np.vstack([hat_column_log_norms(space, float_symbol(theta), p, n_max), lhs])
+            for L in set(windows) - {math.inf}:
+                cut = [k for k, w in enumerate(windows) if w == L]
+                tail = ks[cut, None] * log_l1 + space.log_weights(1 + L, n_max + L, p)
+                lhs[cut] = np.logaddexp(lhs[cut], tail)
+            rhs = ks[:, None] * log_norm_lower + space.log_weights(1, n_max, 2 * p)
+            if corrected and space.is_finite_type:
+                rhs = rhs + ((ks - 1) / (2.0 * p))[:, None]
+            # a zero column (lhs = -inf) holds vacuously, whatever rhs is
+            slack = np.subtract(rhs, lhs, out=np.full(lhs.shape, math.inf),
+                                where=lhs != -math.inf).min(axis=1)
+            j = int(np.argmin(slack))   # the first NaN if any: an undefined cell fails the sweep
+            if math.isnan(slack[j]):
+                return math.nan, {"p": p, "k": j + 1}
+            if slack[j] < worst[0]:
+                worst = (float(slack[j]), {"p": p, "k": j + 1})
         return worst
 
     from .numerics import map_cells

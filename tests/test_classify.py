@@ -606,3 +606,117 @@ def test_classify_operator_rejects_an_unknown_mode(fin):
     with pytest.raises(ValueError, match="unknown classification mode"):
         classify_operator(make_check_operator(fin, delta_symbol(Fraction(1, 2))),
                           ["pb", "bounded"], GRID)
+
+
+# -- the hat side's power rows ------------------------------------------------
+
+
+# s_p and median_growth_ratio of classify_hat_power_bounded_infinite, recorded
+# before its evidence sweep read the powers as rows
+_PINNED_HAT_EVIDENCE = [
+    ([0, Fraction(1, 1000)], GridParams(),
+     {"s_p": {"1": 0.007389056098930652, "2": 0.05459815003314425,
+              "3": 0.4034287934927352, "4": 2.980957987041729, "5": 22.02646579480672,
+              "6": 162.75479141900396, "7": 401780.88031183404, "8": 6.809740926502431e+33},
+      "median_growth_ratio": {"1": 0.002718281828459046, "2": 0.007389056098930652,
+                              "3": 0.020085536923187673, "4": 0.05459815003314425,
+                              "5": 0.14841315910257663, "6": 0.4034287934927352,
+                              "7": 1.0966331584284588, "8": 2.980957987041729}}),
+    ([Fraction(1, 4), Fraction(-1, 8), Fraction(1, 16)], GridParams(N=64, K=16, P=3, Q=8),
+     {"s_p": {"1": 6.080116204839084, "2": 282851576299.83997, "3": 2.826200113106124e+24},
+      "median_growth_ratio": {"1": 1.0516012347405463, "2": 4.586016389437844,
+                              "3": 27.974991708694443}}),
+]
+
+
+@pytest.mark.parametrize("entries,grid,want", _PINNED_HAT_EVIDENCE, ids=["shift", "mixed"])
+def test_hat_power_bounded_infinite_evidence_is_pinned(inf, entries, grid, want):
+    v = classify_hat_power_bounded_infinite(inf, finite_symbol(entries), grid)
+    assert v.status is Status.INCONCLUSIVE
+    for key in ("s_p", "median_growth_ratio"):
+        assert {p: repr(x) for p, x in v.evidence[key].items()} == \
+            {p: repr(x) for p, x in want[key].items()}
+
+
+@pytest.mark.parametrize("c,r,grid", [
+    (Fraction(1, 100), Fraction(7, 8), GridParams()),
+    (Fraction(1, 50), Fraction(31, 32), GridParams(N=2100, K=4, P=1)),
+], ids=["first_power_past_256", "later_powers_past_2048"])
+def test_hat_power_bounded_infinite_evidence_of_a_geometric_law(c, r, grid):
+    """A geometric theta on root alpha: the evidence is the chain's, each
+    power's lower norm on the coefficients symbol_log_norm_bounds reads of it:
+    2048 of the first power, whose terms at p = 8 still grow past the 256
+    rows, and at most 2048 of a cut later power, whose terms at p = 1 still
+    matter past 2048.  The upper bound of a later power's composed envelope,
+    which the evidence does not read, cannot dominate the grade-3 growth; the
+    per-power norm bounds raised TailUnbounded on it before the sweep read
+    rows."""
+    from psop.numerics import sum_exp
+    from psop.operators import symbol_log_norm_bounds
+    from psop.symbols import symbol_abs_and_env
+
+    space = infinite_type_space(root_alpha(2))
+    theta = geometric_symbol(c, r)
+    with pytest.raises(TailUnbounded, match="cannot dominate grade-3 growth"):
+        symbol_log_norm_bounds(space, ConvPowerTable(float_symbol(theta), 256).power(2), 3)
+    K = min(grid.K, 64)
+    table = ConvPowerTable(float_symbol(theta), max(grid.N, K + 1))
+    log_norms = np.empty((K, grid.P))
+    for k in range(1, K + 1):
+        vals, _ = symbol_abs_and_env(table.power(k), 2048)
+        for p in range(1, grid.P + 1):
+            log_norms[k - 1, p - 1] = sum_exp(log_nonneg(vals) +
+                                              space.log_weights(1, len(vals), p))[1]
+    ratios = np.diff(log_norms, axis=0)
+    ratio = np.exp(np.median(ratios[ratios.shape[0] // 2:], axis=0))
+    v = classify_hat_power_bounded_infinite(space, theta, grid)
+    assert v.status is Status.INCONCLUSIVE
+    assert v.evidence["s_p"] == {str(p): float(np.exp(log_norms[:, p - 1].max()))
+                                 for p in range(1, grid.P + 1)}
+    assert v.evidence["median_growth_ratio"] == {str(p): float(ratio[p - 1])
+                                                 for p in range(1, grid.P + 1)}
+
+
+def _count_chain_calls(monkeypatch) -> dict:
+    calls = {"power": 0, "convolve": 0}
+    power, convolve = symbols.ConvPowerTable.power, symbols.convolve
+
+    def counted_power(self, k):
+        calls["power"] += 1
+        return power(self, k)
+
+    def counted_convolve(a, b, N):
+        calls["convolve"] += 1
+        return convolve(a, b, N)
+
+    monkeypatch.setattr(symbols.ConvPowerTable, "power", counted_power)
+    monkeypatch.setattr(symbols, "convolve", counted_convolve)
+    return calls
+
+
+def test_hat_power_sweeps_build_no_symbol_power(fin, inf, monkeypatch):
+    from psop.verification import sweep_hat_power_bound
+
+    calls = _count_chain_calls(monkeypatch)
+    thetas = [geometric_symbol(Fraction(3, 2), Fraction(7, 8)),
+              finite_symbol([Fraction(1, 2), Fraction(-1, 3), Fraction(1, 4)])]
+    assert sweep_hat_power_bound(fin, thetas, "x", 64, 4, 8, corrected=True).passed
+    classify_hat_power_bounded_infinite(inf, finite_symbol([0, Fraction(1, 1000)]))
+    assert calls == {"power": 0, "convolve": 0}
+
+
+# -- an exact coefficient past the float range --------------------------------
+
+
+def test_an_exact_dual_entry_past_the_float_range_is_tail_unbounded():
+    """The dual fit succeeds (c0 ~ 5e-35, m0 = 1); the float reads that
+    follow raise TailUnbounded, not a raw OverflowError."""
+    from psop.operators import check_column_log_norms
+    from psop.spaces import explicit_alpha
+
+    beta = finite_symbol([Fraction(10) ** 400])
+    space = infinite_type_space(explicit_alpha([1000.0, 2000.0], "arithmetic"))
+    with pytest.raises(TailUnbounded, match="overflows a float"):
+        classify_check_all(space, beta, GridParams(N=16, K=4, P=2, Q=4))
+    with pytest.raises(TailUnbounded, match="overflows a float"):
+        check_column_log_norms(infinite_type_space(), beta, 2, 8)

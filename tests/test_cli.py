@@ -409,3 +409,17 @@ def test_invalid_configs_end_in_an_exit_code_without_a_traceback(
     assert "Traceback" not in err
     assert err.startswith("config error:" if code == 2 else "task error:")
     assert message in err
+
+
+def test_an_exact_dual_entry_past_the_float_range_is_a_task_error(tmp_path, capsys):
+    job = {"schema": 1,
+           "space": {"type": "infinite", "alpha": {"kind": "explicit",
+                                                   "values": [1000.0, 2000.0],
+                                                   "extension": "arithmetic"}},
+           "operator": {"kind": "check", "beta": {"finite": [str(10 ** 400)]}},
+           "task": {"type": "classify", "modes": ["power_bounded"]},
+           "grid": {"N": 16, "K": 4, "P": 2, "Q": 4}}
+    assert main(["run", write(tmp_path, job), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("task error:") and "overflows a float" in err
+    assert "Traceback" not in err

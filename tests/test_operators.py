@@ -15,8 +15,6 @@ from psop import (
     cesaro_mean,
     check_apply,
     check_column,
-    compose_check,
-    compose_hat,
     compute_orbit,
     delta_symbol,
     dense_check,
@@ -32,7 +30,6 @@ from psop import (
     make_check_operator,
     make_hat_operator,
     make_toeplitz_operator,
-    power_apply,
     root_alpha,
     sampled_symbol,
     seminorm,
@@ -51,7 +48,7 @@ from psop.operators import (
     orbit_csv,
 )
 from psop.oracle import dense_matmul
-from psop.symbols import prefix, trimmed_len
+from psop.symbols import conv_power, convolve, prefix, trimmed_len
 
 
 def e(n, N, space=None):
@@ -101,6 +98,18 @@ def test_toeplitz_apply_diagonal_split():
     assert got.values == (1, 0, 1, 0)
     got = toeplitz_apply(finite_symbol([1, 1]), finite_symbol([0, 2]), x)
     assert got.values == (3, 2, 1, 0)
+
+
+def power_apply(op, k, x):
+    """T^k x by the symbol route, the k-th convolution power applied once,
+    for the pure kinds; iterated application for the Toeplitz kind."""
+    if op.kind is OperatorKind.HAT:
+        return hat_apply(conv_power(op.theta, k, x.truncation), x)
+    if op.kind is OperatorKind.CHECK:
+        return check_apply(conv_power(op.beta, k, x.truncation), x)
+    for _ in range(k):
+        x = toeplitz_apply(op.theta, op.beta, x)
+    return x
 
 
 def test_power_apply_examples(fin, inf):
@@ -183,6 +192,18 @@ def test_toeplitz_matrix_names_a_float_law_coefficient_that_overflows():
 def test_matrix_csv_prints_a_negative_zero_coefficient_as_zero():
     M = toeplitz_matrix(finite_symbol([1.0, -0.0]), finite_symbol([0.0, -0.0]), 2)
     assert matrix_csv(M) == "1,0\n0,1\n"
+
+
+def compose_hat(phi, theta, N):
+    """Symbol of the composition of two forward operators: phi * theta (the
+    operators commute)."""
+    return convolve(phi, theta, N)
+
+
+def compose_check(beta, psi, N):
+    """Symbol of the composition of two dual operators (beta applied after
+    psi): psi * beta (the operators commute)."""
+    return convolve(psi, beta, N)
 
 
 def test_compose_examples():
@@ -407,6 +428,20 @@ def test_power_bound_sweep_slacks_are_pinned(fin, inf, space_type, theta, correc
     out = sweep_hat_power_bound(space, [theta], "pinned", n_max=32, p_max=3, k_max=4,
                                 corrected=corrected)
     assert repr(out.min_slack) == want
+
+
+def test_power_bound_sweep_slack_at_the_acceptance_shape_is_pinned(fin):
+    """n <= 256, p <= 8, k <= 32: the geometric powers are cut at the 2312
+    window, and their far terms lie more than 746 below the row maximum
+    (the terms the row sums drop).  Recorded before the sweep read the
+    powers as rows."""
+    from psop.verification import sweep_hat_power_bound
+
+    theta = geometric_symbol(Fraction(3, 2), Fraction(1, 8))
+    out = sweep_hat_power_bound(fin, [theta], "pinned", n_max=256, p_max=8, k_max=32,
+                                corrected=True)
+    assert repr(out.min_slack) == "0.00802879172460963"
+    assert out.passed and out.detail == {"argmin": {"p": 8, "k": 1, "symbol": 0}}
 
 
 def test_power_bound_sweep_of_the_zero_symbol_is_vacuous(fin):

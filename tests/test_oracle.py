@@ -37,7 +37,7 @@ from psop import oracle
 from psop.classify import GridParams, _propagate_hierarchy
 from psop.operators import make_check_operator
 from psop.spaces import infinite_type_space
-from psop.oracle import _abs_entry, _conv_powers, column, leading_block
+from psop.oracle import _abs_entry, _conv_powers, column
 from psop.symbols import prefix
 
 
@@ -73,6 +73,10 @@ def test_matrix_structure():
     U = dense_check(finite_symbol([1, 2, 3]), 6)
     assert [list(r) for r in U.rows] == \
         [list(col) for col in zip(*M.rows)]  # transpose relation
+
+
+def leading_block(M, n: int) -> tuple:
+    return tuple(tuple(row[:n]) for row in M.rows[:n])
 
 
 @pytest.mark.parametrize("k", [2, 5, 16])

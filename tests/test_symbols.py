@@ -3,6 +3,7 @@ import math
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -598,3 +599,147 @@ def test_extension_zero_is_stored_as_the_support_bound():
     assert not hasattr(s, "extension")
     with pytest.raises(ValueError, match="unknown sampled extension 'hold'"):
         sampled_symbol([1], extension="hold")
+
+
+# -- float_power_rows against the ConvPowerTable chain, bit for bit ----------
+
+
+def _chain_rows(theta, K, N):
+    """(|coefficients|, readable length) of each power of the chain
+    ConvPowerTable(float_symbol(theta), N), read the way the row builder
+    documents: a power with a gap on its window, a bounded support whole,
+    and a geometric law on its first N coefficients."""
+    from psop.symbols import float_symbol
+
+    table = ConvPowerTable(float_symbol(theta), N)
+    out = []
+    for k in range(1, K + 1):
+        pk = table.power(k)
+        window = readable_length(pk, math.inf)
+        sup = pk.bounded_support()
+        n = window if window < math.inf else (N if sup is None else sup)
+        out.append((np.abs(float_prefix(pk, n)), window))
+    return out
+
+
+_small_floats = st.integers(-8, 8).map(lambda v: v / 8)
+_floats = st.floats(-1.0, 1.0, allow_subnormal=False)
+_row_bases = st.one_of(
+    st.lists(rationals, min_size=0, max_size=7).map(finite_symbol),
+    st.lists(_small_floats, min_size=1, max_size=7).map(finite_symbol),
+    st.lists(_floats, min_size=1, max_size=12).map(finite_symbol),
+    # real entries ahead of complex ones: the chain reads the real head as floats
+    st.tuples(st.lists(_floats, min_size=1, max_size=8),
+              st.lists(st.builds(complex, _floats, _floats), min_size=1, max_size=4)).map(
+        lambda parts: finite_symbol(parts[0] + parts[1])),
+    st.lists(st.one_of(_small_floats, st.builds(complex, _small_floats, _small_floats)),
+             min_size=1, max_size=6).map(finite_symbol),
+    # a product whose top entry underflows: the next power reads its trimmed support
+    st.just(finite_symbol([1.0, 1e-200])),
+    st.builds(geometric_symbol, st.fractions(-2, 2, max_denominator=8),
+              st.sampled_from([Fraction(-7, 8), Fraction(-1, 2), Fraction(1, 3),
+                               Fraction(7, 8), Fraction(5, 4)])),
+    st.builds(geometric_symbol, st.sampled_from([-1.5, 0.25, 2.0]),
+              st.sampled_from([-0.75, 0.5, 0.9])),
+    st.lists(rationals, min_size=1, max_size=6).map(lambda v: sampled_symbol(v, extension="zero")),
+    st.integers(1, 40).map(lambda W: sampled_symbol(
+        [Fraction((-1) ** i, 2 ** (i + 1)) for i in range(W)], GeometricEnvelope(1.0, 0.5))),
+    st.just(zero_symbol()),
+    st.just(geometric_symbol(0, Fraction(1, 2))),
+)
+
+
+@given(_row_bases, st.integers(1, 7), st.integers(1, 48))
+@settings(max_examples=250, deadline=None)
+def test_float_power_rows_are_the_chain_bit_for_bit(theta, K, N):
+    from psop.symbols import float_power_rows
+
+    try:
+        want = _chain_rows(theta, K, N)
+    except OutOfSampledRange:
+        with pytest.raises(OutOfSampledRange):
+            float_power_rows(theta, K, N)
+        return
+    rows, windows = float_power_rows(theta, K, N)
+    assert rows.shape[0] == K and rows.shape[1] >= 1
+    assert windows == [w for _, w in want]
+    for row, (mags, _) in zip(rows, want):
+        n = len(mags)
+        assert row[:n].tobytes() == mags[:len(row)].tobytes()
+        assert not row[n:].any() and not mags[len(row):].any()
+
+
+def test_float_power_rows_cover_truncated_and_whole_powers():
+    from psop.symbols import float_power_rows
+
+    rows, windows = float_power_rows(finite_symbol([1, Fraction(-1, 2)]), 5, 3)
+    assert windows == [math.inf, math.inf, 3, 3, 3]
+    assert rows[2].tolist() == [1.0, 1.5, 0.75]
+    rows, windows = float_power_rows(geometric_symbol(Fraction(1, 2), Fraction(-1, 2)), 2, 4)
+    assert windows == [math.inf, 4]
+    assert rows.tolist() == [[0.5, 0.25, 0.125, 0.0625], [0.25, 0.25, 0.1875, 0.125]]
+    rows, windows = float_power_rows(zero_symbol(), 3, 8)
+    assert rows.shape == (3, 1) and not rows.any() and windows == [math.inf] * 3
+
+
+def test_float_power_rows_of_an_entry_past_the_float_range_is_tail_unbounded():
+    from psop.symbols import float_power_rows
+
+    with pytest.raises(TailUnbounded, match="overflows a float"):
+        float_power_rows(finite_symbol([Fraction(10) ** 400]), 4, 16)
+
+
+# -- sum_exp_rows against sum_exp, row by row, bit for bit --------------------
+
+
+def _same_float(a, b) -> bool:
+    return (math.isnan(a) and math.isnan(b)) or float(a).hex() == float(b).hex()
+
+
+_log_terms = st.one_of(
+    st.floats(-900.0, 50.0),
+    st.sampled_from([-math.inf, -745.13, -745.14, -746.0, -746.0000001, 0.0]),
+)
+
+
+@given(st.integers(1, 5).flatmap(lambda width: st.lists(
+    st.lists(_log_terms, min_size=width, max_size=width), min_size=1, max_size=6)))
+@settings(max_examples=300, deadline=None)
+def test_sum_exp_rows_are_sum_exp_row_by_row(rows):
+    from psop.numerics import sum_exp, sum_exp_rows
+
+    got = sum_exp_rows(np.array(rows))
+    assert len(got) == len(rows)
+    for row, g in zip(rows, got):
+        assert _same_float(g, sum_exp(row)[1])
+
+
+@pytest.mark.parametrize("row,want", [
+    ([-math.inf, -math.inf, -math.inf], -math.inf),
+    ([-1.0, math.inf, -math.inf], math.inf),
+    ([-1.0, math.nan, 2.0], math.nan),
+    ([math.nan, math.inf], math.nan),
+    ([0.0, -745.13], 0.0),
+    ([0.0, -745.14, -746.0, -800.0], 0.0),
+])
+def test_sum_exp_rows_special_rows(row, want):
+    """All -inf, a +inf or NaN term, and terms by the underflow edge: each
+    row as sum_exp gives it, next to an ordinary row, with no RuntimeWarning
+    (tier-1 turns numpy's warnings into errors)."""
+    from psop.numerics import sum_exp, sum_exp_rows
+
+    got = sum_exp_rows(np.array([row, [0.0] * len(row)]))
+    assert _same_float(got[0], want) and _same_float(got[0], sum_exp(row)[1])
+    assert _same_float(got[1], sum_exp([0.0] * len(row))[1])
+
+
+def test_sum_exp_drops_only_terms_whose_exp_is_zero():
+    """exp(-745.13) is the smallest subnormal and exp(-745.14) is +0.0; the
+    drop below -746 changes no fsum: a sum of one term at 0 and many just
+    above the cut equals the full scalar sum."""
+    from psop.numerics import sum_exp
+
+    assert math.exp(-745.13) > 0.0 and math.exp(-745.14) == 0.0
+    terms = [0.0] + [-745.13] * 5 + [-745.99] * 3 + [-746.5] * 4
+    full = math.fsum(math.exp(t) for t in terms)
+    assert sum_exp(terms)[1] == math.log(full)
