@@ -25,17 +25,13 @@ import numpy as np
 
 from .numerics import NEG_INF, exp_guarded, log_nonneg, sum_exp_rows
 from .operators import (
-    Element,
     OperatorContractError,
     OperatorKind,
     OperatorSpec,
     _NORM_WINDOW,
-    _float_element,
     check_column_log_norms,
-    compute_orbit,
     hat_column_log_norms,
     symbol_log_norm_bounds,
-    toeplitz_matrix,
 )
 from .spaces import (
     SpaceSpec,
@@ -51,7 +47,7 @@ from .symbols import (
     SymbolKind,
     coeff,
     ell1_norm,
-    finite_symbol,
+    exact_float,
     float_power_rows,
     float_prefix,
     float_symbol,
@@ -368,7 +364,8 @@ def classify_hat_power_bounded_infinite(space: SpaceSpec, theta: Symbol,
             return _holds("power_bounded", space, kind, cert, theta=theta)
         if (c_abs is not None and c_abs > 1) or (c_abs is None and c_float > 1 + _TOL):
             cert = Certificate(
-                "hat_conv_power_lower_growth", {"route": "theta0", "growth": float(c_float)},
+                "hat_conv_power_lower_growth",
+                {"route": "theta0", "growth": exact_float(c_float, "|theta_0|")},
                 "first-column norms grow like |c|^k, unbounded over powers")
             return _fails("power_bounded", space, kind, cert,
                           {"k": grid.K, "n": 1, "p": 1}, theta=theta)
@@ -382,11 +379,11 @@ def classify_hat_power_bounded_infinite(space: SpaceSpec, theta: Symbol,
         nonneg = all(not isinstance(v, complex) and v >= 0 for v in entries)
         if nonneg and theta.is_exact:
             g = sum(Fraction(v) for v in entries)
+            evidence["nonneg_sum"] = exact_float(g, "the nonnegative sum")
             if g > 1:
-                growth = ("nonneg_sum", float(g))
-            evidence["nonneg_sum"] = float(g)
+                growth = ("nonneg_sum", evidence["nonneg_sum"])
         if growth is None and c0 is not None and c0 > 1:
-            growth = ("theta0", float(c0))
+            growth = ("theta0", exact_float(c0, "|theta_0|"))
         if growth is not None:
             cert = Certificate(
                 "hat_conv_power_lower_growth",
@@ -1019,118 +1016,4 @@ def classify_toeplitz(space: SpaceSpec, theta: Symbol, beta: Symbol,
         "for a nonzero symbol on the infinite type, so the sufficient condition "
         "cannot certify this operator",
         theta=theta, beta=beta, evidence=evidence)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Mean ergodic probes
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ErgodicReport:
-    """Evidence-only: limits are not decidable from finite data."""
-
-    cesaro_ratio: dict          # p -> (best_q, max_k_n ratio at that q)
-    orbit_over_k: np.ndarray    # [K, P] log(||T^k x||_p / k)
-    mean_estimate: Element      # Cesaro mean at the largest k
-    mean_diff_log: np.ndarray   # [K-1, P] log ||T^[k]x - T^[k-1]x||_p
-    triangle_ok: bool
-    p_grid: tuple
-
-
-def mean_ergodic_probe(op: OperatorSpec, x: Element,
-                       grid: GridParams = GridParams()) -> ErgodicReport:
-    from .operators import add_elements, apply_operator, scale_element, seminorm
-
-    space = op.space
-    K = min(grid.K, 64)
-    ps = tuple(range(1, grid.P + 1))
-    rec = compute_orbit(op, x, K, ps)
-    ks = np.arange(1, K + 1, dtype=float).reshape(-1, 1)
-    orbit_over_k = rec.log_norms - np.log(ks)
-    # Cesaro-bound evidence on basis columns: max over k, n of
-    # ||T^[k] e_n||_p / ||e_n||_q, minimized over q
-    cesaro_ratio = {}
-    n_max = min(grid.N, 128)
-    col_tables = _cesaro_column_log_norms(op, K, n_max, ps)
-    for j, p in enumerate(ps):
-        best = None
-        for q in range(1, grid.Q + 1):
-            logw_q = space.log_weights(1, n_max, q)
-            ratio = float(np.max(col_tables[:, j, :] - logw_q[None, :]))
-            if best is None or ratio < best[1]:
-                best = (q, ratio)
-        cesaro_ratio[p] = (best[0], math.exp(min(best[1], 700.0)))
-    # successive Cesaro differences at the start element
-    cur = _float_element(replace(x, space=space))
-    acc = None
-    prev_mean = None
-    diffs = np.full((K - 1, len(ps)), NEG_INF)
-    mean = None
-    triangle_ok = True
-    running = np.full(len(ps), NEG_INF)
-    for k in range(1, K + 1):
-        cur = apply_operator(op, cur)
-        acc = cur if acc is None else add_elements(acc, cur)
-        mean = scale_element(acc, 1.0 / k)
-        for j, p in enumerate(ps):
-            running[j] = np.logaddexp(running[j], rec.log_norms[k - 1, j])
-            lhs = rec.log_cesaro[k - 1, j]
-            if lhs > running[j] - math.log(k) + 1e-9:
-                triangle_ok = False
-        if prev_mean is not None:
-            delta = add_elements(mean, scale_element(prev_mean, -1.0))
-            for j, p in enumerate(ps):
-                diffs[k - 2, j] = seminorm(space, delta, p).log_upper
-        prev_mean = mean
-    return ErgodicReport(cesaro_ratio, orbit_over_k, mean, diffs, triangle_ok, ps)
-
-
-def _cesaro_column_log_norms(op: OperatorSpec, K: int, n_max: int,
-                             ps: Sequence[int]) -> np.ndarray:
-    """log ||T^[k] e_n||_p tables via the symbol route for the pure kinds and
-    dense floating truncations (complex when a symbol is) for the mixed kind."""
-    space = op.space
-    if op.kind is OperatorKind.HAT:
-        n_max = min(n_max, readable_length(op.theta, n_max))
-    elif op.kind is OperatorKind.CHECK:
-        n_max = min(n_max, readable_length(op.beta, n_max))
-    else:
-        n_max = min(n_max, readable_length(op.theta, n_max),
-                    readable_length(op.beta, n_max))
-    out = np.full((K, len(ps), n_max), NEG_INF)
-    if op.kind in (OperatorKind.HAT, OperatorKind.CHECK):
-        sym = op.theta if op.kind is OperatorKind.HAT else op.beta
-        acc = None
-        base_len = n_max + 1
-        table = ConvPowerTable(float_symbol(sym), base_len)
-        for k in range(1, K + 1):
-            pk = table.power(k)
-            arr = float_prefix(pk, base_len)
-            acc = arr if acc is None else acc + arr
-            mean = finite_symbol(acc / k)
-            for j, p in enumerate(ps):
-                if op.kind is OperatorKind.HAT:
-                    out[k - 1, j, :] = hat_column_log_norms(space, mean, p, n_max)
-                else:
-                    out[k - 1, j, :] = check_column_log_norms(space, mean, p, n_max)
-        return out
-    n_dense = min(n_max, 128)
-    M = toeplitz_matrix(op.theta, op.beta, n_dense)
-    acc = np.zeros_like(M)
-    cur = np.eye(n_dense)
-    for k in range(1, K + 1):
-        cur = cur @ M
-        acc += cur
-        mean = acc / k
-        logm = log_nonneg(np.abs(mean))
-        for j, p in enumerate(ps):
-            logw = space.log_weights(1, n_dense, p)
-            col_log = logm + logw[:, None]
-            mx = col_log.max(axis=0)
-            with np.errstate(divide="ignore"):
-                out[k - 1, j, :n_dense] = mx + np.log(
-                    np.sum(np.exp(col_log - np.where(np.isfinite(mx), mx, 0.0)[None, :]),
-                           axis=0))
     return out

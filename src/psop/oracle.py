@@ -139,26 +139,6 @@ def dense_power(M: DenseTrunc, k: int) -> DenseTrunc:
     return out
 
 
-def dense_cesaro(M: DenseTrunc, k: int) -> DenseTrunc:
-    """(1/k) * sum of the first k powers, exact."""
-    if k < 1:
-        raise ValueError("need k >= 1")
-    acc = None
-    cur = M
-    for step in range(1, k + 1):
-        acc = cur if acc is None else _dense_add(acc, cur)
-        if step < k:
-            cur = dense_matmul(cur, M)
-    inv = Fraction(1, k) if acc.exact else mpmath.mpf(1) / k
-    rows = tuple(tuple(v * inv for v in row) for row in acc.rows)
-    return DenseTrunc(rows, acc.exact)
-
-
-def _dense_add(A: DenseTrunc, B: DenseTrunc) -> DenseTrunc:
-    rows = tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(A.rows, B.rows))
-    return DenseTrunc(rows, A.exact and B.exact)
-
-
 def column(M: DenseTrunc, j: int) -> list:
     """1-based column extraction (the image of e_j)."""
     return [M.rows[i][j - 1] for i in range(M.n)]

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
@@ -285,10 +285,19 @@ TailCert = Union[FinitelySupported, GeometricEnvelope, ExponentialEnvelope]
 FINITE_TAIL = FinitelySupported()
 
 
+def positive_scale(product: float, *factors: float) -> float:
+    """An envelope scale computed as product, of nonnegative factors among
+    which only those passed as factors may be 0: the least positive float
+    where the product underflowed to 0 though none of them is.  A scale of 0
+    certifies zero coefficients, which only a zero factor may do."""
+    return math.ulp(0.0) if product == 0.0 and all(factors) else product
+
+
 def shift_envelope(cert: TailCert, offset: int) -> TailCert:
     """Reindex a geometric envelope by i -> i + offset (symbol -> element)."""
     if isinstance(cert, GeometricEnvelope) and cert.ratio > 0:
-        return GeometricEnvelope(cert.scale * cert.ratio ** (-offset), cert.ratio)
+        return GeometricEnvelope(
+            positive_scale(cert.scale * cert.ratio ** (-offset), cert.scale), cert.ratio)
     if isinstance(cert, GeometricEnvelope):
         return FINITE_TAIL  # ratio 0 certifies a zero tail
     return cert
@@ -309,10 +318,8 @@ def geometric_for(space: Optional[SpaceSpec], cert: TailCert) -> Optional[Geomet
 
 def scale_envelope(cert: TailCert, factor: float) -> TailCert:
     """Certificate for c * x from one for x, with factor = |c| as a float."""
-    if isinstance(cert, GeometricEnvelope):
-        return GeometricEnvelope(cert.scale * factor, cert.ratio)
-    if isinstance(cert, ExponentialEnvelope):
-        return ExponentialEnvelope(cert.scale * factor, cert.grade, cert.sign)
+    if isinstance(cert, (GeometricEnvelope, ExponentialEnvelope)):
+        return replace(cert, scale=positive_scale(cert.scale * factor, cert.scale, factor))
     return cert
 
 
@@ -357,7 +364,7 @@ def convolve_finite(values: Sequence, env: GeometricEnvelope, first: int = 0) ->
         return FINITE_TAIL
     weights = math.fsum(float(abs(v)) * env.ratio ** (-(j + first))
                         for j, v in enumerate(values) if v != 0)
-    return GeometricEnvelope(env.scale * weights, env.ratio)
+    return GeometricEnvelope(positive_scale(env.scale * weights, env.scale, weights), env.ratio)
 
 
 def _geometric_sup_poly(t: float) -> float:
@@ -384,11 +391,13 @@ def convolve_geometric(ea: GeometricEnvelope, eb: GeometricEnvelope) -> Geometri
     if ea.ratio == 0 or eb.ratio == 0:
         base = ea if ea.ratio == 0 else eb
         other = eb if ea.ratio == 0 else ea
-        return GeometricEnvelope(base.scale * other.scale, other.ratio)
+        return GeometricEnvelope(positive_scale(base.scale * other.scale, base.scale, other.scale),
+                                 other.ratio)
     rho = max(ea.ratio, eb.ratio)
     rho_inflated = _inflate_ratio(rho)
     poly = _geometric_sup_poly(rho / rho_inflated)
-    return GeometricEnvelope(ea.scale * eb.scale * poly, rho_inflated)
+    return GeometricEnvelope(positive_scale(ea.scale * eb.scale * poly, ea.scale, eb.scale),
+                             rho_inflated)
 
 
 def correlate_envelope(x_env: GeometricEnvelope, b_env: TailCert, N: int,

@@ -10,9 +10,9 @@ builds one Fraction per output entry.  An exact finite power that fits the
 truncation is carried the same way: integer numerators over d**k, d the
 base's common denominator, with Fractions built only for the result; every
 other power (float, geometric or sampled base, or an exact one cut by the
-truncation) is the ConvPowerTable chain of convolve calls, one Symbol and
-envelope per power; sweeps of the magnitudes alone take float_power_rows,
-its values as one array.  Geometric symbols keep exact closed forms for
+truncation) is k - 1 convolve calls upward, one Symbol and envelope per
+power; sweeps of the magnitudes alone take float_power_rows, its values as
+one array.  Geometric symbols keep exact closed forms for
 their absolute sums, which is what the boundary cases of the classifiers need.
 
 The membership convention embeds a symbol s into a space as the element
@@ -83,6 +83,7 @@ from .spaces import (
     convolve_finite,
     convolve_geometric,
     geometric_tail_sum,
+    positive_scale,
     seminorm as _space_seminorm,
     shift_envelope,
 )
@@ -441,13 +442,16 @@ def symbol_abs_and_env(s: Symbol, L: int):
     """Readable |coefficients| (at most L of them) plus the geometric
     envelope that bounds the rest (None when the returned prefix is the whole
     support)."""
-    sup = s.bounded_support()
-    if s._gap is None and sup is not None:
-        return np.abs(float_prefix(s, sup)), None
-    env = symbol_envelope(s)
-    if not isinstance(env, GeometricEnvelope):
-        raise TailUnbounded("symbol tail beyond the window is not geometrically bounded")
-    return np.abs(float_prefix(s, readable_length(s, L))), env
+    sup, env = s.bounded_support(), None
+    if s._gap is not None or sup is None:
+        env = symbol_envelope(s)
+        if not isinstance(env, GeometricEnvelope):
+            raise TailUnbounded("symbol tail beyond the window is not geometrically bounded")
+        sup = readable_length(s, L)
+    try:
+        return np.abs(float_prefix(s, sup)), env
+    except OverflowError:
+        raise TailUnbounded("a symbol coefficient overflows a float") from None
 
 
 # ---------------------------------------------------------------------------
@@ -507,9 +511,8 @@ def convolve_envelopes(ea: TailCert, eb: TailCert, a: Symbol, b: Symbol) -> Tail
     if ends_support(ea) and ends_support(eb):
         # both supports finite; used when the product is truncated below its
         # full support, so bound the unstored coefficients by the sum product
-        la = ell1_norm(a)
-        lb = ell1_norm(b)
-        return GeometricEnvelope(la.upper * lb.upper, 1.0)
+        la, lb = ell1_norm(a).upper, ell1_norm(b).upper
+        return GeometricEnvelope(positive_scale(la * lb, la, lb), 1.0)
     if isinstance(ea, FinitelySupported) or isinstance(eb, FinitelySupported):
         fin, env, fin_sym = (ea, eb, a) if isinstance(ea, FinitelySupported) else (eb, ea, b)
         if not isinstance(env, GeometricEnvelope):
@@ -561,8 +564,7 @@ def convolve(a: Symbol, b: Symbol, N: int) -> Symbol:
 @dataclass
 class ConvPowerTable:
     """Cache of truncated convolution powers of one symbol, filled on demand
-    by convolve: the chain for float, geometric and sampled bases and cut exact
-    powers, for conv_power and classify's readers of the powers' envelopes."""
+    by convolve, for classify's readers of every power's envelope up to K."""
 
     base: Symbol
     truncation: int
@@ -645,24 +647,24 @@ def _exact_power(a: Symbol, k: int, N: int, binary: bool) -> Optional[Symbol]:
     return Symbol(SymbolKind.FINITE, entries=tuple([Fraction(v, scale) for v in out]))
 
 
+def _conv_power(a: Symbol, k: int, N: int, binary: bool) -> Symbol:
+    if k < 1:
+        raise ValueError("powers start at k = 1")
+    out = _exact_power(a, k, N, binary)
+    return out if out is not None else _power_by(a, k, lambda u, v: convolve(u, v, N), binary)
+
+
 def conv_power(a: Symbol, k: int, N: int) -> Symbol:
     """k-fold convolution power: integer numerators over d**k for an exact
-    finite a whose power fits below N, else the ConvPowerTable chain."""
-    out = _exact_power(a, k, N, binary=False)
-    return out if out is not None else ConvPowerTable(a, N).power(k)
+    finite a whose power fits below N, else k - 1 convolve calls upward,
+    a^{*j} = convolve(a^{*(j-1)}, a, N), as ConvPowerTable(a, N).power(k)."""
+    return _conv_power(a, k, N, binary=False)
 
 
 def conv_power_binary(a: Symbol, k: int, N: int) -> Symbol:
-    """Square-and-multiply variant of conv_power, in integers over d**k where
-    conv_power is and by convolve otherwise; agrees with conv_power exactly
-    on the truncation because truncated convolution is associative
-    prefix-wise."""
-    if k < 1:
-        raise ValueError("powers start at k = 1")
-    out = _exact_power(a, k, N, binary=True)
-    if out is None:
-        out = _power_by(a, k, lambda u, v: convolve(u, v, N), binary=True)
-    return out
+    """Square-and-multiply variant of conv_power; agrees with it exactly on
+    the truncation because truncated convolution is associative prefix-wise."""
+    return _conv_power(a, k, N, binary=True)
 
 
 # ---------------------------------------------------------------------------
@@ -692,17 +694,25 @@ class SeriesSum:
         return self.partial
 
 
+def exact_float(x: Rational, what: str) -> float:
+    """float(x), or TailUnbounded naming what when x is past the float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        raise TailUnbounded(f"{what} overflows a float") from None
+
+
 def ell1_norm(s: Symbol) -> SeriesSum:
     """sum_i |s_i| with a closed-form tail majorant per certificate.
 
     Raises TailUnbounded when the certificate cannot settle summability
-    (e.g. a merely bounded sampled tail); returns infinite=True when it
-    certifies divergence.
+    (e.g. a merely bounded sampled tail) or an exact sum is past the float
+    range; returns infinite=True when it certifies divergence.
     """
     if s.kind is SymbolKind.FINITE:
         if s.is_exact:
             exact = sum(abs(Fraction(v)) for v in s.entries) if s.entries else Fraction(0)
-            return SeriesSum(float(exact), 0.0, exact=exact)
+            return SeriesSum(exact_float(exact, "the absolute sum"), 0.0, exact=exact)
         return SeriesSum(math.fsum(abs(v) for v in s.entries), 0.0)
     if s.kind is SymbolKind.GEOMETRIC:
         if s.c == 0:
@@ -712,7 +722,7 @@ def ell1_norm(s: Symbol) -> SeriesSum:
             return SeriesSum(math.inf, 0.0, infinite=True)
         if s.is_exact:
             exact = abs(Fraction(s.c)) / (1 - abs(Fraction(s.r)))
-            return SeriesSum(float(exact), 0.0, exact=exact)
+            return SeriesSum(exact_float(exact, "the absolute sum"), 0.0, exact=exact)
         return SeriesSum(float(abs(s.c)) / (1.0 - float(r_abs)), 0.0)
     # sampled: the stored values, plus the envelope over the gap
     partial = math.fsum(abs(v) for v in s.entries)

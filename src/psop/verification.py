@@ -64,6 +64,7 @@ from .symbols import (
     geometric_symbol,
     prefix,
     readable_length,
+    scaled_ints,
     weighted_beta_sum_finite,
 )
 
@@ -359,9 +360,8 @@ def _b_sum_finite(beta: Symbol) -> bool:
 
 def _scaled_ints(sym: Symbol) -> tuple[np.ndarray, int]:
     """Clear denominators: integer numerators and the common denominator."""
-    entries = [Fraction(v) for v in prefix(sym, readable_length(sym, sym.bounded_support()))]
-    den = math.lcm(*(f.denominator for f in entries)) if entries else 1
-    return np.array([int(f * den) for f in entries], dtype=np.int64), den
+    ints, den = scaled_ints(prefix(sym, readable_length(sym, sym.bounded_support())))
+    return np.array(ints, dtype=np.int64), den
 
 
 def _lower_toeplitz(col: np.ndarray, N: int) -> np.ndarray:

@@ -228,7 +228,7 @@ def test_criterion_7_end_to_end_exponential_symbol():
     assert replay_verdict(mtop)
 
 
-def test_criterion_8_mean_ergodic_probes():
+def test_criterion_8_cesaro_means():
     K, ps = 24, [1, 2, 4]
     # identity: Cesaro means are the start element itself
     op = make_hat_operator(FIN, delta_symbol())

@@ -12,7 +12,6 @@ from psop import (
     OutOfSampledRange,
     Status,
     UnsupportedSpace,
-    basis_element,
     classify_check_all,
     classify_hat_m_top,
     classify_hat_power_bounded_finite,
@@ -27,7 +26,6 @@ from psop import (
     make_check_operator,
     make_hat_operator,
     make_toeplitz_operator,
-    mean_ergodic_probe,
     replay_verdict,
     root_alpha,
     sampled_symbol,
@@ -359,55 +357,6 @@ def test_classify_toeplitz_examples(fin, inf, small_grid):
                           zero_symbol(), small_grid)
 
 
-# ---------------------------------------------------------------------------
-# ergodic probes
-# ---------------------------------------------------------------------------
-
-
-def test_mean_ergodic_probe_identity(fin, small_grid):
-    op = make_hat_operator(fin, delta_symbol())
-    x = basis_element(1, 32, fin)
-    rep = mean_ergodic_probe(op, x, small_grid)
-    assert rep.mean_estimate.values[0] == pytest.approx(1.0)
-    assert np.all(np.isneginf(rep.mean_diff_log))
-    assert rep.triangle_ok
-
-
-def test_mean_ergodic_probe_scalar_decay(fin, small_grid):
-    op = make_hat_operator(fin, delta_symbol(Fraction(1, 2)))
-    x = basis_element(1, 32, fin)
-    rep = mean_ergodic_probe(op, x, small_grid)
-    # ||T^k x||_p / k -> 0 and the Cesaro means shrink like 1/k
-    col = rep.orbit_over_k[:, 0]
-    assert col[-1] < col[0]
-    assert rep.triangle_ok
-
-
-def test_mean_ergodic_probe_shift(fin, small_grid):
-    op = make_hat_operator(fin, finite_symbol([0, 1]))
-    rep = mean_ergodic_probe(op, basis_element(1, 48, fin), small_grid)
-    assert rep.triangle_ok
-    # the Cesaro ratio evidence found some workable grade
-    for p, (q, ratio) in rep.cesaro_ratio.items():
-        assert 1 <= q <= small_grid.Q and math.isfinite(ratio)
-
-
-def test_mean_ergodic_probe_complex_toeplitz_matches_hat(fin, small_grid):
-    # with beta = 0 the Toeplitz operator is the forward operator of delta(c);
-    # its dense Cesaro route must keep the imaginary part of c
-    c = 0.5j
-    x = basis_element(1, 32, fin)
-    toep = make_toeplitz_operator(fin, finite_symbol([c]), finite_symbol([0]))
-    hat = make_hat_operator(fin, delta_symbol(c))
-    got = mean_ergodic_probe(toep, x, small_grid).cesaro_ratio
-    want = mean_ergodic_probe(hat, x, small_grid).cesaro_ratio
-    assert got.keys() == want.keys()
-    for p, (q, ratio) in want.items():
-        assert ratio > 0
-        assert got[p][0] == q
-        assert abs(got[p][1] - ratio) <= 1e-12
-
-
 # -- _dual_log_ratios against the power chain and per-q loop it replaced ----
 
 
@@ -708,15 +657,28 @@ def test_hat_power_sweeps_build_no_symbol_power(fin, inf, monkeypatch):
 # -- an exact coefficient past the float range --------------------------------
 
 
-def test_an_exact_dual_entry_past_the_float_range_is_tail_unbounded():
+def test_an_exact_dual_entry_past_the_float_range_is_tail_unbounded(fin, inf):
     """The dual fit succeeds (c0 ~ 5e-35, m0 = 1); the float reads that
-    follow raise TailUnbounded, not a raw OverflowError."""
+    follow raise TailUnbounded, not a raw OverflowError.  The hat side of the
+    same entry ends, in every mode on both types, in a verdict or in the
+    TailUnbounded of the absolute sum, the nonnegative sum or the norm
+    kernels' float read."""
     from psop.operators import check_column_log_norms
     from psop.spaces import explicit_alpha
 
+    grid = GridParams(N=16, K=4, P=2, Q=4)
     beta = finite_symbol([Fraction(10) ** 400])
     space = infinite_type_space(explicit_alpha([1000.0, 2000.0], "arithmetic"))
     with pytest.raises(TailUnbounded, match="overflows a float"):
-        classify_check_all(space, beta, GridParams(N=16, K=4, P=2, Q=4))
+        classify_check_all(space, beta, grid)
     with pytest.raises(TailUnbounded, match="overflows a float"):
         check_column_log_norms(infinite_type_space(), beta, 2, 8)
+    theta = finite_symbol([Fraction(1, 2), Fraction(10) ** 400])
+    for space in (fin, inf):
+        for mode in ("topologizable", "m_topologizable", "power_bounded"):
+            try:
+                v = classify_operator(make_hat_operator(space, theta), [mode], grid)[mode]
+            except TailUnbounded as err:
+                assert "overflows a float" in str(err)
+            else:
+                assert "overflows a float" in v.evidence["reason"]

@@ -419,7 +419,17 @@ def test_an_exact_dual_entry_past_the_float_range_is_a_task_error(tmp_path, caps
            "operator": {"kind": "check", "beta": {"finite": [str(10 ** 400)]}},
            "task": {"type": "classify", "modes": ["power_bounded"]},
            "grid": {"N": 16, "K": 4, "P": 2, "Q": 4}}
-    assert main(["run", write(tmp_path, job), "--out", str(tmp_path / "out")]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("task error:") and "overflows a float" in err
-    assert "Traceback" not in err
+    # the hat side of the same entry, in each mode that ends in TailUnbounded
+    hat = {"kind": "hat", "theta": {"finite": ["1/2", str(10 ** 400)]}}
+    jobs = [job] + [dict(job, space={"type": space_type}, operator=hat,
+                         task={"type": "classify", "modes": [mode]})
+                    for space_type, mode in [("finite", "topologizable"),
+                                             ("finite", "m_topologizable"),
+                                             ("infinite", "topologizable"),
+                                             ("infinite", "m_topologizable"),
+                                             ("infinite", "power_bounded")]]
+    for job in jobs:
+        assert main(["run", write(tmp_path, job), "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("task error:") and "overflows a float" in err
+        assert "Traceback" not in err

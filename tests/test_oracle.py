@@ -20,7 +20,6 @@ from psop import (
     classify_hat_topologizable,
     delta_symbol,
     dense_apply,
-    dense_cesaro,
     dense_check,
     dense_hat,
     dense_power,
@@ -54,10 +53,6 @@ def test_dense_apply_examples():
 def test_dense_power_and_cesaro_examples():
     ident = dense_hat(delta_symbol(), 4)
     assert dense_power(ident, 7).rows == ident.rows
-    c = Fraction(1, 3)
-    ces = dense_cesaro(dense_hat(delta_symbol(c), 3), 2)
-    want = (c + c * c) / 2
-    assert all(ces.rows[i][i] == want for i in range(3))
     cube = dense_power(dense_hat(finite_symbol([1, 1]), 6), 3)
     assert column(cube, 1)[:4] == [1, 3, 3, 1]
 

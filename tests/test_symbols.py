@@ -650,6 +650,9 @@ _row_bases = st.one_of(
 
 
 @given(_row_bases, st.integers(1, 7), st.integers(1, 48))
+# the third power's envelope scale times l1(theta) underflows: the fourth
+# power keeps its gap from index 1 on, where its coefficient is nonzero
+@example(finite_symbol([0.0, 1.0774210117873687e-85]), 4, 1)
 @settings(max_examples=250, deadline=None)
 def test_float_power_rows_are_the_chain_bit_for_bit(theta, K, N):
     from psop.symbols import float_power_rows
@@ -667,6 +670,40 @@ def test_float_power_rows_are_the_chain_bit_for_bit(theta, K, N):
         n = len(mags)
         assert row[:n].tobytes() == mags[:len(row)].tobytes()
         assert not row[n:].any() and not mags[len(row):].any()
+
+
+def _bits(values):
+    return [(type(v), repr(v)) for v in values]
+
+
+@given(_row_bases, st.integers(1, 7), st.integers(1, 48))
+@settings(max_examples=150, deadline=None)
+def test_conv_power_is_the_power_table_bit_for_bit(theta, K, N):
+    """conv_power's upward convolve calls give ConvPowerTable(theta, N)'s
+    powers, bit for bit: kind, entries, envelope and support bound."""
+    table = ConvPowerTable(theta, N)
+    for k in range(1, K + 1):
+        try:
+            want = table.power(k)
+        except (OutOfSampledRange, TailUnbounded) as err:
+            with pytest.raises(type(err)):
+                conv_power(theta, k, N)
+            return
+        got = conv_power(theta, k, N)
+        assert (got.kind, got.envelope, got.support_len, got.bounded_support()) == \
+            (want.kind, want.envelope, want.support_len, want.bounded_support())
+        assert _bits(got.entries) == _bits(want.entries)
+
+
+def test_conv_power_of_a_high_power_returns_and_both_names_need_k_at_least_one():
+    base = finite_symbol([0.5, 0.5])
+    got = conv_power(base, 1200, 64)
+    assert got.kind is SymbolKind.SAMPLED and len(got.entries) == 64
+    assert prefix(conv_power_binary(base, 1200, 64), 64) == pytest.approx(prefix(got, 64))
+    for power in (conv_power, conv_power_binary):
+        for k in (0, -1):
+            with pytest.raises(ValueError, match="powers start at k = 1"):
+                power(base, k, 8)
 
 
 def test_float_power_rows_cover_truncated_and_whole_powers():
