@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -46,7 +46,8 @@ def sum_exp(log_terms: Sequence[float] | np.ndarray) -> tuple[float, float]:
     masking and the shift run in numpy; the exponentials stay libm's
     math.exp, because np.exp differs from it in the last bit on some inputs.
     Terms more than 746 below the maximum are dropped: their exp is +0.0
-    (x < log 2**-1075 = -745.13), and fsum is correctly rounded, so the sum keeps its bits.
+    (x < log 2**-1075 = -745.13), and fsum is correctly rounded, so the sum keeps its bits;
+    those more than 64 below it too, when a bound on them cannot move the sum.
     """
     a = np.asarray(log_terms, dtype=float)
     terms = a[a != NEG_INF]
@@ -59,19 +60,47 @@ def sum_exp(log_terms: Sequence[float] | np.ndarray) -> tuple[float, float]:
     return exp_guarded(logv), logv
 
 
-def sum_exp_rows(a: np.ndarray) -> np.ndarray:
+def sum_exp_rows(a: np.ndarray, unseen: Optional[np.ndarray] = None) -> Optional[np.ndarray]:
     """sum_exp(row)[1] for each row of a 2-D float array, bit for bit, one
-    row's shift and exponentials at a time."""
+    row's shift and exponentials at a time.  unseen bounds per row the log
+    sum of the terms a row leaves out: the sums are the whole rows', or None
+    where a row needs those terms."""
     out = np.max(a, axis=1, initial=NEG_INF)
-    for i in np.flatnonzero(~np.isinf(out)).tolist():   # a row of -inf or with +inf is its max
-        out[i] = _shifted_log_sum(out[i], a[i] - out[i])
+    for i, top in enumerate(out.tolist()):
+        u = NEG_INF if unseen is None else unseen[i]
+        if top == math.inf or top == u == NEG_INF:
+            continue    # a row with +inf is its max; a row of -inf sums to -inf
+        if top == NEG_INF:
+            return None     # the row's max may be among the unseen terms
+        out[i] = v = _shifted_log_sum(top, a[i] - top, exp_guarded(u - top))
+        if v is None:
+            return None
     return out
 
 
-def _shifted_log_sum(top: float, shifted: np.ndarray) -> float:
-    """top + log(fsum(exp(shifted))) without the terms below -746 (a NaN stays)."""
-    kept = shifted[~(shifted < -746.0)].tolist()
-    return top + math.log(math.fsum(map(math.exp, kept)))
+# every float x < _NEAR has exp(x) < _FAR_TERM
+_NEAR = -64.0
+_FAR_TERM = 2.0 * math.exp(_NEAR)
+
+
+def _shifted_log_sum(top: float, shifted: np.ndarray, unseen: float = 0.0) -> Optional[float]:
+    """top + log(fsum(exp(shifted))) without the terms below -746 (a NaN stays),
+    from E = exp of the terms from -64 up when fsum(E + [B]) == fsum(E), B
+    bounding the rest and the unseen terms (notes/decisions.md section 9);
+    else from every term, or None when terms are unseen."""
+    if top != top:
+        return top      # a NaN term is the max (np.max), and NaN is every shifted term
+    exps = list(map(math.exp, shifted[shifted >= _NEAR].tolist()))
+    s = math.fsum(exps)
+    far = len(shifted) - len(exps)      # of which those below -746 have exp 0
+    bound = (far and far - np.count_nonzero(shifted < -746.0)) * _FAR_TERM + unseen
+    if bound:
+        exps.append(bound)
+        if math.fsum(exps) != s:       # also when s is NaN
+            if unseen:
+                return None
+            s = math.fsum(map(math.exp, shifted[~(shifted < -746.0)].tolist()))
+    return top + math.log(s)
 
 
 def logaddexp(a: float, b: float) -> float:

@@ -513,12 +513,15 @@ def orbit_csv(rec: OrbitRecord) -> str:
 
 
 def forward_log_sums(space: SpaceSpec, logs: np.ndarray, p: int,
-                     geo: Optional[GeometricEnvelope] = None) -> np.ndarray:
+                     geo: Optional[GeometricEnvelope] = None,
+                     unseen: Optional[np.ndarray] = None) -> Optional[np.ndarray]:
     """log sum_i |s_i| e^{rate i} per row of logs = log |s_i| (rate -1/p on the
     finite type, p on the infinite), plus geo's bound past the row if given:
-    ||T_s e_n||_p / w_{n,p}, a forward column over its weight (linear alpha)."""
+    ||T_s e_n||_p / w_{n,p}, a forward column over its weight (linear alpha).
+    unseen bounds per row the log sum of the terms past the given columns:
+    None where a row needs them (sum_exp_rows)."""
     rate = -1.0 / p if space.is_finite_type else float(p)
-    out = sum_exp_rows(logs + rate * np.arange(logs.shape[1]))
+    out = sum_exp_rows(logs + rate * np.arange(logs.shape[1]), unseen)
     if geo is not None:
         t = geo.ratio * math.exp(rate)
         if t >= 1.0:

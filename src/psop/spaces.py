@@ -362,9 +362,18 @@ def convolve_finite(values: Sequence, env: GeometricEnvelope, first: int = 0) ->
     avoids a ratio ** (-j) overflow.  Ratio 0 or no values: finite support."""
     if len(values) == 0 or env.ratio == 0:
         return FINITE_TAIL
-    weights = math.fsum(float(abs(v)) * env.ratio ** (-(j + first))
+    weights = math.fsum(_finite_weight(v, env.ratio, j + first)
                         for j, v in enumerate(values) if v != 0)
     return GeometricEnvelope(positive_scale(env.scale * weights, env.scale, weights), env.ratio)
+
+
+def _finite_weight(v, ratio: float, j: int) -> float:
+    """|v| ratio**(-j) for v != 0, in log space where float(|v|) is 0.0, and
+    positive: the least positive float if that underflows too."""
+    a = float(abs(v))
+    if a:
+        return a * ratio ** (-j)
+    return math.exp(log_abs(v) - j * math.log(ratio)) or math.ulp(0.0)
 
 
 def _geometric_sup_poly(t: float) -> float:

@@ -588,7 +588,9 @@ def float_power_rows(theta: Symbol, K: int, N: int) -> tuple[np.ndarray, list]:
     N) as rows of one array (to its last nonzero column), and each power's
     readable length (math.inf without a gap).  Row 1 is the base's window,
     support or first N; row k is np.convolve(row k - 1, base) on convolve's
-    lengths: the chain's bits, with no Symbol or envelope per power."""
+    lengths: the chain's bits, with no Symbol or envelope per power.  For
+    12 <= N < M the rows at N are the first N columns of the rows at M, bit
+    for bit (notes/decisions.md section 9)."""
     base = float_symbol(theta)
     t = s = base.bounded_support()
     window = readable_length(base, math.inf)

@@ -24,7 +24,7 @@ from .classify import (
     classify_check_all,
     strongly_tame_probe,
 )
-from .numerics import log_nonneg
+from .numerics import LOG_FLOAT_MAX, log_nonneg
 from .operators import (
     OperatorSpec,
     check_column_log_norms,
@@ -60,6 +60,7 @@ from .symbols import (
     ell1_norm,
     finite_symbol,
     float_power_rows,
+    float_prefix,
     float_symbol,
     geometric_symbol,
     prefix,
@@ -176,21 +177,34 @@ def sweep_hat_power_bound(space: SpaceSpec, thetas: Sequence[Symbol],
 
     def one_symbol(theta: Symbol) -> tuple[float, dict]:
         log_l1 = math.log(max(ell1_norm(theta).upper, 1e-300))
-        # |theta^{*k}| as rows (a truncated power on its window), logged once
-        mags, windows = float_power_rows(theta, k_max, L_conv)
-        assert space.is_finite_type or min(windows) == math.inf
-        logs = log_nonneg(mags)
+        base = float_symbol(theta)
         # a law of unbounded support and no gap (geometric) keeps its envelope
         # tail in its first power's columns: that row is hat_column_log_norms'
-        first = windows[0] == math.inf and theta.bounded_support() is None
-        rows = logs[1:] if first else logs
+        first = readable_length(base, math.inf) == math.inf and theta.bounded_support() is None
+        cols, unseen = _seen_columns(base, k_max, p_max, L_conv) \
+            if first and space.is_finite_type else (L_conv, None)
+
+        def power_rows(cols: int) -> tuple[np.ndarray, list]:
+            # |theta^{*k}| as rows (a truncated power on its window), logged once
+            mags, windows = float_power_rows(theta, k_max, cols)
+            logs = log_nonneg(mags)
+            return (logs[1:] if first else logs), windows
+
+        rows, windows = power_rows(cols)    # the first cols columns of the rows on L_conv
+        windows = [L_conv if w == cols else w for w in windows]
+        assert space.is_finite_type or min(windows) == math.inf
         worst = (math.inf, {})
         for p in range(1, p_max + 1):
             log_norm_lower, _ = symbol_log_norm_bounds(space, theta, 2 * p)
             # ||T^k e_n||_p = w_{n,p} sum_i |theta^{*k}_i| e^{rate i}
-            lhs = space.log_weights(1, n_max, p) + forward_log_sums(space, rows, p)[:, None]
+            sums = forward_log_sums(space, rows, p, unseen=None if unseen is None
+                                    else unseen - cols / p)     # e^{-i/p} past cols
+            if sums is None:    # a row its columns cannot settle: all rows on L_conv
+                (rows, _), unseen = power_rows(L_conv), None
+                sums = forward_log_sums(space, rows, p)
+            lhs = space.log_weights(1, n_max, p) + sums[:, None]
             if first:
-                lhs = np.vstack([hat_column_log_norms(space, float_symbol(theta), p, n_max), lhs])
+                lhs = np.vstack([hat_column_log_norms(space, base, p, n_max), lhs])
             for L in set(windows) - {math.inf}:
                 cut = [k for k, w in enumerate(windows) if w == L]
                 tail = ks[cut, None] * log_l1 + space.log_weights(1 + L, n_max + L, p)
@@ -215,6 +229,24 @@ def sweep_hat_power_bound(space: SpaceSpec, thetas: Sequence[Symbol],
     idx = int(np.argmin(slacks)) if slacks else 0
     argmin = dict(results[idx][1], symbol=idx) if slacks else None
     return _outcome(name, slacks, t0, detail={"argmin": argmin})
+
+
+def _seen_columns(base: Symbol, K: int, P: int, L: int) -> tuple[int, Optional[np.ndarray]]:
+    """(J, log bounds on the mass past column J of the power rows k = 2..K)
+    for a law b = base[:L] without gap or support bound on the finite type,
+    grades p <= P; (L, None) unless J < L.  b_0^k is in row k, so past J the
+    mass is e^-80 of the row's sum: a heuristic the sums check (section 9
+    of notes/decisions.md)."""
+    b = np.abs(float_prefix(base, L))
+    l1 = sum(b.tolist())    # inf past the float range, where fsum would raise
+    J = P * (K * math.log(l1 / b[0]) + 80) if b[0] > 0 else math.inf
+    if K < 2 or not J < L:
+        return L, None
+    # sum_j |row_k[j]| <= (1 + gamma_L)^(k-1) l1^k; the factor 2 covers that and
+    # the rounding, L * 1e-320 the entries that log_nonneg reads as 1e-320
+    unseen = math.log(2.0) + np.logaddexp(np.arange(2, K + 1) * math.log(l1),
+                                          math.log(L * 1e-320))
+    return (math.ceil(J), unseen) if unseen.max() < LOG_FLOAT_MAX else (L, None)
 
 
 def sweep_dual_column_bound(space: SpaceSpec,

@@ -444,6 +444,117 @@ def test_power_bound_sweep_slack_at_the_acceptance_shape_is_pinned(fin):
     assert out.passed and out.detail == {"argmin": {"p": 8, "k": 1, "symbol": 0}}
 
 
+# repr(min_slack) and argmin at the acceptance shape (n 256, p 8, k 32),
+# corrected and literal, recorded before the sweep summed fewer columns and
+# exponentials; the powers are cut at 2312 columns
+ACCEPTANCE_SLACKS = [
+    (geometric_symbol(Fraction(-3, 2), Fraction(7, 8)),
+     "0.24667503537066393", "-3.721082529972861"),
+    (geometric_symbol(Fraction(5, 4), Fraction(1, 2)),
+     "0.05227435003045211", "-10.441326083405958"),
+    (geometric_symbol(1, Fraction(-3, 4)),
+     "0.1349560627173496", "-6.413813433790693"),
+    (geometric_symbol(complex(1, -0.5), Fraction(5, 8)),
+     "0.08264852598366412", "-8.61075858282233"),
+]
+
+
+@pytest.mark.parametrize("theta,corrected_slack,literal_slack", ACCEPTANCE_SLACKS,
+                         ids=["-3/2,7/8", "5/4,1/2", "1,-3/4", "1-0.5j,5/8"])
+@pytest.mark.parametrize("corrected", [True, False], ids=["corrected", "literal"])
+def test_power_bound_sweep_slacks_at_the_acceptance_shape_are_pinned(
+        fin, theta, corrected_slack, literal_slack, corrected):
+    from psop.verification import sweep_hat_power_bound
+
+    out = sweep_hat_power_bound(fin, [theta], "pinned", n_max=256, p_max=8, k_max=32,
+                                corrected=corrected)
+    assert repr(out.min_slack) == (corrected_slack if corrected else literal_slack)
+    argmin = {"p": 8, "k": 1} if corrected else {"p": 1, "k": 32}
+    assert out.passed is corrected and out.detail == {"argmin": dict(argmin, symbol=0)}
+
+
+def _full_row_log_sum(top, shifted, unseen=0.0):
+    """Each row summed whole, every term from -746 below its maximum up."""
+    kept = shifted[~(shifted < -746.0)].tolist()
+    return top + math.log(math.fsum(map(math.exp, kept)))
+
+
+# the hat shapes of the benchmark's sweep workload: (space, thetas, k_max, corrected)
+F = Fraction
+BENCH_HAT_SHAPES = [
+    ("finite", [geometric_symbol(F(3, 2), F(5, 8)), finite_symbol([F(1, 2), -3, F(5, 8), 2])],
+     1, False),
+    ("finite", [geometric_symbol(-2, F(7, 8)), finite_symbol([1, F(-7, 4), 0, F(3, 8)] * 2)],
+     1, False),
+    ("finite", [geometric_symbol(F(7, 4), F(1, 2)), finite_symbol([F(-1, 8), 6])], 32, True),
+    ("finite", [geometric_symbol(-5, F(3, 4)), finite_symbol([2, F(1, 2), -1, F(3, 4)])],
+     32, True),
+    ("finite", [geometric_symbol(F(1, 4), F(7, 8)), finite_symbol([F(5, 2), -1, 0, 1] * 2)],
+     32, True),
+    ("infinite", [finite_symbol([F(1, 2), -1, F(3, 4)]), finite_symbol([1, 0, F(-1, 4)] * 2)],
+     1, False),
+    ("infinite", [finite_symbol([F(3, 2), -2]), finite_symbol([F(1, 4), 1, 0, -1, 2, F(1, 2)])],
+     32, False),
+    ("finite", [delta_symbol()], 32, True),
+]
+
+
+def test_hat_sweeps_at_the_benchmark_shapes_keep_the_full_row_sums(fin, inf, monkeypatch):
+    """Every row sum the sweep takes, and its outcome, bit for bit against
+    the sweep on whole 2312-column rows, each summed term by term."""
+    from psop import numerics, verification
+
+    real = verification.forward_log_sums
+
+    def run():
+        sums = []
+
+        def record(*args, **kwargs):
+            out = real(*args, **kwargs)
+            if out is not None:
+                sums.append(out.tobytes())
+            return out
+
+        monkeypatch.setattr(verification, "forward_log_sums", record)
+        outcomes = []
+        for space_type, thetas, k_max, corrected in BENCH_HAT_SHAPES:
+            space = fin if space_type == "finite" else inf
+            out = verification.sweep_hat_power_bound(space, thetas, "x", 256, 8, k_max,
+                                                     corrected=corrected)
+            outcomes.append((out.passed, repr(out.min_slack), out.detail))
+        return outcomes, sums
+
+    got = run()
+    monkeypatch.setattr(numerics, "_shifted_log_sum", _full_row_log_sum)
+    monkeypatch.setattr(verification, "_seen_columns", lambda base, K, P, L: (L, None))
+    want = run()
+    assert got == want
+
+
+def test_hat_sweep_sums_whole_rows_where_its_columns_do_not_settle(fin, monkeypatch):
+    """With too few columns for their unseen mass, the sums are not settled
+    and the sweep builds the rows on the whole window: same outcome."""
+    from psop import verification
+
+    theta = geometric_symbol(Fraction(-3, 2), Fraction(7, 8))
+    want = verification.sweep_hat_power_bound(fin, [theta], "x", 256, 8, 32, corrected=True)
+    real_seen, real_sums = verification._seen_columns, verification.forward_log_sums
+    unsettled = []
+
+    def sums(*args, **kwargs):
+        out = real_sums(*args, **kwargs)
+        unsettled.append(out is None)
+        return out
+
+    monkeypatch.setattr(verification, "_seen_columns",
+                        lambda *args: (40, real_seen(*args)[1]))
+    monkeypatch.setattr(verification, "forward_log_sums", sums)
+    got = verification.sweep_hat_power_bound(fin, [theta], "x", 256, 8, 32, corrected=True)
+    assert unsettled[0] and not any(unsettled[1:])
+    assert (got.passed, repr(got.min_slack), got.detail) == \
+        (want.passed, repr(want.min_slack), want.detail)
+
+
 def test_power_bound_sweep_of_the_zero_symbol_is_vacuous(fin):
     """Zero columns hold with slack +inf, without a NaN from -inf - (-inf)
     (tier-1 turns numpy's RuntimeWarning into an error)."""
@@ -494,7 +605,6 @@ def _typed(values):
     return [(type(v), v) for v in values]
 
 
-F = Fraction
 CHECK_APPLY_CASES = {
     "all_int": ([2, -1, 3], (1, 0, -4, 5, 0, 0)),
     "mixed": ([F(1, 2), 3, F(-2, 3)], (4, F(1, 3), 0, -2, F(5, 7), 1)),

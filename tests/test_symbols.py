@@ -695,6 +695,40 @@ def test_conv_power_is_the_power_table_bit_for_bit(theta, K, N):
         assert _bits(got.entries) == _bits(want.entries)
 
 
+_prefix_bases = st.one_of(
+    st.builds(geometric_symbol,
+              st.sampled_from([Fraction(3, 2), Fraction(-5, 4), 2.0, complex(1, -0.5), 0.75j]),
+              st.sampled_from([Fraction(-7, 8), Fraction(1, 2), -0.75, 0.9])),
+    # sampled symbols with no gap: their stored values are the whole support
+    st.lists(st.one_of(rationals, _floats), min_size=1, max_size=12).map(
+        lambda v: sampled_symbol(v, extension="zero")),
+    st.lists(_floats, min_size=1, max_size=12).map(
+        lambda v: sampled_symbol(v, GeometricEnvelope(1.0, 1.0), support_len=len(v))),
+)
+
+
+@given(_prefix_bases, st.integers(1, 8), st.integers(12, 80), st.integers(1, 64))
+@example(geometric_symbol(Fraction(3, 2), Fraction(-7, 8)), 4, 12, 1)
+@example(geometric_symbol(Fraction(-3, 2), Fraction(7, 8)), 32, 1173, 1139)   # the sweep's
+@settings(max_examples=200, deadline=None)
+def test_power_rows_on_fewer_columns_are_their_prefix_bit_for_bit(theta, K, J, extra):
+    """Row k of the power rows at truncation J is the first J columns of row
+    k at any larger truncation: each output i < J is one dot over the same
+    i + 1 products.  Not below J = 12: np.convolve sums a full overlap with
+    a kernel of at most 11 entries in an unrolled loop, in another order
+    than the dot it runs at the ends."""
+    from psop.symbols import float_power_rows
+
+    def head(rows):
+        out = np.zeros((K, J))
+        out[:, :min(J, rows.shape[1])] = rows[:, :J]
+        return out
+
+    short, _ = float_power_rows(theta, K, J)
+    whole, _ = float_power_rows(theta, K, J + extra)
+    assert head(short).tobytes() == head(whole).tobytes()
+
+
 def test_conv_power_of_a_high_power_returns_and_both_names_need_k_at_least_one():
     base = finite_symbol([0.5, 0.5])
     got = conv_power(base, 1200, 64)
@@ -704,6 +738,21 @@ def test_conv_power_of_a_high_power_returns_and_both_names_need_k_at_least_one()
         for k in (0, -1):
             with pytest.raises(ValueError, match="powers start at k = 1"):
                 power(base, k, 8)
+
+
+def test_a_nonzero_value_below_the_float_range_keeps_a_positive_envelope():
+    """float(Fraction(1, 10**400)) is 0.0, yet its product with a geometric
+    law has no zero coefficient: the envelope scale stays positive, from
+    the value's log-space term, or the least positive float below that."""
+    tiny = Fraction(1, 10 ** 400)
+    out = convolve(finite_symbol([tiny]), geometric_symbol(1.0, 0.5), 8)
+    assert out.envelope == GeometricEnvelope(math.ulp(0.0), 0.5)
+    assert not out.is_zero and out.bounded_support() is None
+    out = convolve(finite_symbol([0, tiny]), geometric_symbol(1.0, Fraction(1, 10 ** 300)), 8)
+    assert out.envelope.scale == pytest.approx(1e-100, rel=1e-12)
+    # a value whose float is nonzero keeps its product weight
+    out = convolve(finite_symbol([Fraction(1, 4)]), geometric_symbol(1.0, 0.5), 8)
+    assert out.envelope == GeometricEnvelope(0.25, 0.5)
 
 
 def test_float_power_rows_cover_truncated_and_whole_powers():
@@ -739,16 +788,28 @@ _log_terms = st.one_of(
 )
 
 
-@given(st.integers(1, 5).flatmap(lambda width: st.lists(
+def _full_log_sum(row):
+    """The row sum as the sweeps took it before the early exit: every term
+    from -746 below the maximum up exponentiated and summed with fsum."""
+    top = max(row)
+    if top == -math.inf:
+        return top
+    kept = [t - top for t in row if not t - top < -746.0]
+    return top + math.log(math.fsum(map(math.exp, kept)))
+
+
+@given(st.integers(1, 40).flatmap(lambda width: st.lists(
     st.lists(_log_terms, min_size=width, max_size=width), min_size=1, max_size=6)))
 @settings(max_examples=300, deadline=None)
 def test_sum_exp_rows_are_sum_exp_row_by_row(rows):
+    """Both are the full sum, written out in _full_log_sum, bit for bit."""
     from psop.numerics import sum_exp, sum_exp_rows
 
     got = sum_exp_rows(np.array(rows))
     assert len(got) == len(rows)
     for row, g in zip(rows, got):
         assert _same_float(g, sum_exp(row)[1])
+        assert _same_float(g, _full_log_sum(row))
 
 
 @pytest.mark.parametrize("row,want", [
@@ -780,3 +841,45 @@ def test_sum_exp_drops_only_terms_whose_exp_is_zero():
     terms = [0.0] + [-745.13] * 5 + [-745.99] * 3 + [-746.5] * 4
     full = math.fsum(math.exp(t) for t in terms)
     assert sum_exp(terms)[1] == math.log(full)
+
+
+def _just_under_half_ulp_of_one() -> float:
+    """x with exp(x) below 2^-53 by less than e^-65: 1 + exp(x) rounds down
+    to 1, but one more term near e^-64 takes it past the midpoint."""
+    x = math.log(2.0 ** -53) - 1e-12
+    while 2.0 ** -53 - math.exp(x) >= math.exp(-65.0):
+        x = math.nextafter(x, math.inf)
+    assert 0.0 < 2.0 ** -53 - math.exp(x)
+    return x
+
+
+def test_early_exit_falls_back_where_the_far_terms_cross_a_midpoint():
+    """The terms below -64 pass 1 + exp(x) over the midpoint 1 + 2^-53:
+    the sum of the near terms alone would be 1.0 and its log 0.0, so the
+    bound on the far terms moves the rounded sum and they are summed too."""
+    from psop.numerics import sum_exp, sum_exp_rows
+
+    x = _just_under_half_ulp_of_one()
+    assert math.fsum([1.0, math.exp(x)]) == 1.0
+    row = [0.0, x] + [math.nextafter(-64.0, -math.inf)] * 3 + [-700.0, -math.inf]
+    want = _full_log_sum(row)
+    assert want == math.log1p(2.0 ** -52) > 0.0
+    assert sum_exp(row)[1] == want
+    assert sum_exp_rows(np.array([row, [0.0] * len(row)]))[0] == want
+    # the same row with its far terms left out and bounded: not settled
+    assert sum_exp_rows(np.array([row[:2]]), np.array([math.log(3e-28)])) is None
+    # and settled where the bound is far below the half ulp
+    assert sum_exp_rows(np.array([[0.0, -1.0]]), np.array([-80.0]))[0] == \
+        _full_log_sum([0.0, -1.0])
+
+
+def test_unseen_terms_leave_a_row_of_minus_inf_unsettled():
+    """Its max may be among the unseen terms, unless nothing is unseen;
+    a +inf or NaN row is its own sum, whatever is unseen."""
+    from psop.numerics import sum_exp_rows
+
+    rows = np.array([[-math.inf, -math.inf], [0.0, -2.0]])
+    assert sum_exp_rows(rows, np.array([-90.0, -90.0])) is None
+    assert sum_exp_rows(rows, np.array([-math.inf, -90.0]))[0] == -math.inf
+    got = sum_exp_rows(np.array([[math.inf, 0.0], [math.nan, 0.0]]), np.array([0.0, 0.0]))
+    assert got[0] == math.inf and math.isnan(got[1])
