@@ -428,7 +428,7 @@ def run_verify(cfg_or_suite, report: Optional[Report] = None) -> list[SweepOutco
 
 def run(cfg: JobConfig, outdir: Path) -> tuple[Report, int]:
     report = Report(config=cfg.raw)
-    t0 = time.time()
+    t0 = time.perf_counter()
     exit_code = 0
     outdir.mkdir(parents=True, exist_ok=True)
     task = cfg.task["type"]
@@ -449,7 +449,7 @@ def run(cfg: JobConfig, outdir: Path) -> tuple[Report, int]:
         raise
     except (*_TASK_ERRORS, ValueError) as exc:
         raise TaskError(str(exc)) from exc
-    wall = time.time() - t0
+    wall = time.perf_counter() - t0
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "report.json").write_text(report.to_json())
     (outdir / "timing.json").write_text(

@@ -78,6 +78,17 @@ def sum_exp_rows(a: np.ndarray, unseen: Optional[np.ndarray] = None) -> Optional
     return out
 
 
+def estimate_sum_exp_rows(a: np.ndarray) -> np.ndarray:
+    """sum_exp_rows(a) estimated in one pass, numpy's exp and pairwise sum for
+    libm's exp and fsum: within ulps where finite and below 2**16 (section 9
+    of notes/decisions.md).  A row with a NaN or +inf term is not finite."""
+    top = np.max(a, axis=1, initial=NEG_INF)
+    shift = np.where(np.isfinite(top), top, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t = np.subtract(a, shift[:, None])
+        return shift + np.log(np.exp(t, out=t).sum(axis=1))
+
+
 # every float x < _NEAR has exp(x) < _FAR_TERM
 _NEAR = -64.0
 _FAR_TERM = 2.0 * math.exp(_NEAR)

@@ -84,6 +84,7 @@ from .spaces import (
     convolve_geometric,
     geometric_tail_sum,
     positive_scale,
+    scale_envelope,
     seminorm as _space_seminorm,
     shift_envelope,
 )
@@ -301,6 +302,22 @@ def float_symbol(s: "Symbol") -> "Symbol":
         return sampled_symbol([f(v) for v in s.entries], s.envelope, support_len=s.support_len)
     except OverflowError:
         raise TailUnbounded("a symbol coefficient overflows a float") from None
+
+
+def times_power_of_two(s: Symbol, e: int) -> Symbol:
+    """The float symbol s * 2**e, envelope included: exact while the
+    products stay normal."""
+    def mul(v):
+        if isinstance(v, complex):
+            return complex(math.ldexp(v.real, e), math.ldexp(v.imag, e))
+        return math.ldexp(v, e)
+
+    if s.kind is SymbolKind.GEOMETRIC:
+        return geometric_symbol(mul(s.c), s.r)
+    if s.kind is SymbolKind.FINITE:
+        return finite_symbol([mul(v) for v in s.entries])
+    return sampled_symbol([mul(v) for v in s.entries], scale_envelope(s.envelope, mul(1.0)),
+                          support_len=s.support_len)
 
 
 def zero_symbol() -> Symbol:

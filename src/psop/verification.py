@@ -24,7 +24,7 @@ from .classify import (
     classify_check_all,
     strongly_tame_probe,
 )
-from .numerics import LOG_FLOAT_MAX, log_nonneg
+from .numerics import LOG_FLOAT_MAX, estimate_sum_exp_rows, log_nonneg
 from .operators import (
     OperatorSpec,
     check_column_log_norms,
@@ -66,6 +66,7 @@ from .symbols import (
     prefix,
     readable_length,
     scaled_ints,
+    times_power_of_two,
     weighted_beta_sum_finite,
 )
 
@@ -90,7 +91,7 @@ def _outcome(name: str, slacks: list[float], t0: float, tol: float = REL_TOL,
              detail: Optional[dict] = None) -> SweepOutcome:
     # min() would skip a NaN slack after the first entry; NaN fails instead
     m = math.nan if any(map(math.isnan, slacks)) else min(slacks, default=math.inf)
-    return SweepOutcome(name, m >= -tol, m, detail or {}, time.time() - t0)
+    return SweepOutcome(name, m >= -tol, m, detail or {}, time.perf_counter() - t0)
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +154,12 @@ def random_beta_finite_space(rng: random.Random) -> Symbol:
 # ---------------------------------------------------------------------------
 
 
+# bounds |estimate - exact| of a cell's slack while its row sum, lhs and rhs
+# lie below _EST_RANGE in magnitude (notes/decisions.md section 9)
+SLACK_EST_ERR = 1e-9
+_EST_RANGE = 2.0 ** 16
+
+
 def sweep_hat_power_bound(space: SpaceSpec, thetas: Sequence[Symbol],
                           name: str, n_max: int = 256, p_max: int = 8,
                           k_max: int = 1, corrected: bool = False) -> SweepOutcome:
@@ -169,8 +176,14 @@ def sweep_hat_power_bound(space: SpaceSpec, thetas: Sequence[Symbol],
 
     Truncated powers of enveloped symbols get the sharp tail majorant
     sum_{i>=L} |power_i| a_{n+i,p} <= ell1(theta)^k a_{n+L,p} instead of the
-    inflated product-rule envelope, which degrades across many powers."""
-    t0 = time.time()
+    inflated product-rule envelope, which degrades across many powers.
+
+    Only the minimum and its cell are reported, so each (p, k) cell is first
+    estimated within SLACK_EST_ERR, and only the rows of cells that can reach
+    the minimum get exact sums (notes/decisions.md section 9).  A theta whose
+    powers would leave the normal floats is swept as theta / 2**e, with
+    k e log 2 added back to the logs of power k."""
+    t0 = time.perf_counter()
     assert space.is_linear
     L_conv = n_max + 8 * max(k_max, 1) * 8 + 8
     ks = np.arange(1, k_max + 1)
@@ -181,40 +194,83 @@ def sweep_hat_power_bound(space: SpaceSpec, thetas: Sequence[Symbol],
         # a law of unbounded support and no gap (geometric) keeps its envelope
         # tail in its first power's columns: that row is hat_column_log_norms'
         first = readable_length(base, math.inf) == math.inf and theta.bounded_support() is None
-        cols, unseen = _seen_columns(base, k_max, p_max, L_conv) \
+        # powers of a theta with ell1^k_max outside [2^-894, 2^894] would leave
+        # the normal floats: theta / 2^e peaks in [1, 2), and k e log 2 goes back
+        e = 0
+        if abs(k_max * log_l1) > 620.0:
+            m = np.abs(float_prefix(base, readable_length(base, L_conv))).max(initial=0.0)
+            e = math.frexp(m)[1] - 1 if 0 < m < math.inf else 0
+        powers = times_power_of_two(base, -e) if e else base
+        log_scale = ks * (e * math.log(2.0))
+        cols, unseen = _seen_columns(powers, k_max, p_max, L_conv) \
             if first and space.is_finite_type else (L_conv, None)
+        unseen = None if unseen is None else unseen + log_scale[1:]
 
         def power_rows(cols: int) -> tuple[np.ndarray, list]:
             # |theta^{*k}| as rows (a truncated power on its window), logged once
-            mags, windows = float_power_rows(theta, k_max, cols)
-            logs = log_nonneg(mags)
+            mags, windows = float_power_rows(powers, k_max, cols)
+            logs = log_nonneg(mags) + log_scale[:, None] if e else log_nonneg(mags)
             return (logs[1:] if first else logs), windows
 
         rows, windows = power_rows(cols)    # the first cols columns of the rows on L_conv
         windows = [L_conv if w == cols else w for w in windows]
         assert space.is_finite_type or min(windows) == math.inf
-        worst = (math.inf, {})
-        for p in range(1, p_max + 1):
-            log_norm_lower, _ = symbol_log_norm_bounds(space, theta, 2 * p)
-            # ||T^k e_n||_p = w_{n,p} sum_i |theta^{*k}_i| e^{rate i}
-            sums = forward_log_sums(space, rows, p, unseen=None if unseen is None
-                                    else unseen - cols / p)     # e^{-i/p} past cols
-            if sums is None:    # a row its columns cannot settle: all rows on L_conv
-                (rows, _), unseen = power_rows(L_conv), None
-                sums = forward_log_sums(space, rows, p)
-            lhs = space.log_weights(1, n_max, p) + sums[:, None]
-            if first:
-                lhs = np.vstack([hat_column_log_norms(space, base, p, n_max), lhs])
-            for L in set(windows) - {math.inf}:
-                cut = [k for k, w in enumerate(windows) if w == L]
-                tail = ks[cut, None] * log_l1 + space.log_weights(1 + L, n_max + L, p)
-                lhs[cut] = np.logaddexp(lhs[cut], tail)
+        off = int(first)    # rows[i] is the power k = i + 1 + off
+        cells, cut_windows = np.arange(off, k_max), set(windows) - {math.inf}
+
+        norms = {}      # p: log ||theta||_2p and the exact k = 1 column, once per grade
+
+        def grade(p: int) -> tuple:
+            if p not in norms:
+                norms[p] = symbol_log_norm_bounds(space, theta, 2 * p)[0], \
+                    hat_column_log_norms(space, base, p, n_max)[None] if first else None
+            log_norm_lower, column = norms[p]
             rhs = ks[:, None] * log_norm_lower + space.log_weights(1, n_max, 2 * p)
             if corrected and space.is_finite_type:
                 rhs = rhs + ((ks - 1) / (2.0 * p))[:, None]
-            # a zero column (lhs = -inf) holds vacuously, whatever rhs is
-            slack = np.subtract(rhs, lhs, out=np.full(lhs.shape, math.inf),
-                                where=lhs != -math.inf).min(axis=1)
+            head = _min_slack(rhs[:1], column)[0] if first else None
+            return space.log_weights(1, n_max, p), rhs, head
+
+        def lhs_of(p: int, w: np.ndarray, ids: np.ndarray, sums: np.ndarray) -> np.ndarray:
+            # ||T^k e_n||_p = w_{n,p} sum_i |theta^{*k}_i| e^{rate i}, k = ids + 1
+            lhs = w + sums[:, None]
+            for L in cut_windows:
+                cut = [i for i, k in enumerate(ids) if windows[k] == L]
+                tail = ks[ids[cut], None] * log_l1 + space.log_weights(1 + L, n_max + L, p)
+                lhs[cut] = np.logaddexp(lhs[cut], tail)
+            return lhs
+
+        # estimate every cell while the margin covers it; c delta's one-term
+        # rows are only summed exactly (its corrected cells all tie)
+        bounded = k_max > 1 and rows.shape[1] > 1
+        est, err = np.zeros((p_max, k_max)), np.full((p_max, k_max), SLACK_EST_ERR)
+        for p in range(1, p_max + 1 if bounded else 1):
+            w, rhs, head = grade(p)
+            rate = -1.0 / p if space.is_finite_type else float(p)
+            sums = estimate_sum_exp_rows(rows + rate * np.arange(rows.shape[1]))
+            if unseen is not None:  # the exact sum lies in [sums, hi]: centre at hi
+                hi = np.logaddexp(sums, unseen - cols / p)
+                sums, err[p - 1, off:] = hi, hi - sums + SLACK_EST_ERR
+            lhs = lhs_of(p, w, cells, sums)
+            est[p - 1, :off], est[p - 1, off:] = head, _min_slack(rhs[off:], lhs)
+            bounded = bool(np.isfinite(est[p - 1]).all()) and max(
+                np.abs(sums).max(), np.abs(rhs).max(), np.abs(lhs).max()) < _EST_RANGE
+            if not bounded:
+                break
+        if bounded:     # a cell with est - err above min(est + err) is above the minimum
+            take = est - err <= (est + err).min()
+        worst, exact = (math.inf, {}), np.full((p_max, k_max), math.inf)
+        for p in range(1, p_max + 1):
+            w, rhs, head = grade(p)
+            part = np.flatnonzero(take[p - 1, off:]) if bounded else slice(None)
+            sums = forward_log_sums(space, rows[part], p, unseen=None if unseen is None
+                                    else unseen[part] - cols / p)     # e^{-i/p} past cols
+            if sums is None:    # a row its columns cannot settle: all rows on L_conv
+                (rows, _), unseen = power_rows(L_conv), None
+                sums = forward_log_sums(space, rows[part], p)
+            slack = exact[p - 1]    # a cell left out is above the minimum
+            slack[:off] = head
+            slack[off:][part] = _min_slack(rhs[off:][part], lhs_of(p, w, cells[part], sums))
             j = int(np.argmin(slack))   # the first NaN if any: an undefined cell fails the sweep
             if math.isnan(slack[j]):
                 return math.nan, {"p": p, "k": j + 1}
@@ -229,6 +285,12 @@ def sweep_hat_power_bound(space: SpaceSpec, thetas: Sequence[Symbol],
     idx = int(np.argmin(slacks)) if slacks else 0
     argmin = dict(results[idx][1], symbol=idx) if slacks else None
     return _outcome(name, slacks, t0, detail={"argmin": argmin})
+
+
+def _min_slack(rhs: np.ndarray, lhs: np.ndarray) -> np.ndarray:
+    # min over n of rhs - lhs per row; a zero column (lhs = -inf) holds vacuously
+    return np.subtract(rhs, lhs, out=np.full(lhs.shape, math.inf),
+                       where=lhs != -math.inf).min(axis=1)
 
 
 def _seen_columns(base: Symbol, K: int, P: int, L: int) -> tuple[int, Optional[np.ndarray]]:
@@ -255,7 +317,7 @@ def sweep_dual_column_bound(space: SpaceSpec,
                             p_max: int = 8) -> SweepOutcome:
     """||T_beta e_n||_p <= c0 * D * ||e_n||_{p + m0 + m1} on the nuclear
     infinite-type space."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     nuc = nuclearity_check(space)
     assert nuc.nuclear and nuc.m1 is not None
     log_cd = math.log(nuc.decay_sum)
@@ -273,7 +335,7 @@ def sweep_dual_column_bound(space: SpaceSpec,
 
 def sweep_tame_bounds(ops: Sequence[OperatorSpec], name: str) -> SweepOutcome:
     """Grade-preserving constants against their closed-form bounds."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     slacks = []
     for op in ops:
         rep = strongly_tame_probe(op)
@@ -290,7 +352,7 @@ def sweep_partial_sum_weight_bound(n_max: int = 10_000,
                                    p_max: int = 8) -> SweepOutcome:
     """sum_{j<=n} e^{p j} <= D e^{(p+1) n} on the linear infinite type, with
     the module-computed decay-sum constant D."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     space = infinite_type_space()
     nuc = nuclearity_check(space)
     log_d = math.log(nuc.decay_sum)
@@ -307,7 +369,7 @@ def sweep_partial_sum_weight_bound(n_max: int = 10_000,
 def sweep_nuclear_decay_bound(n_max: int = 10_000, k_max: int = 8) -> SweepOutcome:
     """n e^{-n/k} <= D_k e^{-n/(2k)} on the linear finite type with
     D_k = max_n n e^{-n/(2k)} computed once."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     space = finite_type_space()
     n = np.arange(1, n_max + 1, dtype=float)
     slacks = []
@@ -478,7 +540,7 @@ def _power_safe_symbol(rng: random.Random, k_max: int) -> Symbol:
 def identity_suite(cases: int = 200, N: int = 64, k_max: int = 8,
                    seed: int = 20260811) -> list[SweepOutcome]:
     rng = random.Random(seed)
-    t0 = time.time()
+    t0 = time.perf_counter()
     ok = 0
     for _ in range(cases):
         phi = _power_safe_symbol(rng, k_max)
@@ -487,10 +549,10 @@ def identity_suite(cases: int = 200, N: int = 64, k_max: int = 8,
             ok += 1
     fwd = SweepOutcome("forward_composition_columns", ok == cases,
                        0.0 if ok == cases else -1.0,
-                       {"agree": ok, "cases": cases}, time.time() - t0)
+                       {"agree": ok, "cases": cases}, time.perf_counter() - t0)
     # the dual composition upper(beta) upper(psi) = (lower(psi) lower(beta))^T
     # with upper(g) = lower(g)^T is the forward identity on the swapped pair
-    t0 = time.time()
+    t0 = time.perf_counter()
     ok = 0
     for _ in range(cases):
         beta = _power_safe_symbol(rng, k_max)
@@ -499,12 +561,12 @@ def identity_suite(cases: int = 200, N: int = 64, k_max: int = 8,
             ok += 1
     dual = SweepOutcome("dual_composition_matrices", ok == cases,
                         0.0 if ok == cases else -1.0,
-                        {"agree": ok, "cases": cases}, time.time() - t0)
-    t0 = time.time()
+                        {"agree": ok, "cases": cases}, time.perf_counter() - t0)
+    t0 = time.perf_counter()
     agree = sum(oracle_agreement_case(rng, N) for _ in range(cases))
     orc = SweepOutcome("oracle_apply_agreement", agree == cases,
                        0.0 if agree == cases else -1.0,
-                       {"agree": agree, "cases": cases}, time.time() - t0)
+                       {"agree": agree, "cases": cases}, time.perf_counter() - t0)
     return [fwd, dual, orc]
 
 
@@ -518,7 +580,7 @@ def classifier_battery(seed: int = 20260812, count: int = 30,
     rng = random.Random(seed)
     fin = finite_type_space()
     inf_ = infinite_type_space()
-    t0 = time.time()
+    t0 = time.perf_counter()
     hierarchy_ok = True
     replay_ok = True
     stable_ok = True
@@ -565,7 +627,7 @@ def classifier_battery(seed: int = 20260812, count: int = 30,
                                 "flip": (a.status.value, b.status.value)})
     out = [SweepOutcome("classifier_hierarchy", hierarchy_ok,
                         0.0 if hierarchy_ok else -1.0,
-                        {"checked": checked}, time.time() - t0),
+                        {"checked": checked}, time.perf_counter() - t0),
            SweepOutcome("classifier_replay", replay_ok,
                         0.0 if replay_ok else -1.0, {"details": details[:8]}, 0.0),
            SweepOutcome("classifier_grid_stability", stable_ok,
@@ -582,7 +644,7 @@ def laurent_suite() -> list[SweepOutcome]:
     from .laurent import laurent_coeffs, rational_symbol
 
     outcomes = []
-    t0 = time.time()
+    t0 = time.perf_counter()
     slacks = []
     for m in (-3, 0, 3, 5):
         num = [0] * m + [1] if m >= 0 else [1]
@@ -598,20 +660,20 @@ def laurent_suite() -> list[SweepOutcome]:
                       for n in range(lo, 9))
             slacks.append(math.log(1e-13) - math.log(max(err, 1e-300)))
     outcomes.append(_outcome("quadrature_monomial_exactness", slacks, t0, tol=0.0))
-    t0 = time.time()
+    t0 = time.perf_counter()
     F = rational_symbol([1], [2, -1], 0.0, 2.0, "disc")
     co = laurent_coeffs(F, 0.9, -20, 20, 512)
     err = max(abs(co.coeff(n) - 2.0 ** (-n - 1)) for n in range(0, 21))
     outcomes.append(SweepOutcome("quadrature_rational_decay", err <= 1e-10,
                                  math.log(1e-10) - math.log(max(err, 1e-300)),
-                                 {"max_err": err}, time.time() - t0))
-    t0 = time.time()
+                                 {"max_err": err}, time.perf_counter() - t0))
+    t0 = time.perf_counter()
     co2 = laurent_coeffs(F, 0.5, -20, 20, 512)
     ok = all(abs(co.coeff(n) - co2.coeff(n)) <= co.error(n) + co2.error(n)
              for n in range(-20, 21))
     outcomes.append(SweepOutcome("quadrature_radius_independence", ok,
-                                 0.0 if ok else -1.0, {}, time.time() - t0))
-    t0 = time.time()
+                                 0.0 if ok else -1.0, {}, time.perf_counter() - t0))
+    t0 = time.perf_counter()
     # start from a sample count where the alias truncation error is visible,
     # so the estimator has something to shrink before it hits the float floor
     monotone = True
@@ -624,7 +686,7 @@ def laurent_suite() -> list[SweepOutcome]:
             monotone = False
     outcomes.append(SweepOutcome("quadrature_error_monotone", monotone,
                                  0.0 if monotone else -1.0,
-                                 {"errors": errs}, time.time() - t0))
+                                 {"errors": errs}, time.perf_counter() - t0))
     return outcomes
 
 
