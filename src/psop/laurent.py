@@ -142,20 +142,13 @@ def _circle_samples(F: HoloSymbol, r: float, M: int) -> np.ndarray:
     ang = 2.0 * math.pi * np.arange(M) / M
     z = r * np.exp(1j * ang)
     if isinstance(F.rep, RationalRep):
-        num = _np_polyval(F.rep.num, z)
-        den = _np_polyval(F.rep.den, z)
+        num = _polyval(F.rep.num, z)
+        den = _polyval(F.rep.den, z)
         scale = 1.0 + float(np.max(np.abs(num)))
         if float(np.min(np.abs(den))) < 1e-9 * scale:
             raise PoleOnContour(f"denominator nearly vanishes on |z| = {r}")
         return num / den
     return np.array([complex(F.evaluate(complex(zz))) for zz in z])
-
-
-def _np_polyval(coeffs, z):
-    acc = np.zeros_like(z)
-    for c in reversed(list(coeffs)):
-        acc = acc * z + c
-    return acc
 
 
 def _dft_window(samples: np.ndarray, r: float, n_min: int, n_max: int) -> np.ndarray:

@@ -41,30 +41,19 @@ def log_abs(x) -> float:
 def sum_exp(log_terms: Sequence[float] | np.ndarray) -> tuple[float, float]:
     """Sum of exp(t) over log-domain terms. Returns (value, log_value).
 
-    The sum is shifted by the maximum term and accumulated with math.fsum,
-    so log_value stays finite and accurate even when value overflows.  The
-    masking and the shift run in numpy; the exponentials stay libm's
-    math.exp, because np.exp differs from it in the last bit on some inputs.
-    Terms more than 746 below the maximum are dropped: their exp is +0.0
-    (x < log 2**-1075 = -745.13), and fsum is correctly rounded, so the sum keeps its bits;
-    those more than 64 below it too, when a bound on them cannot move the sum.
+    sum_exp_rows on one row: log_value stays finite and accurate even when
+    value overflows, and an empty row or one of -inf terms gives (0.0, -inf).
     """
-    a = np.asarray(log_terms, dtype=float)
-    terms = a[a != NEG_INF]
-    if not terms.size:
-        return 0.0, NEG_INF
-    top = terms.max()
-    if top == math.inf:
-        return math.inf, math.inf
-    logv = _shifted_log_sum(top, terms - top)
+    logv = sum_exp_rows(np.asarray(log_terms, dtype=float).reshape(1, -1))[0]
     return exp_guarded(logv), logv
 
 
 def sum_exp_rows(a: np.ndarray, unseen: Optional[np.ndarray] = None) -> Optional[np.ndarray]:
-    """sum_exp(row)[1] for each row of a 2-D float array, bit for bit, one
-    row's shift and exponentials at a time.  unseen bounds per row the log
-    sum of the terms a row leaves out: the sums are the whole rows', or None
-    where a row needs those terms."""
+    """log sum exp(t) for each row of a 2-D float array, one row's shift and
+    libm exponentials at a time (np.exp can differ in the last bit): +inf in
+    a row gives +inf, -inf terms only give -inf, a NaN gives NaN.  unseen
+    bounds per row the log sum of the terms a row leaves out: the sums are
+    the whole rows', or None where a row needs those terms."""
     out = np.max(a, axis=1, initial=NEG_INF)
     for i, top in enumerate(out.tolist()):
         u = NEG_INF if unseen is None else unseen[i]
@@ -81,12 +70,13 @@ def sum_exp_rows(a: np.ndarray, unseen: Optional[np.ndarray] = None) -> Optional
 def estimate_sum_exp_rows(a: np.ndarray) -> np.ndarray:
     """sum_exp_rows(a) estimated in one pass, numpy's exp and pairwise sum for
     libm's exp and fsum: within ulps where finite and below 2**16 (section 9
-    of notes/decisions.md).  A row with a NaN or +inf term is not finite."""
+    of notes/decisions.md).  A row with a NaN or +inf term is not finite.
+    a is overwritten: the shift and the exponentials run in place."""
     top = np.max(a, axis=1, initial=NEG_INF)
     shift = np.where(np.isfinite(top), top, 0.0)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        t = np.subtract(a, shift[:, None])
-        return shift + np.log(np.exp(t, out=t).sum(axis=1))
+        np.subtract(a, shift[:, None], out=a)
+        return shift + np.log(np.exp(a, out=a).sum(axis=1))
 
 
 # every float x < _NEAR has exp(x) < _FAR_TERM
@@ -94,7 +84,7 @@ _NEAR = -64.0
 _FAR_TERM = 2.0 * math.exp(_NEAR)
 
 
-def _shifted_log_sum(top: float, shifted: np.ndarray, unseen: float = 0.0) -> Optional[float]:
+def _shifted_log_sum(top: float, shifted: np.ndarray, unseen: float) -> Optional[float]:
     """top + log(fsum(exp(shifted))) without the terms below -746 (a NaN stays),
     from E = exp of the terms from -64 up when fsum(E + [B]) == fsum(E), B
     bounding the rest and the unseen terms (notes/decisions.md section 9);

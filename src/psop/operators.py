@@ -48,6 +48,7 @@ from .symbols import (
     _exact_list_conv,
     _float_conv,
     _int_conv,
+    _to_block,
     Symbol,
     abs_upper_prefix,
     coeff,
@@ -288,6 +289,16 @@ def _exact_correlation(xs: Sequence, bs: Sequence) -> list:
             for n in range(1, S + 1)]
 
 
+def _float_sum(terms: list):
+    """fsum of terms as floats, a complex sum when any term is complex, the
+    int 0 for no terms."""
+    if not terms:
+        return 0
+    if any(isinstance(t, complex) for t in terms):
+        return complex(np.sum([complex(t) for t in terms]))
+    return math.fsum(float(t) for t in terms)
+
+
 def check_apply(beta: Symbol, x: Element) -> Element:
     """(beta star x)_n = sum_{j>=n} x_j beta_{j-n}; exact for finitely
     supported x, prefix-truncated with a certified residual otherwise.
@@ -309,14 +320,7 @@ def check_apply(beta: Symbol, x: Element) -> Element:
             vals = []
             for n in range(1, N + 1):
                 terms = [xs[j - 1] * bs[j - n] for j in range(n, S + 1)]
-                if terms and _exact_values(terms):
-                    vals.append(sum(terms))
-                elif terms:
-                    vals.append(complex(np.sum([complex(t) for t in terms]))
-                                if any(isinstance(t, complex) for t in terms)
-                                else math.fsum(float(t) for t in terms))
-                else:
-                    vals.append(0)
+                vals.append(sum(terms) if _exact_values(terms) else _float_sum(terms))
         residual = x.residual
         if residual > 0:
             residual *= math.fsum(abs(b) for b in bs) if bs else 0.0
@@ -332,10 +336,7 @@ def check_apply(beta: Symbol, x: Element) -> Element:
     vals = []
     for n in range(1, N + 1):
         hi = min(N, n + bs_needed - 1)
-        terms = [x.values[j - 1] * bs[j - n] for j in range(n, hi + 1)]
-        vals.append(math.fsum(float(t) for t in terms) if terms and
-                    not any(isinstance(t, complex) for t in terms)
-                    else (complex(np.sum([complex(t) for t in terms])) if terms else 0))
+        vals.append(_float_sum([x.values[j - 1] * bs[j - n] for j in range(n, hi + 1)]))
     residual = x.residual
     if residual > 0:
         residual *= float(ell1_norm(beta).upper)
@@ -462,11 +463,7 @@ class OrbitRecord:
 
 
 def _float_element(x: Element) -> Element:
-    if any(isinstance(v, complex) for v in x.values):
-        vals = tuple(complex(v) for v in x.values)
-    else:
-        vals = tuple(float(v) for v in x.values)
-    return replace(x, values=vals)
+    return replace(x, values=tuple(_to_block(x.values).tolist()))
 
 
 def compute_orbit(op: OperatorSpec, x: Element, K: int,
@@ -532,6 +529,18 @@ def forward_log_sums(space: SpaceSpec, logs: np.ndarray, p: int,
     return out
 
 
+def _weighted_log_norm(space: SpaceSpec, mags: np.ndarray, geo: Optional[GeometricEnvelope],
+                       n: int, p: int) -> tuple[float, float]:
+    """(log lower, log upper) for sum_i mags_i a_{n+i,p} over i >= 0: the
+    window's sum, and with geo's tail majorant past it."""
+    L = len(mags)
+    _, lo = sum_exp(log_nonneg(mags) + space.log_weights(n, n + L - 1, p))
+    if geo is None:
+        return lo, lo
+    _, lt = tail_majorant(space, shift_envelope(geo, n), n + L, p)
+    return lo, float(np.logaddexp(lo, lt))
+
+
 def hat_column_log_norms(space: SpaceSpec, s: Symbol, p: int, n_max: int) -> np.ndarray:
     """log upper bounds for the grade-p norms of the forward columns
     ||T_s e_n||_p, n = 1..n_max (tail majorant included)."""
@@ -542,13 +551,7 @@ def hat_column_log_norms(space: SpaceSpec, s: Symbol, p: int, n_max: int) -> np.
     # generic alpha: per-n aggregation
     out = np.empty(n_max)
     for n in range(1, n_max + 1):
-        logw = space.log_weights(n, n + len(c) - 1, p)
-        terms = log_nonneg(c) + logw
-        _, lv = sum_exp(terms)
-        if geo is not None:
-            _, lt = tail_majorant(space, shift_envelope(geo, n), n + len(c), p)
-            lv = float(np.logaddexp(lv, lt))
-        out[n - 1] = lv
+        out[n - 1] = _weighted_log_norm(space, c, geo, n, p)[1]
     return out
 
 
@@ -584,13 +587,4 @@ _NORM_WINDOW = 2048
 def symbol_log_norm_bounds(space: SpaceSpec, s: Symbol, p: int) -> tuple[float, float]:
     """(log lower, log upper) for the embedded symbol norm ||s||_p."""
     vals, geo = symbol_abs_and_env(s, _NORM_WINDOW)
-    L = len(vals)
-    logw = space.log_weights(1, L, p) if L else np.zeros(0)
-    terms = log_nonneg(vals) + logw
-    _, lo = sum_exp(terms)
-    hi = lo
-    if geo is not None:
-        elem_env = shift_envelope(geo, 1)
-        _, lt = tail_majorant(space, elem_env, L + 1, p)
-        hi = float(np.logaddexp(lo, lt))
-    return lo, hi
+    return _weighted_log_norm(space, vals, geo, 1, p)

@@ -218,41 +218,39 @@ def sweep_hat_power_bound(space: SpaceSpec, thetas: Sequence[Symbol],
         off = int(first)    # rows[i] is the power k = i + 1 + off
         cells, cut_windows = np.arange(off, k_max), set(windows) - {math.inf}
 
-        norms = {}      # p: log ||theta||_2p and the exact k = 1 column, once per grade
-
-        def grade(p: int) -> tuple:
-            if p not in norms:
-                norms[p] = symbol_log_norm_bounds(space, theta, 2 * p)[0], \
-                    hat_column_log_norms(space, base, p, n_max)[None] if first else None
-            log_norm_lower, column = norms[p]
-            rhs = ks[:, None] * log_norm_lower + space.log_weights(1, n_max, 2 * p)
+        grades = []     # per p: w_{n,p}, the rhs rows and a law's exact k = 1 slack
+        for p in range(1, p_max + 1):
+            rhs = ks[:, None] * symbol_log_norm_bounds(space, theta, 2 * p)[0] \
+                + space.log_weights(1, n_max, 2 * p)
             if corrected and space.is_finite_type:
                 rhs = rhs + ((ks - 1) / (2.0 * p))[:, None]
-            head = _min_slack(rhs[:1], column)[0] if first else None
-            return space.log_weights(1, n_max, p), rhs, head
+            head = _min_slack(rhs[:1], hat_column_log_norms(space, base, p, n_max)[None])[0] \
+                if first else None
+            grades.append((space.log_weights(1, n_max, p), rhs, head))
 
-        def lhs_of(p: int, w: np.ndarray, ids: np.ndarray, sums: np.ndarray) -> np.ndarray:
+        def cell_slacks(p: int, ids: np.ndarray, sums: np.ndarray) -> tuple:
             # ||T^k e_n||_p = w_{n,p} sum_i |theta^{*k}_i| e^{rate i}, k = ids + 1
+            w, rhs, _ = grades[p - 1]
             lhs = w + sums[:, None]
             for L in cut_windows:
                 cut = [i for i, k in enumerate(ids) if windows[k] == L]
                 tail = ks[ids[cut], None] * log_l1 + space.log_weights(1 + L, n_max + L, p)
                 lhs[cut] = np.logaddexp(lhs[cut], tail)
-            return lhs
+            return _min_slack(rhs[ids], lhs), lhs
 
         # estimate every cell while the margin covers it; c delta's one-term
         # rows are only summed exactly (its corrected cells all tie)
         bounded = k_max > 1 and rows.shape[1] > 1
         est, err = np.zeros((p_max, k_max)), np.full((p_max, k_max), SLACK_EST_ERR)
         for p in range(1, p_max + 1 if bounded else 1):
-            w, rhs, head = grade(p)
+            _, rhs, head = grades[p - 1]
             rate = -1.0 / p if space.is_finite_type else float(p)
             sums = estimate_sum_exp_rows(rows + rate * np.arange(rows.shape[1]))
             if unseen is not None:  # the exact sum lies in [sums, hi]: centre at hi
                 hi = np.logaddexp(sums, unseen - cols / p)
                 sums, err[p - 1, off:] = hi, hi - sums + SLACK_EST_ERR
-            lhs = lhs_of(p, w, cells, sums)
-            est[p - 1, :off], est[p - 1, off:] = head, _min_slack(rhs[off:], lhs)
+            est[p - 1, off:], lhs = cell_slacks(p, cells, sums)
+            est[p - 1, :off] = head
             bounded = bool(np.isfinite(est[p - 1]).all()) and max(
                 np.abs(sums).max(), np.abs(rhs).max(), np.abs(lhs).max()) < _EST_RANGE
             if not bounded:
@@ -261,7 +259,6 @@ def sweep_hat_power_bound(space: SpaceSpec, thetas: Sequence[Symbol],
             take = est - err <= (est + err).min()
         worst, exact = (math.inf, {}), np.full((p_max, k_max), math.inf)
         for p in range(1, p_max + 1):
-            w, rhs, head = grade(p)
             part = np.flatnonzero(take[p - 1, off:]) if bounded else slice(None)
             sums = forward_log_sums(space, rows[part], p, unseen=None if unseen is None
                                     else unseen[part] - cols / p)     # e^{-i/p} past cols
@@ -269,8 +266,8 @@ def sweep_hat_power_bound(space: SpaceSpec, thetas: Sequence[Symbol],
                 (rows, _), unseen = power_rows(L_conv), None
                 sums = forward_log_sums(space, rows[part], p)
             slack = exact[p - 1]    # a cell left out is above the minimum
-            slack[:off] = head
-            slack[off:][part] = _min_slack(rhs[off:][part], lhs_of(p, w, cells[part], sums))
+            slack[:off] = grades[p - 1][2]
+            slack[off:][part] = cell_slacks(p, cells[part], sums)[0]
             j = int(np.argmin(slack))   # the first NaN if any: an undefined cell fails the sweep
             if math.isnan(slack[j]):
                 return math.nan, {"p": p, "k": j + 1}

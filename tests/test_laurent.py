@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from psop import (
@@ -17,7 +18,7 @@ from psop import (
     toeplitz_from_function,
     toeplitz_matrix,
 )
-from psop.laurent import choose_samples, fit_geometric_envelope
+from psop.laurent import _circle_samples, choose_samples, fit_geometric_envelope
 from psop.symbols import coeff, prefix
 
 
@@ -142,3 +143,33 @@ def test_coefficient_csv_shape():
     lines = co.to_csv().strip().splitlines()
     assert lines[0] == "n,re,im,err"
     assert len(lines) == 6
+
+
+def _horner_from_complex_zeros(coeffs, z):
+    """The array Horner loop the circle samples used before they shared the
+    scalar one, which starts from the int 0."""
+    acc = np.zeros_like(z)
+    for c in reversed(coeffs):
+        acc = acc * z + c
+    return acc
+
+
+@pytest.mark.parametrize("num, den", [
+    ((-1.5, 0.25 - 2j, 0, -3j, 1), (2, -0.5 + 0.5j, 0.125j)),
+    ((-3, 0, -1), (4, -1)),
+    ((-0.0,), (1, -0.25j)),
+    ((0.0, -0.0), (-2.0, 0.5)),
+    ((-0.0, 0.0, -0.0), (-1, 0.0, 0.1j)),
+], ids=["complex", "int", "negative-zero", "signed-zeros", "zero-over-complex"])
+def test_circle_samples_keep_their_bits(num, den):
+    """The samples of a rational symbol equal, bit for bit and signs of zero
+    included, num / den from the loop that started at complex zeros; and
+    F.evaluate within rounding (Python's complex arithmetic is not numpy's
+    in the last bit)."""
+    F = rational_symbol(num, den, 0.0, 2.0, "disc")
+    for r, M in ((0.5, 8), (0.9, 64), (1.7, 32)):
+        z = r * np.exp(1j * (2.0 * math.pi * np.arange(M) / M))
+        got = _circle_samples(F, r, M)
+        want = _horner_from_complex_zeros(num, z) / _horner_from_complex_zeros(den, z)
+        assert got.tobytes() == want.tobytes()
+        np.testing.assert_allclose(got, [F.evaluate(complex(w)) for w in z], rtol=1e-14)

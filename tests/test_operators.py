@@ -20,6 +20,7 @@ from psop import (
     dense_check,
     dense_hat,
     element_from_symbol,
+    explicit_alpha,
     finite_symbol,
     finite_type_space,
     geometric_symbol,
@@ -46,6 +47,7 @@ from psop.operators import (
     hat_column_log_norms,
     matrix_csv,
     orbit_csv,
+    symbol_log_norm_bounds,
 )
 from psop.oracle import dense_matmul
 from psop.symbols import conv_power, convolve, prefix, trimmed_len
@@ -361,6 +363,77 @@ def test_column_norms_on_a_root_alpha_match_direct_sums(space_type):
                                    rtol=0, atol=1e-14)
 
 
+# repr of hat_column_log_norms(space, s, 2, 4) and of symbol_log_norm_bounds
+# (space, s, 3) on non-linear alpha, recorded before both were written with
+# one weighted-norm helper: the per-n sums and their geometric tails
+NORM_ALPHAS = {"root": root_alpha(2), "log": log_alpha(),
+               "explicit": explicit_alpha([1, 2.5, 3, 4.25, 6, 7, 9.5, 11])}
+NORM_SYMBOLS = {
+    "finite": finite_symbol([Fraction(1, 2), Fraction(-1, 3), 0, Fraction(5, 4)]),
+    "geometric": geometric_symbol(Fraction(-3, 2), Fraction(1, 5)),
+    "sampled": sampled_symbol([0.75, -0.5, 0.25j, 0.125], GeometricEnvelope(1.0, 0.5)),
+}
+HAT_NORM_PINS = {
+    ('root', 'finite', 'finite'): '-0.0752939008585104 -0.22891845622712215 -0.35635026341725873 -0.4686062762285501',
+    ('root', 'finite', 'geometric'): '0.08464373499099483 -0.11356083161206866 -0.26759147252686016 -0.39833141366460517',
+    ('root', 'finite', 'sampled'): '-0.11267888072738955 -0.2881145515973041 -0.4289993952205092 -0.5507551150042671',
+    ('root', 'infinite', 'finite'): '4.351333187778075 4.856224996017301 5.307595502522527 5.7195979207574625',
+    ('root', 'infinite', 'geometric'): '2.946167276513335 3.682481498245765 4.274324171904631 4.7837167825654054',
+    ('root', 'infinite', 'sampled'): '3.9553871603203614 4.449077210314703 4.900340274926299 5.316501137627762',
+    ('log', 'finite', 'finite'): '0.09986386393660274 -0.034951587935011186 -0.13750867466489325 -0.22110650315692892',
+    ('log', 'finite', 'geometric'): '0.23936203009037887 0.04771953960741397 -0.08965879333339698 -0.19698235163036906',
+    ('log', 'finite', 'sampled'): '0.04968305706970615 -0.11306490035580619 -0.23305677116922446 -0.32866199527534196',
+    ('log', 'infinite', 'finite'): '3.590439381300684 4.0042982815373165 4.351352627489067 4.6491870714048655',
+    ('log', 'infinite', 'geometric'): '2.310378293377509 3.0150804535238964 3.5396026807630814 3.9563407936697668',
+    ('log', 'infinite', 'sampled'): '3.0758585897723694 3.5359382141879285 3.9223419222318316 4.251744565570188',
+    ('explicit', 'finite', 'finite'): '-0.6013739043347721 -1.2734552458491666 -1.665358745940146 -2.4403908351551165',
+    ('explicit', 'finite', 'geometric'): '0.01064913737283887 -0.6841134459130263 -0.983772407746666 -1.6295717620584336',
+    ('explicit', 'finite', 'sampled'): '-0.3929160215550463 -1.0043026740081533 -1.4090840601235068 -2.0906245222099846',
+    ('explicit', 'infinite', 'finite'): '8.73176033126119 12.224168778955372 14.224366793616277 19.223397702119044',
+}
+SYMBOL_NORM_PINS = {
+    ('root', 'finite', 'finite'): '0.18903127895880673 0.18903127895880673',
+    ('root', 'finite', 'geometric'): '0.2648830848157149 0.2648830848157149',
+    ('root', 'finite', 'sampled'): '0.05257739227172065 0.10733288491045756',
+    ('root', 'infinite', 'finite'): '6.286976919743315 6.286976919743315',
+    ('root', 'infinite', 'geometric'): '4.245644754036958 4.245644754036958',
+    ('root', 'infinite', 'sampled'): '4.979711867908009 7.038195620201845',
+    ('log', 'finite', 'finite'): '0.30673082913597133 0.30673082913597133',
+    ('log', 'finite', 'geometric'): '0.3681131841787072 0.3681131841787072',
+    ('log', 'finite', 'sampled'): '0.15917797010529655 0.21618882910021955',
+    ('log', 'infinite', 'finite'): '5.131376911792384 5.131376911792384',
+    ('log', 'infinite', 'geometric'): '3.265431351236216 3.265431351236216',
+    ('log', 'infinite', 'sampled'): '3.9342736143629655 4.759204486651904',
+    ('explicit', 'finite', 'finite'): '-0.21532039703563388 -0.21532039703563388',
+    ('explicit', 'finite', 'geometric'): '0.20744940659701266 0.20744940659701266',
+    ('explicit', 'finite', 'sampled'): '-0.13126814791756736 -0.11216193494892968',
+    ('explicit', 'infinite', 'finite'): '12.97456519640306 12.97456519640306',
+    ('explicit', 'infinite', 'geometric'): '22.406168185071742 22.406168185071742',
+}
+
+
+@pytest.mark.parametrize("alpha", sorted(NORM_ALPHAS))
+@pytest.mark.parametrize("space_type", ["finite", "infinite"])
+@pytest.mark.parametrize("symbol", sorted(NORM_SYMBOLS))
+def test_weighted_norms_on_non_linear_alpha_keep_their_bits(alpha, space_type, symbol):
+    make = finite_type_space if space_type == "finite" else infinite_type_space
+    space, s, key = make(NORM_ALPHAS[alpha]), NORM_SYMBOLS[symbol], (alpha, space_type, symbol)
+
+    def pinned(values):
+        return " ".join(repr(float(v)) for v in values)
+
+    if key in HAT_NORM_PINS:
+        assert pinned(hat_column_log_norms(space, s, 2, 4)) == HAT_NORM_PINS[key]
+    else:   # a tail that cannot beat the explicit alpha's held increments
+        with pytest.raises(TailUnbounded):
+            hat_column_log_norms(space, s, 2, 4)
+    if key in SYMBOL_NORM_PINS:
+        assert pinned(symbol_log_norm_bounds(space, s, 3)) == SYMBOL_NORM_PINS[key]
+    else:
+        with pytest.raises(TailUnbounded):
+            symbol_log_norm_bounds(space, s, 3)
+
+
 @pytest.mark.parametrize("space", [finite_type_space(), infinite_type_space(),
                                    finite_type_space(root_alpha(2)),
                                    infinite_type_space(root_alpha(2))],
@@ -666,6 +739,35 @@ def test_check_apply_numpy_integers_come_back_as_python_ints():
     mixed = (np.int64(3), F(1, 2))
     got = check_apply(beta, Element(mixed)).values
     assert _typed(got) == _typed(_check_apply_scalar(beta, mixed))
+
+
+# repr of check_apply's values, recorded before its two float sums were one
+# helper: a finite x with complex, float and exact entries (entry 1 sums
+# complex terms, entry 2 floats by fsum, entries 3-5 exactly, entry 6 none),
+# and an enveloped x with complex entries
+_MIXED_X = Element((-1.25 + 0.5j, 0.3, F(1, 2), 2, F(-2, 3), 0))
+_ENVELOPED_X = Element((0.5, -0.25, 0.125j, 0.0625, -0.03125, 0.015625),
+                       GeometricEnvelope(1.0, 0.5), infinite_type_space())
+CHECK_APPLY_FLOAT_PINS = [
+    (finite_symbol([F(1, 3), 2, F(-1, 4)]), _MIXED_X,
+     "((0.05833333333333335+0.16666666666666666j), 0.6, Fraction(13, 3), "
+     "Fraction(-2, 3), Fraction(-2, 9), 0)"),
+    (finite_symbol([0.5, -1.5, 0.25]), _MIXED_X,
+     "((-0.95+0.25j), -0.1, -2.9166666666666665, 2.0, -0.3333333333333333, 0)"),
+    (geometric_symbol(F(1, 2), F(1, 4)), _ENVELOPED_X,
+     "((0.21918487548828125+0.00390625j), (-0.123260498046875+0.015625j), "
+     "(0.0069580078125+0.0625j), 0.02783203125, -0.013671875, 0.0078125)"),
+    (finite_symbol([1, F(1, 3), -2]), _ENVELOPED_X,
+     "((0.4166666666666667-0.25j), (-0.375+0.041666666666666664j), "
+     "(0.08333333333333333+0.125j), 0.020833333333333336, -0.026041666666666668, 0.015625)"),
+]
+
+
+@pytest.mark.parametrize("beta, x, want", CHECK_APPLY_FLOAT_PINS,
+                         ids=["finite-exact-beta", "finite-float-beta", "enveloped-geometric",
+                              "enveloped-finite"])
+def test_check_apply_float_sums_keep_their_bits(beta, x, want):
+    assert repr(check_apply(beta, x).values) == want
 
 
 # -- a geometric tail bounds every entry, so steps compose soundly ----------
