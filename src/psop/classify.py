@@ -31,6 +31,7 @@ from .operators import (
     _NORM_WINDOW,
     check_column_log_norms,
     hat_column_log_norms,
+    require_member,
     symbol_log_norm_bounds,
 )
 from .spaces import (
@@ -52,7 +53,6 @@ from .symbols import (
     float_prefix,
     float_symbol,
     is_rational,
-    membership_check,
     prefix,
     readable_length,
     weighted_beta_sum_finite,
@@ -112,21 +112,38 @@ class Verdict:
         return self.status is not Status.INCONCLUSIVE
 
 
-def _holds(prop, space, kind, cert, *, theta=None, beta=None, evidence=None):
-    return Verdict(prop, Status.HOLDS, space, kind, theta, beta, cert,
-                   None, evidence or {})
+@dataclass(frozen=True)
+class _Verdicts:
+    """The verdict maker of one classifier call, bound to its space, operator
+    kind, symbols and evidence.  A holds or fails verdict keeps the evidence
+    dict itself, so keys the call adds later show in it; an open verdict
+    copies it and adds its reason.  A rule with evidence of its own passes
+    that instead, and an empty dict gives way to a fresh one."""
 
+    space: SpaceSpec
+    kind: str
+    theta: Optional[Symbol] = None
+    beta: Optional[Symbol] = None
+    evidence: Optional[dict] = None
 
-def _fails(prop, space, kind, cert, witness, *, theta=None, beta=None, evidence=None):
-    return Verdict(prop, Status.FAILS, space, kind, theta, beta, cert,
-                   witness, evidence or {})
+    def _verdict(self, prop, status, cert, witness, evidence) -> Verdict:
+        return Verdict(prop, status, self.space, self.kind, self.theta, self.beta,
+                       cert, witness, evidence)
 
+    def _evidence(self, evidence: Optional[dict]) -> dict:
+        return (self.evidence if evidence is None else evidence) or {}
 
-def _open(prop, space, kind, reason, *, theta=None, beta=None, evidence=None):
-    ev = dict(evidence or {})
-    ev.setdefault("reason", reason)
-    return Verdict(prop, Status.INCONCLUSIVE, space, kind, theta, beta,
-                   None, None, ev)
+    def holds(self, prop: str, cert: Certificate, evidence: Optional[dict] = None) -> Verdict:
+        return self._verdict(prop, Status.HOLDS, cert, None, self._evidence(evidence))
+
+    def fails(self, prop: str, cert: Certificate, witness: dict,
+              evidence: Optional[dict] = None) -> Verdict:
+        return self._verdict(prop, Status.FAILS, cert, witness, self._evidence(evidence))
+
+    def open(self, prop: str, reason: str, evidence: Optional[dict] = None) -> Verdict:
+        ev = dict(self._evidence(evidence))
+        ev.setdefault("reason", reason)
+        return self._verdict(prop, Status.INCONCLUSIVE, None, None, ev)
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +180,20 @@ def _three_way_vs_one(total: SeriesSum) -> str:
     return "boundary"
 
 
+def _abs_sum_or_none(s: Symbol) -> Optional[SeriesSum]:
+    """The absolute sum of s, or None when its certificate cannot settle it."""
+    try:
+        return ell1_norm(s)
+    except TailUnbounded:
+        return None
+
+
+def _tame_dual_sum(space: SpaceSpec, beta: Symbol) -> SeriesSum:
+    """The dual side's sum in the grade-preserving column bound (alpha_n = n):
+    weighted by e^n on the finite type, plain on the infinite type."""
+    return weighted_beta_sum_finite(beta) if space.is_finite_type else ell1_norm(beta)
+
+
 def _first_prefix_exceeding_one(s: Symbol) -> Optional[int]:
     acc = Fraction(0) if s.is_exact else 0.0
     for i in range(4096):
@@ -185,6 +216,13 @@ def _subadditive_alpha(space: SpaceSpec) -> bool:
     return space.alpha.kind in (AlphaKind.LINEAR, AlphaKind.ROOT, AlphaKind.LOG)
 
 
+def _hat_grade_multiplier(space: SpaceSpec, grid: GridParams) -> int:
+    """q(p) / p of the hat's column bound ||T e_n||_p <= ||theta||_{q(p)}
+    ||e_n||_{q(p)}: 2 on the finite type, alpha's stability bound on the
+    infinite type."""
+    return 2 if space.is_finite_type else stability_constant(space.alpha, grid.N).bound
+
+
 def classify_hat_m_top(space: SpaceSpec, theta: Symbol,
                        grid: GridParams = GridParams()) -> Verdict:
     """Forward operators carry geometric power-norm envelopes
@@ -196,11 +234,9 @@ def classify_hat_m_top(space: SpaceSpec, theta: Symbol,
     on the finite type ||a*b||_q <= e^{alpha_1/q} ||a||_q ||b||_q for linear
     alpha, and ||theta^{*k}||_q <= (sum |theta_i|)^k always; on the infinite
     type ||a*b||_q <= ||a||_q ||b||_q whenever alpha is subadditive."""
-    membership = membership_check(space, theta, N=grid.N)
-    if membership.overall == "not_member":
-        raise OperatorContractError("theta is not a member of the space")
-    stab = None if space.is_finite_type else stability_constant(space.alpha, grid.N)
-    P = grid.P
+    membership = require_member(space, theta, grid.N)
+    v = _Verdicts(space, "hat", theta=theta)
+    mult = _hat_grade_multiplier(space, grid)
     norm_at = {}
 
     def sym_norm_upper(q: int) -> float:
@@ -209,57 +245,37 @@ def classify_hat_m_top(space: SpaceSpec, theta: Symbol,
             norm_at[q] = exp_guarded(hi)
         return norm_at[q]
 
-    route = None
-    q_of_p: dict[int, int] = {}
-    c_p: dict[int, float] = {}
-    if space.is_finite_type:
-        if space.is_linear:
-            route = "same_grade_submultiplicative"
-            for p in range(1, P + 1):
-                q_of_p[p] = 2 * p
-                c_p[p] = math.exp(1.0 / (2 * p)) * sym_norm_upper(2 * p)
-        else:
-            try:
-                l1 = ell1_norm(theta)
-            except TailUnbounded:
-                l1 = None
-            if l1 is not None and not l1.infinite:
-                route = "sup_grade_abs_sum"
-                for p in range(1, P + 1):
-                    q_of_p[p] = 2 * p
-                    c_p[p] = l1.upper
-    else:
-        if space.is_linear:
-            route = "tame_linear"
-            for p in range(1, P + 1):
-                q_of_p[p] = p
-                c_p[p] = sym_norm_upper(p)
-        elif _subadditive_alpha(space):
-            route = "stable_subadditive"
-            M = stab.bound
-            for p in range(1, P + 1):
-                q_of_p[p] = M * p
-                c_p[p] = sym_norm_upper(M * p)
-    sym_norms = {p: sym_norm_upper(2 * p if space.is_finite_type
-                                   else (stab.bound if stab else 1) * p)
-                 for p in range(1, P + 1)}
+    # the route, q(p) = q_per_p * p, and C_p as a function of q(p)
+    route, q_per_p, c_of = None, mult, sym_norm_upper
+    if space.is_finite_type and space.is_linear:
+        route = "same_grade_submultiplicative"
+        c_of = lambda q: math.exp(1.0 / q) * sym_norm_upper(q)
+    elif space.is_finite_type:
+        l1 = _abs_sum_or_none(theta)
+        if l1 is not None and not l1.infinite:
+            route, c_of = "sup_grade_abs_sum", lambda q: l1.upper
+    elif space.is_linear:
+        route, q_per_p = "tame_linear", 1
+    elif _subadditive_alpha(space):
+        route = "stable_subadditive"
+    grades = range(1, grid.P + 1)
+    q_of_p = {p: q_per_p * p for p in grades} if route else {}
+    c_p = {p: c_of(q) for p, q in q_of_p.items()}
+    sym_norms = {p: sym_norm_upper(mult * p) for p in grades}
     if route is None:
-        return _open(
-            "m_topologizable", space, "hat",
-            "no k-uniform constant at a fixed grade is certified for this "
-            "exponent sequence (the single-application bound doubles the "
-            "grade when iterated)",
-            theta=theta, evidence={"symbol_norms": sym_norms})
+        return v.open("m_topologizable",
+                      "no k-uniform constant at a fixed grade is certified for this "
+                      "exponent sequence (the single-application bound doubles the "
+                      "grade when iterated)", evidence={"symbol_norms": sym_norms})
     cert = Certificate(
         "hat_power_norm_envelope",
         {"route": route,
          "q_of_p": {str(p): q for p, q in q_of_p.items()},
          "C_p": {str(p): max(c_p[p], 1.0) * (1.0 + 1e-9) for p in c_p},
-         "stability_bound": stab.bound if stab else None},
+         "stability_bound": None if space.is_finite_type else mult},
         "submultiplicative symbol norms give ||T^k e_n||_p <= C_p^k ||e_n||_{q(p)}")
-    return _holds("m_topologizable", space, "hat", cert, theta=theta,
-                  evidence={"C_p": c_p, "symbol_norms": sym_norms,
-                            "membership": membership.overall})
+    return v.holds("m_topologizable", cert, evidence={
+        "C_p": c_p, "symbol_norms": sym_norms, "membership": membership.overall})
 
 
 def classify_hat_topologizable(space: SpaceSpec, theta: Symbol,
@@ -280,8 +296,7 @@ def _hat_topologizable(mt: Verdict, grid: GridParams) -> Verdict:
                                       "params": mt.certificate.params}},
                            "geometric constants imply per-power constants")
         return replace(mt, prop="topologizable", certificate=cert)
-    stab = None if space.is_finite_type else stability_constant(space.alpha, grid.N)
-    q_mult = 2 if space.is_finite_type else stab.bound
+    q_mult = _hat_grade_multiplier(space, grid)
     table = ConvPowerTable(float_symbol(theta), grid.N)
     L = {}
     for p in range(1, grid.P + 1):
@@ -294,9 +309,9 @@ def _hat_topologizable(mt: Verdict, grid: GridParams) -> Verdict:
          "L_sample": {f"{k},{p}": v for (k, p), v in list(L.items())[:16]}},
         "per-power constants L_{k,p} = ||theta^{*k}||_{q(p)} are finite for "
         "every power because the space is closed under convolution")
-    return _holds("topologizable", space, "hat", cert, theta=theta,
-                  evidence={"L_kp": {f"{k},{p}": v for (k, p), v in L.items()},
-                            "membership": mt.evidence.get("membership")})
+    return _Verdicts(space, "hat", theta=theta).holds("topologizable", cert, evidence={
+        "L_kp": {f"{k},{p}": v for (k, p), v in L.items()},
+        "membership": mt.evidence.get("membership")})
 
 
 def classify_hat_power_bounded_finite(space: SpaceSpec, theta: Symbol,
@@ -306,37 +321,32 @@ def classify_hat_power_bounded_finite(space: SpaceSpec, theta: Symbol,
     plain absolute sum by monotone convergence, is at most 1."""
     if not space.is_finite_type:
         raise UnsupportedSpace("this route is the finite-type criterion")
-    kind = "hat"
+    evidence: dict = {}
+    v = _Verdicts(space, "hat", theta=theta, evidence=evidence)
     try:
         total = ell1_norm(theta)
     except TailUnbounded as exc:
-        return _open("power_bounded", space, kind, f"tail certificate cannot settle "
-                     f"the absolute sum: {exc}", theta=theta)
+        return v.open("power_bounded", f"tail certificate cannot settle the absolute sum: {exc}")
     verdictside = _three_way_vs_one(total)
-    evidence = {"ell1_lower": total.lower, "ell1_upper": total.upper,
-                "ell1_exact": str(total.exact) if total.exact is not None else None}
+    exact = str(total.exact) if total.exact is not None else None
+    evidence.update({"ell1_lower": total.lower, "ell1_upper": total.upper,
+                     "ell1_exact": exact})
     if verdictside == "le":
         cert = Certificate(
-            "hat_l1_contraction",
-            {"sum_exact": str(total.exact) if total.exact is not None else None,
-             "sum_upper": total.upper},
+            "hat_l1_contraction", {"sum_exact": exact, "sum_upper": total.upper},
             "sup over grades of the symbol norm equals the absolute sum <= 1")
-        return _holds("power_bounded", space, kind, cert, theta=theta, evidence=evidence)
+        return v.holds("power_bounded", cert)
     if verdictside == "gt":
         m = _first_prefix_exceeding_one(theta)
         # orbit cross-check: first-column norms grow under convolution powers
         table = ConvPowerTable(float_symbol(theta), grid.N + 4)
-        logs = [float(hat_column_log_norms(space, table.power(k), 1, 1)[0])
-                for k in range(1, min(grid.K, 32) + 1)]
-        evidence["first_column_log_norms"] = logs
+        evidence["first_column_log_norms"] = [
+            float(hat_column_log_norms(space, table.power(k), 1, 1)[0])
+            for k in range(1, min(grid.K, 32) + 1)]
         cert = Certificate("hat_l1_exceeds", {"prefix_len": m},
                            "a finite prefix of the absolute sum already exceeds 1")
-        return _fails("power_bounded", space, kind, cert,
-                      {"prefix_len": m, "partial_sum_gt": 1.0},
-                      theta=theta, evidence=evidence)
-    return _open("power_bounded", space, kind,
-                 "absolute sum sits inside the tolerance band around 1",
-                 theta=theta, evidence=evidence)
+        return v.fails("power_bounded", cert, {"prefix_len": m, "partial_sum_gt": 1.0})
+    return v.open("power_bounded", "absolute sum sits inside the tolerance band around 1")
 
 
 def classify_hat_power_bounded_infinite(space: SpaceSpec, theta: Symbol,
@@ -346,13 +356,12 @@ def classify_hat_power_bounded_infinite(space: SpaceSpec, theta: Symbol,
     grades; no computable test covers generic symbols)."""
     if space.is_finite_type:
         raise UnsupportedSpace("this route is the infinite-type criterion")
-    kind = "hat"
-    membership = membership_check(space, theta, N=grid.N)
-    if membership.overall == "not_member":
-        raise OperatorContractError("theta is not a member of the space")
+    require_member(space, theta, grid.N)
+    evidence: dict = {}
+    v = _Verdicts(space, "hat", theta=theta, evidence=evidence)
     if theta.is_zero:
         cert = Certificate("zero_operator", {}, "the zero operator is power bounded")
-        return _holds("power_bounded", space, kind, cert, theta=theta)
+        return v.holds("power_bounded", cert)
     delta = _scaled_delta(theta)
     if delta is not None:
         c_abs = _exact_abs(delta[0])
@@ -361,24 +370,21 @@ def classify_hat_power_bounded_infinite(space: SpaceSpec, theta: Symbol,
             cert = Certificate(
                 "hat_delta_power_norms", {"c": str(delta[0])},
                 "scalar symbol: power norms are |c|^k * ||e_1||_p <= ||e_1||_p")
-            return _holds("power_bounded", space, kind, cert, theta=theta)
+            return v.holds("power_bounded", cert)
         if (c_abs is not None and c_abs > 1) or (c_abs is None and c_float > 1 + _TOL):
             cert = Certificate(
                 "hat_conv_power_lower_growth",
                 {"route": "theta0", "growth": exact_float(c_float, "|theta_0|")},
                 "first-column norms grow like |c|^k, unbounded over powers")
-            return _fails("power_bounded", space, kind, cert,
-                          {"k": grid.K, "n": 1, "p": 1}, theta=theta)
-        return _open("power_bounded", space, kind,
-                     "scalar magnitude inside the tolerance band around 1", theta=theta)
-    evidence = {}
+            return v.fails("power_bounded", cert, {"k": grid.K, "n": 1, "p": 1})
+        return v.open("power_bounded", "scalar magnitude inside the tolerance band around 1")
     if theta.kind is SymbolKind.FINITE:
         growth = None
         entries = prefix(theta, theta.bounded_support())
         c0 = _exact_abs(entries[0])
-        nonneg = all(not isinstance(v, complex) and v >= 0 for v in entries)
+        nonneg = all(not isinstance(x, complex) and x >= 0 for x in entries)
         if nonneg and theta.is_exact:
-            g = sum(Fraction(v) for v in entries)
+            g = sum(Fraction(x) for x in entries)
             evidence["nonneg_sum"] = exact_float(g, "the nonnegative sum")
             if g > 1:
                 growth = ("nonneg_sum", evidence["nonneg_sum"])
@@ -389,8 +395,7 @@ def classify_hat_power_bounded_infinite(space: SpaceSpec, theta: Symbol,
                 "hat_conv_power_lower_growth",
                 {"route": growth[0], "growth": growth[1]},
                 "certified lower bound: power norms dominate growth^k")
-            return _fails("power_bounded", space, kind, cert,
-                          {"k": grid.K, "n": 1, "p": 1}, theta=theta, evidence=evidence)
+            return v.fails("power_bounded", cert, {"k": grid.K, "n": 1, "p": 1})
     # evidence sweep: s_p = max_k ||theta^{*k}||_p and the growth ratio of the
     # top half of the power range (truncation sized so finite supports never
     # spill past the window)
@@ -416,9 +421,8 @@ def classify_hat_power_bounded_infinite(space: SpaceSpec, theta: Symbol,
                                 for p in range(1, grid.P + 1)},
         "growth_suspected": bool((median_ratio > 1.0 + 10 * _TOL).any()),
     })
-    return _open("power_bounded", space, kind,
-                 "no certificate settles the power-norm supremum for this symbol",
-                 theta=theta, evidence=evidence)
+    return v.open("power_bounded",
+                  "no certificate settles the power-norm supremum for this symbol")
 
 
 # ---------------------------------------------------------------------------
@@ -542,28 +546,29 @@ def _dual_evidence(space: SpaceSpec, beta: Symbol, grid: GridParams) -> dict:
 
 def classify_check_all(space: SpaceSpec, beta: Symbol,
                        grid: GridParams = GridParams()) -> dict[str, Verdict]:
-    kind = "check"
     dual_cert = _dual_preconditions(space, beta, grid)
     evidence = _dual_evidence(space, beta, grid)
     evidence["dual_certificate"] = {"c0": dual_cert.c0, "m0": dual_cert.m0}
-
-    def open_v(prop, reason):
-        return _open(prop, space, kind, reason, beta=beta, evidence=evidence)
-
-    out: dict[str, Verdict] = {}
+    v = _Verdicts(space, "check", beta=beta, evidence=evidence)
     if beta.is_zero:
         cert = Certificate("zero_operator", {}, "the zero operator satisfies everything")
-        for prop in _PROPS:
-            out[prop] = _holds(prop, space, kind, cert, beta=beta, evidence=evidence)
-        return out
-
-    if not space.is_finite_type:
-        out.update(_check_infinite_decisions(space, beta, grid, evidence))
+        return {prop: v.holds(prop, cert) for prop in _PROPS}
+    l1 = _abs_sum_or_none(beta)
+    if space.is_finite_type:
+        sup = beta.bounded_support()
+        top = None if sup is None else v.holds("topologizable", Certificate(
+            "finite_support_topologizable", {"support": sup, "q": 1},
+            "powers have support k*(s-1)+1, so each power admits "
+            "a finite constant against any decay target"))
+        found = {"topologizable": top,
+                 "m_topologizable": _check_finite_m_top(space, beta, l1, v),
+                 "power_bounded": _check_finite_power_bounded(space, beta, l1, v)}
     else:
-        out.update(_check_finite_decisions(space, beta, evidence))
-
+        found = {"m_topologizable": _check_infinite_m_top(space, beta, l1, v),
+                 "power_bounded": _check_infinite_power_bounded(space, beta, grid, l1, v)}
+    out = {prop: verdict for prop, verdict in found.items() if verdict is not None}
     for prop in _PROPS:
-        out.setdefault(prop, open_v(prop, "no decisive certificate for this symbol class"))
+        out.setdefault(prop, v.open(prop, "no decisive certificate for this symbol class"))
     _propagate_hierarchy(out)
     return out
 
@@ -589,25 +594,17 @@ def _propagate_hierarchy(out: dict[str, Verdict]) -> None:
             out[stronger] = replace(wv, prop=stronger)
 
 
-def _check_infinite_decisions(space, beta, grid, evidence) -> dict[str, Verdict]:
-    kind = "check"
-    out: dict[str, Verdict] = {}
-    try:
-        l1 = ell1_norm(beta)
-    except TailUnbounded:
-        l1 = None
-
-    # m-topologizable (hence topologizable) from summability or the
-    # negative-binomial envelope on linear alpha
+def _check_infinite_m_top(space, beta, l1, v: _Verdicts) -> Optional[Verdict]:
+    """m-topologizable from summability, or from the negative-binomial
+    envelope of a geometric law on linear alpha."""
     if l1 is not None and not l1.infinite:
         D = max(1.0, l1.upper) * (1.0 + 1e-9)
         cert = Certificate("young_envelope", {"D": D, "q": 1},
                            "coefficients of every power are bounded by the "
                            "absolute-sum power, which the unit-or-larger "
                            "constant D absorbs")
-        out["m_topologizable"] = _holds("m_topologizable", space, kind, cert,
-                                        beta=beta, evidence=evidence)
-    elif beta.kind is SymbolKind.GEOMETRIC and space.is_linear:
+        return v.holds("m_topologizable", cert)
+    if beta.kind is SymbolKind.GEOMETRIC and space.is_linear:
         c_abs, r_abs = abs(beta.c), abs(beta.r)
         x = 0.5
         D = max(1.0, float(c_abs) / (1 - x))
@@ -616,10 +613,11 @@ def _check_infinite_decisions(space, beta, grid, evidence) -> dict[str, Verdict]
                            {"x": str(Fraction(1, 2)), "D": D, "q": q},
                            "negative-binomial coefficient bound absorbs the "
                            "polynomial factor of geometric powers")
-        out["m_topologizable"] = _holds("m_topologizable", space, kind, cert,
-                                        beta=beta, evidence=evidence)
+        return v.holds("m_topologizable", cert)
+    return None
 
-    # power boundedness
+
+def _check_infinite_power_bounded(space, beta, grid, l1, v: _Verdicts) -> Optional[Verdict]:
     b0c = _beta0_class(beta)
     delta = _scaled_delta(beta)
     if b0c == "gt1":
@@ -628,16 +626,11 @@ def _check_infinite_decisions(space, beta, grid, evidence) -> dict[str, Verdict]
                            "the (1,1) entry of the k-th power is beta_0^k, unbounded "
                            "against every fixed target" if delta is not None
                            else "fixed-index entries grow like beta_0^k")
-        out["power_bounded"] = _fails("power_bounded", space, kind, cert,
-                                      {"n": 1, "k": grid.K}, beta=beta, evidence=evidence)
-        return out
+        return v.fails("power_bounded", cert, {"n": 1, "k": grid.K})
     if delta is not None:
-        if b0c in ("lt1", "eq1"):
-            cert = Certificate("dual_delta_contraction", {"q": 1},
-                               "scalar powers |c|^k stay at or below 1 <= e^{q a_n}")
-            out["power_bounded"] = _holds("power_bounded", space, kind, cert,
-                                          beta=beta, evidence=evidence)
-        return out
+        return None if b0c == "boundary" else v.holds("power_bounded", Certificate(
+            "dual_delta_contraction", {"q": 1},
+            "scalar powers |c|^k stay at or below 1 <= e^{q a_n}"))
     if b0c == "eq1":
         j = _first_positive_support(beta)
         if j is not None:
@@ -645,115 +638,86 @@ def _check_infinite_decisions(space, beta, grid, evidence) -> dict[str, Verdict]
                                {"witness_n": j + 1, "form": "k_linear"},
                                "with |beta_0| = 1 the entry at the first positive "
                                "support index grows linearly in the power")
-            out["power_bounded"] = _fails("power_bounded", space, kind, cert,
-                                          {"n": j + 1, "k": grid.K}, beta=beta,
-                                          evidence=evidence)
-            return out
+            return v.fails("power_bounded", cert, {"n": j + 1, "k": grid.K})
     if l1 is not None and not l1.infinite and _three_way_vs_one(l1) == "le":
         cert = Certificate("dual_l1_contraction", {},
                            "coefficients of every power are bounded by the "
                            "absolute sum <= 1, below every growth target")
-        out["power_bounded"] = _holds("power_bounded", space, kind, cert,
-                                      beta=beta, evidence=evidence)
-        return out
-    if b0c == "lt1" and space.is_linear:
-        if beta.kind is SymbolKind.FINITE:
-            mags = [abs(v) for v in prefix(beta, beta.bounded_support())]
-            for q in range(1, 65):
-                s_q = mags[0] + math.fsum(
-                    mags[i] * math.exp(-q * i) for i in range(1, len(mags)))
-                if s_q * (1 + 1e-12) <= 1.0:
-                    cert = Certificate("dual_disc_modulus_bound", {"q": q},
-                                       "the symbol's generating function has modulus "
-                                       "at most 1 on the circle of radius e^{-q}, so "
-                                       "all power coefficients obey the growth target")
-                    out["power_bounded"] = _holds("power_bounded", space, kind, cert,
-                                                  beta=beta, evidence=evidence)
-                    return out
-        elif beta.kind is SymbolKind.GEOMETRIC:
-            c_abs, r_abs = float(abs(beta.c)), float(abs(beta.r))
-            x = 1.0 - c_abs
-            if x > 0:
-                q = max(1, math.ceil(math.log(max(r_abs / x, 1e-12)) + 1e-12))
-                cert = Certificate("dual_negbinomial_contraction",
-                                   {"x": f"{Fraction(x).limit_denominator(10**9)}",
-                                    "D": 1.0, "q": q},
-                                   "negative-binomial bound with unit constant")
-                out["power_bounded"] = _holds("power_bounded", space, kind, cert,
-                                              beta=beta, evidence=evidence)
-                return out
-    return out
+        return v.holds("power_bounded", cert)
+    if b0c != "lt1" or not space.is_linear:
+        return None
+    if beta.kind is SymbolKind.FINITE:
+        mags = [abs(x) for x in prefix(beta, beta.bounded_support())]
+        for q in range(1, 65):
+            s_q = mags[0] + math.fsum(
+                mags[i] * math.exp(-q * i) for i in range(1, len(mags)))
+            if s_q * (1 + 1e-12) <= 1.0:
+                cert = Certificate("dual_disc_modulus_bound", {"q": q},
+                                   "the symbol's generating function has modulus "
+                                   "at most 1 on the circle of radius e^{-q}, so "
+                                   "all power coefficients obey the growth target")
+                return v.holds("power_bounded", cert)
+    elif beta.kind is SymbolKind.GEOMETRIC:
+        c_abs, r_abs = float(abs(beta.c)), float(abs(beta.r))
+        x = 1.0 - c_abs
+        if x > 0:
+            q = max(1, math.ceil(math.log(max(r_abs / x, 1e-12)) + 1e-12))
+            cert = Certificate("dual_negbinomial_contraction",
+                               {"x": f"{Fraction(x).limit_denominator(10**9)}",
+                                "D": 1.0, "q": q},
+                               "negative-binomial bound with unit constant")
+            return v.holds("power_bounded", cert)
+    return None
 
 
-def _check_finite_decisions(space, beta, evidence) -> dict[str, Verdict]:
-    kind = "check"
-    out: dict[str, Verdict] = {}
+def _check_finite_m_top(space, beta, l1, v: _Verdicts) -> Optional[Verdict]:
+    """m-topologizable on index-dominated alpha from the absolute sum: over a
+    bounded support, or for a decaying geometric law."""
+    if not (space.alpha.dominated_by_index() and l1 is not None and not l1.infinite):
+        return None
+    sup = beta.bounded_support()
+    if sup is not None:
+        D = max(1.0, l1.upper) * math.exp(sup) * (1.0 + 1e-9)
+        cert = Certificate("young_envelope_shifted", {"D": D, "q": 1, "support": sup},
+                           "absolute-sum powers against the decay target cost at "
+                           "most e^{s} per power, absorbed into the constant")
+        return v.holds("m_topologizable", cert)
+    if beta.kind is not SymbolKind.GEOMETRIC:
+        return None
+    # support is unbounded but the decay target is met grade for grade once
+    # the ratio beats e^{-1/q}
+    r_abs = float(abs(beta.r))
+    q = next((q for q in range(1, 65) if r_abs * math.exp(1.0 / q) < 1), None)
+    if q is None:
+        return None
+    D = max(1.0, float(abs(beta.c)) / (1 - r_abs * math.exp(1.0 / q)) * math.exp(1.0 / q))
+    cert = Certificate("dual_geometric_decay_bound_topology", {"q": q, "D": D},
+                       "geometric decay dominates the grade target")
+    return v.holds("m_topologizable", cert)
+
+
+def _check_finite_power_bounded(space, beta, l1, v: _Verdicts) -> Optional[Verdict]:
     sup = beta.bounded_support()
     dominated = space.alpha.dominated_by_index()
-    try:
-        l1 = ell1_norm(beta)
-    except TailUnbounded:
-        l1 = None
-
-    if sup is not None:
-        cert = Certificate("finite_support_topologizable", {"support": sup, "q": 1},
-                           "powers have support k*(s-1)+1, so each power admits "
-                           "a finite constant against any decay target")
-        out["topologizable"] = _holds("topologizable", space, kind, cert,
-                                      beta=beta, evidence=evidence)
-        if dominated and l1 is not None and not l1.infinite:
-            D = max(1.0, l1.upper) * math.exp(sup) * (1.0 + 1e-9)
-            cert = Certificate("young_envelope_shifted", {"D": D, "q": 1, "support": sup},
-                               "absolute-sum powers against the decay target cost at "
-                               "most e^{s} per power, absorbed into the constant")
-            out["m_topologizable"] = _holds("m_topologizable", space, kind, cert,
-                                            beta=beta, evidence=evidence)
-    elif beta.kind is SymbolKind.GEOMETRIC and dominated and l1 is not None \
-            and not l1.infinite:
-        # decaying geometric: support is unbounded but the decay target is met
-        # grade for grade once the ratio beats e^{-1/q}
-        r_abs = float(abs(beta.r))
-        if r_abs < 1:
-            for q in range(1, 65):
-                if r_abs * math.exp(1.0 / q) < 1:
-                    D = max(1.0, float(abs(beta.c)) / (1 - r_abs * math.exp(1.0 / q))
-                            * math.exp(1.0 / q))
-                    cert = Certificate("dual_geometric_decay_bound_topology",
-                                       {"q": q, "D": D},
-                                       "geometric decay dominates the grade target")
-                    out["m_topologizable"] = _holds("m_topologizable", space, kind,
-                                                    cert, beta=beta, evidence=evidence)
-                    break
-
-    b0c = _beta0_class(beta)
-    a1 = space.alpha.value(1)
-    if b0c in ("eq1", "gt1") and a1 > 0:
+    if _beta0_class(beta) in ("eq1", "gt1") and space.alpha.value(1) > 0:
         cert = Certificate("dual_fixed_index_floor", {"witness_n": 1},
                            "the (1,1) entry of every power has magnitude >= 1, "
                            "above every decay target")
-        out["power_bounded"] = _fails("power_bounded", space, kind, cert,
-                                      {"n": 1, "k": 1}, beta=beta, evidence=evidence)
-        return out
+        return v.fails("power_bounded", cert, {"n": 1, "k": 1})
     if l1 is not None and l1.infinite:
         cert = Certificate("dual_l1_exceeds_on_circle", {},
                            "the generating function's modulus exceeds 1 on the unit "
                            "circle; mean-square growth contradicts every decay target")
-        out["power_bounded"] = _fails("power_bounded", space, kind, cert,
-                                      {"n": None, "k": None}, beta=beta, evidence=evidence)
-        return out
+        return v.fails("power_bounded", cert, {"n": None, "k": None})
     if l1 is not None and dominated:
         side = _three_way_vs_one(l1)
         if side == "le" and (l1.exact is None or l1.exact < 1) and l1.upper < 1.0:
-            s_eff = sup if sup is not None else None
-            if s_eff is not None:
-                q = max(1, math.ceil(s_eff / max(math.log(1.0 / l1.upper), 1e-12) + 1e-9))
-                cert = Certificate("dual_l1_decay_bound",
-                                   {"q": q, "support": s_eff},
+            if sup is not None:
+                q = max(1, math.ceil(sup / max(math.log(1.0 / l1.upper), 1e-12) + 1e-9))
+                cert = Certificate("dual_l1_decay_bound", {"q": q, "support": sup},
                                    "absolute-sum powers decay fast enough to meet "
                                    "the grade-q target across the support range")
-                out["power_bounded"] = _holds("power_bounded", space, kind, cert,
-                                              beta=beta, evidence=evidence)
-                return out
+                return v.holds("power_bounded", cert)
             if beta.kind is SymbolKind.GEOMETRIC:
                 c_abs, r_abs = float(abs(beta.c)), float(abs(beta.r))
                 for q in range(1, 65):
@@ -763,39 +727,30 @@ def _check_finite_decisions(space, beta, evidence) -> dict[str, Verdict]:
                                            "the generating function stays below the "
                                            "decay threshold on a circle outside the "
                                            "unit disc")
-                        out["power_bounded"] = _holds("power_bounded", space, kind,
-                                                      cert, beta=beta, evidence=evidence)
-                        return out
+                        return v.holds("power_bounded", cert)
         elif side == "gt" and beta.kind is SymbolKind.GEOMETRIC:
             cert = Certificate("dual_l1_exceeds_on_circle", {},
                                "for a one-pole symbol the circle maximum equals the "
                                "absolute sum, which exceeds 1")
-            out["power_bounded"] = _fails("power_bounded", space, kind, cert,
-                                          {"n": None, "k": None}, beta=beta,
-                                          evidence=evidence)
-            return out
+            return v.fails("power_bounded", cert, {"n": None, "k": None})
+    if beta.kind is not SymbolKind.FINITE or not dominated:
+        return None
     # circle-modulus routes for finite lists on index-dominated alpha
-    if beta.kind is SymbolKind.FINITE and dominated and "power_bounded" not in out:
-        for q in range(1, 49):
-            upper, _, _ = _abs_poly_max_on_circle(beta, math.exp(1.0 / q))
-            if upper <= math.exp(-1.0 / q) * (1 - 1e-12):
-                cert = Certificate("dual_circle_modulus_bound", {"q": q},
-                                   "the generating function stays below e^{-1/q} on "
-                                   "the circle of radius e^{1/q}")
-                out["power_bounded"] = _holds("power_bounded", space, kind, cert,
-                                              beta=beta, evidence=evidence)
-                return out
-        upper, lower, arg = _abs_poly_max_on_circle(beta, 1.0)
-        if lower > 1.0 + 1e-9:
-            cert = Certificate("dual_circle_modulus_exceeds", {"angle": arg},
-                               "the generating function exceeds 1 in modulus on the "
-                               "unit circle; mean-square growth of the powers beats "
-                               "every decay target")
-            out["power_bounded"] = _fails("power_bounded", space, kind, cert,
-                                          {"angle": arg, "n": None, "k": None},
-                                          beta=beta, evidence=evidence)
-            return out
-    return out
+    for q in range(1, 49):
+        upper, _, _ = _abs_poly_max_on_circle(beta, math.exp(1.0 / q))
+        if upper <= math.exp(-1.0 / q) * (1 - 1e-12):
+            cert = Certificate("dual_circle_modulus_bound", {"q": q},
+                               "the generating function stays below e^{-1/q} on "
+                               "the circle of radius e^{1/q}")
+            return v.holds("power_bounded", cert)
+    upper, lower, arg = _abs_poly_max_on_circle(beta, 1.0)
+    if lower > 1.0 + 1e-9:
+        cert = Certificate("dual_circle_modulus_exceeds", {"angle": arg},
+                           "the generating function exceeds 1 in modulus on the "
+                           "unit circle; mean-square growth of the powers beats "
+                           "every decay target")
+        return v.fails("power_bounded", cert, {"angle": arg, "n": None, "k": None})
+    return None
 
 
 def norm_mode(mode: str) -> str:
@@ -883,10 +838,8 @@ def strongly_tame_probe(op: OperatorSpec, grid: GridParams = GridParams()) -> Ta
                 closed[p] = scale * exp_guarded(hi)
             bound_kind = "hat_linear"
     elif not space.is_finite_type or space.is_linear:
-        kind, dual_sum_of = ("dual_weighted_sum", weighted_beta_sum_finite) \
-            if space.is_finite_type else ("dual_abs_sum", ell1_norm)
         try:
-            dual_sum = dual_sum_of(op.beta)
+            dual_sum = _tame_dual_sum(space, op.beta)
         except TailUnbounded as exc:
             reason = f"the dual sum is not settled: {exc}"
             if op.beta.envelope is not None:
@@ -894,21 +847,18 @@ def strongly_tame_probe(op: OperatorSpec, grid: GridParams = GridParams()) -> Ta
         else:
             val = math.inf if dual_sum.infinite else dual_sum.upper
             closed = dict.fromkeys(range(1, P + 1), val)
-            bound_kind = kind
-    if closed and all(math.isfinite(v) for v in closed.values()):
+            bound_kind = "dual_weighted_sum" if space.is_finite_type else "dual_abs_sum"
+    v = _Verdicts(space, op.kind.value, op.theta, op.beta, {"grid_constants": constants})
+    if closed and all(math.isfinite(c) for c in closed.values()):
         cert = Certificate("strongly_tame_closed_bounds",
                            {"bounds": {str(p): closed[p] for p in closed},
                             "kind": bound_kind},
                            "grade-preserving column bounds with finite closed-form "
                            "constants")
-        verdict = _holds("strongly_tame", space, op.kind.value, cert,
-                         theta=op.theta, beta=op.beta,
-                         evidence={"grid_constants": constants})
+        verdict = v.holds("strongly_tame", cert)
     else:
-        verdict = _open("strongly_tame", space, op.kind.value, reason,
-                        theta=op.theta, beta=op.beta,
-                        evidence={"grid_constants": constants,
-                                  "closed_bounds": {p: closed.get(p) for p in closed}})
+        verdict = v.open("strongly_tame", reason, evidence={
+            "grid_constants": constants, "closed_bounds": {p: closed.get(p) for p in closed}})
     return TameReport(constants, closed, bound_kind, verdict)
 
 
@@ -926,94 +876,70 @@ def classify_toeplitz(space: SpaceSpec, theta: Symbol, beta: Symbol,
     Inconclusive."""
     if not space.is_linear:
         raise UnsupportedSpace("the mixed-operator conditions are stated for alpha_n = n")
-    kind = "toeplitz"
-    out: dict[str, Verdict] = {}
     evidence: dict = {}
-    # strong tameness (hence m-topologizability) from the dual side's sum:
-    # weighted by e^n on the finite type, plain on the infinite type
-    if space.is_finite_type:
-        name, dual_sum_of = "B", weighted_beta_sum_finite
-        text = ("exponentially weighted dual sum finite: both parts are "
-                "grade-preserving, so the sum is strongly tame")
-        why = "the exponentially weighted dual sum is not settled finite"
-    else:
-        name, dual_sum_of = "A", ell1_norm
-        text = ("summable dual side: both parts are grade-preserving, so the "
-                "sum is strongly tame")
-        why = "the dual absolute sum is not settled finite"
+    v = _Verdicts(space, "toeplitz", theta, beta, evidence)
+    # strong tameness (hence m-topologizability) from the dual side's sum
+    name = "B" if space.is_finite_type else "A"
     try:
-        dual_sum = dual_sum_of(beta)
+        dual_sum = _tame_dual_sum(space, beta)
         evidence.update({f"{name}_lower": dual_sum.lower, f"{name}_upper": dual_sum.upper,
                          f"{name}_infinite": dual_sum.infinite})
     except TailUnbounded as exc:
         dual_sum = None
         evidence[f"{name}_error"] = str(exc)
     if dual_sum is not None and not dual_sum.infinite:
-        cert = Certificate("dual_l1_tame_bound", {f"{name}_upper": dual_sum.upper}, text)
-        v = _holds("strongly_tame", space, kind, cert, theta=theta, beta=beta,
-                   evidence=evidence)
-        out["strongly_tame"] = v
-        out["m_topologizable"] = replace(v, prop="m_topologizable")
+        cert = Certificate("dual_l1_tame_bound", {f"{name}_upper": dual_sum.upper},
+                           "exponentially weighted dual sum finite: both parts are "
+                           "grade-preserving, so the sum is strongly tame"
+                           if space.is_finite_type else
+                           "summable dual side: both parts are grade-preserving, so "
+                           "the sum is strongly tame")
+        tame = v.holds("strongly_tame", cert)
+        out = {"strongly_tame": tame, "m_topologizable": replace(tame, prop="m_topologizable")}
     else:
-        for prop in ("strongly_tame", "m_topologizable"):
-            out[prop] = _open(prop, space, kind, why, theta=theta, beta=beta,
-                              evidence=evidence)
-    if space.is_finite_type:
-        # power bounded: sup_p e^{1/2p}||theta||_{2p} + B <= 1; the supremum is
-        # the plain absolute sum by monotone convergence
-        try:
-            s_theta = ell1_norm(theta)
-        except TailUnbounded as exc:
-            s_theta = None
-            evidence["S_error"] = str(exc)
-        if s_theta is not None and dual_sum is not None:
-            evidence.update({"S_lower": s_theta.lower, "S_upper": s_theta.upper})
-            if beta.is_zero and s_theta.exact is not None:
-                total = SeriesSum(s_theta.partial, 0.0, exact=s_theta.exact)
-            elif s_theta.infinite or dual_sum.infinite:
-                total = SeriesSum(math.inf, 0.0, infinite=True)
-            else:
-                total = SeriesSum(s_theta.lower + dual_sum.lower,
-                                  (s_theta.upper - s_theta.lower)
-                                  + (dual_sum.upper - dual_sum.lower))
-            side = _three_way_vs_one(total)
-            if side == "le":
-                cert = Certificate("toeplitz_power_bound_sum",
-                                   {"B_upper": dual_sum.upper,
-                                    "S_upper": s_theta.upper,
-                                    "q_of_p": {}},
-                                   "combined tame constants stay at or below 1")
-                out["power_bounded"] = _holds("power_bounded", space, kind, cert,
-                                              theta=theta, beta=beta, evidence=evidence)
-            else:
-                out["power_bounded"] = _open(
-                    "power_bounded", space, kind,
-                    "the sufficient combined-sum condition does not certify this "
-                    "operator (the criterion is one-sided)",
-                    theta=theta, beta=beta, evidence=evidence)
-        else:
-            out["power_bounded"] = _open("power_bounded", space, kind,
-                                         "combined sum not settled",
-                                         theta=theta, beta=beta, evidence=evidence)
-        return out
-    # infinite type
-    if theta.is_zero and dual_sum is not None:
-        side = _three_way_vs_one(dual_sum)
-        if side == "le":
-            cert = Certificate("toeplitz_power_bound_sum",
-                               {"A_upper": dual_sum.upper, "q_of_p": {}},
-                               "zero forward part and dual sum at most 1")
-            out["power_bounded"] = _holds("power_bounded", space, kind, cert,
-                                          theta=theta, beta=beta, evidence=evidence)
-            return out
-        out["power_bounded"] = _open("power_bounded", space, kind,
-                                     "dual sum does not certify the bound",
-                                     theta=theta, beta=beta, evidence=evidence)
-        return out
-    out["power_bounded"] = _open(
-        "power_bounded", space, kind,
-        "the supremum of the forward symbol norms over all grades is infinite "
-        "for a nonzero symbol on the infinite type, so the sufficient condition "
-        "cannot certify this operator",
-        theta=theta, beta=beta, evidence=evidence)
+        why = "the exponentially weighted dual sum is not settled finite" \
+            if space.is_finite_type else "the dual absolute sum is not settled finite"
+        out = {prop: v.open(prop, why) for prop in ("strongly_tame", "m_topologizable")}
+    out["power_bounded"] = _toeplitz_power_bounded(space, theta, beta, dual_sum, v)
     return out
+
+
+def _toeplitz_power_bounded(space, theta, beta, dual_sum, v: _Verdicts) -> Verdict:
+    if not space.is_finite_type:
+        if not theta.is_zero or dual_sum is None:
+            return v.open("power_bounded",
+                          "the supremum of the forward symbol norms over all grades is "
+                          "infinite for a nonzero symbol on the infinite type, so the "
+                          "sufficient condition cannot certify this operator")
+        if _three_way_vs_one(dual_sum) != "le":
+            return v.open("power_bounded", "dual sum does not certify the bound")
+        cert = Certificate("toeplitz_power_bound_sum",
+                           {"A_upper": dual_sum.upper, "q_of_p": {}},
+                           "zero forward part and dual sum at most 1")
+        return v.holds("power_bounded", cert)
+    # sup_p e^{1/2p}||theta||_{2p} + B <= 1; the supremum is the plain
+    # absolute sum by monotone convergence
+    try:
+        s_theta = ell1_norm(theta)
+    except TailUnbounded as exc:
+        s_theta = None
+        v.evidence["S_error"] = str(exc)
+    if s_theta is None or dual_sum is None:
+        return v.open("power_bounded", "combined sum not settled")
+    v.evidence.update({"S_lower": s_theta.lower, "S_upper": s_theta.upper})
+    if beta.is_zero and s_theta.exact is not None:
+        total = SeriesSum(s_theta.partial, 0.0, exact=s_theta.exact)
+    elif s_theta.infinite or dual_sum.infinite:
+        total = SeriesSum(math.inf, 0.0, infinite=True)
+    else:
+        total = SeriesSum(s_theta.lower + dual_sum.lower,
+                          (s_theta.upper - s_theta.lower)
+                          + (dual_sum.upper - dual_sum.lower))
+    if _three_way_vs_one(total) != "le":
+        return v.open("power_bounded",
+                      "the sufficient combined-sum condition does not certify this "
+                      "operator (the criterion is one-sided)")
+    cert = Certificate("toeplitz_power_bound_sum",
+                       {"B_upper": dual_sum.upper, "S_upper": s_theta.upper, "q_of_p": {}},
+                       "combined tame constants stay at or below 1")
+    return v.holds("power_bounded", cert)

@@ -49,6 +49,7 @@ from .symbols import (
     _float_conv,
     _int_conv,
     _to_block,
+    MembershipReport,
     Symbol,
     abs_upper_prefix,
     coeff,
@@ -166,9 +167,17 @@ class OperatorContractError(ValueError):
     """The symbols do not satisfy the membership hypotheses for this operator."""
 
 
-def make_hat_operator(space: SpaceSpec, theta: Symbol, grid_n: int = 256) -> OperatorSpec:
-    if membership_check(space, theta, N=grid_n).overall == "not_member":
+def require_member(space: SpaceSpec, theta: Symbol, N: int) -> MembershipReport:
+    """theta's membership report on the first N indices; OperatorContractError
+    when it certifies that theta is not a member of the space."""
+    membership = membership_check(space, theta, N=N)
+    if membership.overall == "not_member":
         raise OperatorContractError("theta is not a member of the space")
+    return membership
+
+
+def make_hat_operator(space: SpaceSpec, theta: Symbol, grid_n: int = 256) -> OperatorSpec:
+    require_member(space, theta, grid_n)
     return OperatorSpec(OperatorKind.HAT, space, theta=theta)
 
 

@@ -84,7 +84,6 @@ from .spaces import (
     convolve_geometric,
     geometric_tail_sum,
     positive_scale,
-    scale_envelope,
     seminorm as _space_seminorm,
     shift_envelope,
 )
@@ -305,8 +304,9 @@ def float_symbol(s: "Symbol") -> "Symbol":
 
 
 def times_power_of_two(s: Symbol, e: int) -> Symbol:
-    """The float symbol s * 2**e, envelope included: exact while the
-    products stay normal."""
+    """The float symbol s * 2**e on what can be read of it: exact while the
+    products stay normal.  A sampled window keeps its support and gap but no
+    envelope, whose scale times 2**e may be past the float range."""
     def mul(v):
         if isinstance(v, complex):
             return complex(math.ldexp(v.real, e), math.ldexp(v.imag, e))
@@ -314,10 +314,10 @@ def times_power_of_two(s: Symbol, e: int) -> Symbol:
 
     if s.kind is SymbolKind.GEOMETRIC:
         return geometric_symbol(mul(s.c), s.r)
+    values = [mul(v) for v in s.entries]
     if s.kind is SymbolKind.FINITE:
-        return finite_symbol([mul(v) for v in s.entries])
-    return sampled_symbol([mul(v) for v in s.entries], scale_envelope(s.envelope, mul(1.0)),
-                          support_len=s.support_len)
+        return finite_symbol(values)
+    return sampled_symbol(values, support_len=len(values) if s._gap is None else s.support_len)
 
 
 def zero_symbol() -> Symbol:
@@ -725,9 +725,16 @@ def ell1_norm(s: Symbol) -> SeriesSum:
     """sum_i |s_i| with a closed-form tail majorant per certificate.
 
     Raises TailUnbounded when the certificate cannot settle summability
-    (e.g. a merely bounded sampled tail) or an exact sum is past the float
-    range; returns infinite=True when it certifies divergence.
+    (e.g. a merely bounded sampled tail) or the sum is past the float range;
+    returns infinite=True when it certifies divergence.
     """
+    try:
+        return _ell1_norm(s)
+    except OverflowError:
+        raise TailUnbounded("the absolute sum overflows a float") from None
+
+
+def _ell1_norm(s: Symbol) -> SeriesSum:
     if s.kind is SymbolKind.FINITE:
         if s.is_exact:
             exact = sum(abs(Fraction(v)) for v in s.entries) if s.entries else Fraction(0)

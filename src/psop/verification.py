@@ -21,6 +21,7 @@ import numpy as np
 from .classify import (
     GridParams,
     Status,
+    UnsupportedSpace,
     classify_check_all,
     strongly_tame_probe,
 )
@@ -45,6 +46,7 @@ from .oracle import (
 from .spaces import (
     DualCertificate,
     SpaceSpec,
+    TailUnbounded,
     dual_certificate_check,
     decay_compensation_constant,
     finite_type_space,
@@ -184,7 +186,8 @@ def sweep_hat_power_bound(space: SpaceSpec, thetas: Sequence[Symbol],
     powers would leave the normal floats is swept as theta / 2**e, with
     k e log 2 added back to the logs of power k."""
     t0 = time.perf_counter()
-    assert space.is_linear
+    if not space.is_linear:
+        raise UnsupportedSpace("the power-bound sweep is stated for alpha_n = n")
     L_conv = n_max + 8 * max(k_max, 1) * 8 + 8
     ks = np.arange(1, k_max + 1)
 
@@ -214,7 +217,9 @@ def sweep_hat_power_bound(space: SpaceSpec, thetas: Sequence[Symbol],
 
         rows, windows = power_rows(cols)    # the first cols columns of the rows on L_conv
         windows = [L_conv if w == cols else w for w in windows]
-        assert space.is_finite_type or min(windows) == math.inf
+        if not space.is_finite_type and min(windows) < math.inf:
+            raise TailUnbounded("a truncated power has no tail majorant against "
+                                "the infinite type's growth")
         off = int(first)    # rows[i] is the power k = i + 1 + off
         cells, cut_windows = np.arange(off, k_max), set(windows) - {math.inf}
 
@@ -436,8 +441,6 @@ def inequality_suite(symbols_per_case: int = 50, n_max: int = 256,
 
 
 def _b_sum_finite(beta: Symbol) -> bool:
-    from .spaces import TailUnbounded
-
     try:
         return not weighted_beta_sum_finite(beta).infinite
     except TailUnbounded:

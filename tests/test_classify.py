@@ -132,6 +132,12 @@ def test_zero_values_before_a_gap_get_no_zero_operator_verdict(fin, inf, sym, ma
         assert v.certificate is None or v.certificate.rule != "zero_operator"
 
 
+def test_hat_power_bounded_finite_with_a_sum_past_the_float_range_is_inconclusive(fin):
+    v = classify_hat_power_bounded_finite(fin, finite_symbol([1e308, 1e308]), GRID)
+    assert v.status is Status.INCONCLUSIVE
+    assert v.evidence["reason"].endswith("the absolute sum overflows a float")
+
+
 def test_hat_power_bounded_finite_reads_no_gap_as_zeros(fin):
     v = classify_hat_power_bounded_finite(fin, sampled_symbol([Fraction(1, 4)], support_len=3),
                                           GRID)
@@ -682,3 +688,119 @@ def test_an_exact_dual_entry_past_the_float_range_is_tail_unbounded(fin, inf):
                 assert "overflows a float" in str(err)
             else:
                 assert "overflows a float" in v.evidence["reason"]
+
+
+# -- golden pins: certificate text, params, witness and evidence together ---
+
+
+def _golden_cases():
+    """Every known-answer case of the oracle tests, one open verdict from each
+    classifier, and every verdict of a check dict and of two Toeplitz dicts:
+    a holds verdict shares its call's evidence, so keys added after it is
+    made appear in it, while an open verdict copies the evidence when it is
+    made."""
+    from psop.spaces import explicit_alpha
+    from test_oracle import KNOWN_ANSWERS
+
+    fin, inf, small = finite_type_space(), infinite_type_space(), GridParams(64, 16, 4, 8)
+    F = Fraction
+    explicit = infinite_type_space(explicit_alpha(range(1, 9), "arithmetic"))
+    root = infinite_type_space(root_alpha(2))
+    cases = dict(KNOWN_ANSWERS)
+    cases.update({
+        "open/hat_m_top": lambda: classify_hat_m_top(
+            explicit, finite_symbol([F(1, 2), F(1, 4)]), GRID),
+        "open/hat_pb_finite_band": lambda: classify_hat_power_bounded_finite(
+            fin, finite_symbol([0.5, 0.5]), GRID),
+        "open/hat_pb_finite_tail": lambda: classify_hat_power_bounded_finite(
+            fin, sampled_symbol([0.1, 0.1], GeometricEnvelope(1.0, 1.0)), GRID),
+        "open/hat_pb_infinite": lambda: classify_hat_power_bounded_infinite(
+            inf, finite_symbol([F(1, 2), F(-1, 4)]), small),
+        "open/strongly_tame": lambda: strongly_tame_probe(
+            make_check_operator(fin, geometric_symbol(1.0, F(1, 2))), small).verdict,
+    })
+    for prop in ("topologizable", "m_topologizable", "power_bounded"):
+        cases[f"check_fin/{prop}"] = lambda prop=prop: classify_check_all(
+            fin, finite_symbol([F(1, 2), F(1, 2)]), small)[prop]
+        cases[f"check_root/{prop}"] = lambda prop=prop: classify_check_all(
+            root, finite_symbol([0.5, 0.7]), small)[prop]
+    toeplitz = {"fin_tame": (fin, finite_symbol([F(1, 4)]), finite_symbol([0, F(1, 40)])),
+                "fin_open": (fin, finite_symbol([F(1, 4)]), geometric_symbol(F(1, 2), F(1, 2))),
+                "inf": (inf, finite_symbol([F(1, 4), F(1, 8)]), finite_symbol([0, F(1, 4)])),
+                "inf_zero": (inf, zero_symbol(), finite_symbol([F(1, 2), F(1, 4)]))}
+    for name, (space, theta, beta) in toeplitz.items():
+        for prop in ("strongly_tame", "m_topologizable", "power_bounded"):
+            cases[f"toeplitz_{name}/{prop}"] = lambda a=(space, theta, beta), prop=prop: \
+                classify_toeplitz(*a, small)[prop]
+    return cases
+
+
+def _verdict_digest(v) -> str:
+    import hashlib
+    import json
+
+    from psop.cli import verdict_json
+
+    return hashlib.sha256(json.dumps(verdict_json(v), default=repr).encode()).hexdigest()[:16]
+
+
+_GOLDEN_DIGESTS = {
+    "check_fin/m_topologizable": "d0d3d9efb0da2e77",
+    "check_fin/power_bounded": "1bda60398f240796",
+    "check_fin/topologizable": "b1d0f9844acb05f7",
+    "check_root/m_topologizable": "ee6745a7ed2c9fe1",
+    "check_root/power_bounded": "64a0f0e7884bb71d",
+    "check_root/topologizable": "f28a86e4088cea46",
+    "dual_circle_modulus_bound": "a9fa1f9cc8987064",
+    "dual_circle_modulus_exceeds": "75f9fd4102a6dba8",
+    "dual_delta_contraction": "e7e90fb267d615f1",
+    "dual_disc_modulus_bound": "66e82566048f5ed4",
+    "dual_fixed_index_floor": "45f73b089fe6c2df",
+    "dual_fixed_index_growth": "956364f52d53750c",
+    "dual_geometric_decay_bound": "4bf95192fab8e9e0",
+    "dual_geometric_decay_bound_topology": "891af72fee09820c",
+    "dual_l1_contraction": "d53428d55a6540a7",
+    "dual_l1_decay_bound": "1e0a7dcf65adfa76",
+    "dual_l1_exceeds_on_circle": "d972cfc484c95a5e",
+    "dual_l1_tame_bound": "f2942f4e92df4524",
+    "dual_negbinomial_contraction": "98da197d21d6a8bd",
+    "dual_negbinomial_envelope": "d971768f2db317d4",
+    "finite_support_topologizable": "3311e22991662460",
+    "hat_conv_power_lower_growth": "4c8265d99367d895",
+    "hat_delta_power_norms": "25ee4c6f82698fcc",
+    "hat_l1_contraction": "f5f17fd757a1d650",
+    "hat_l1_exceeds": "78a9b5a4073f0768",
+    "hat_per_power_symbol_norms": "99013185482537b5",
+    "hat_power_norm_envelope": "b1619d708bb63dda",
+    "implied_by_m_topologizable": "6b5e01091eaefe14",
+    "implied_by_power_bounded": "ae7c8f72c7a6a7fe",
+    "open/hat_m_top": "b6b6d6dc7cd77ed9",
+    "open/hat_pb_finite_band": "d3dd3c7655d0d920",
+    "open/hat_pb_finite_tail": "e7029fe234943a49",
+    "open/hat_pb_infinite": "1a0ae6fc1a4ab264",
+    "open/strongly_tame": "ad042dc13ca9baac",
+    "strongly_tame_closed_bounds": "13eeb0c1f2355b6c",
+    "toeplitz_fin_open/m_topologizable": "39b12f0a9b5aa23b",
+    "toeplitz_fin_open/power_bounded": "8b823139fe3c5abb",
+    "toeplitz_fin_open/strongly_tame": "ba2596fbc95b02ed",
+    "toeplitz_fin_tame/m_topologizable": "431a77fd52f7651a",
+    "toeplitz_fin_tame/power_bounded": "2651d67921809bae",
+    "toeplitz_fin_tame/strongly_tame": "f2942f4e92df4524",
+    "toeplitz_inf/m_topologizable": "494d03a3385db66f",
+    "toeplitz_inf/power_bounded": "0379c5799ee57d96",
+    "toeplitz_inf/strongly_tame": "ebe9d56b8249f301",
+    "toeplitz_inf_zero/m_topologizable": "3b31738606e0d5c6",
+    "toeplitz_inf_zero/power_bounded": "8f1fe3e2d7ec7ca7",
+    "toeplitz_inf_zero/strongly_tame": "98914142f5bf820f",
+    "toeplitz_power_bound_sum": "2651d67921809bae",
+    "young_envelope": "4a3a1e4db6750cd3",
+    "young_envelope_shifted": "6433dbb67f126ab7",
+    "zero_operator": "339e943d9fee452a",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_golden_cases()))
+def test_verdict_bytes_are_pinned(case):
+    """verdict_json of each case, pinned by digest, one case per test: a
+    verdict whose text, params, witness or evidence moves names its case."""
+    assert _verdict_digest(_golden_cases()[case]()) == _GOLDEN_DIGESTS[case]

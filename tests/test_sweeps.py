@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from psop import (
@@ -24,8 +24,9 @@ from psop import (
     infinite_type_space,
     sampled_symbol,
 )
-from psop import verification
+from psop import UnsupportedSpace, root_alpha, verification
 from psop.numerics import estimate_sum_exp_rows, log_nonneg, sum_exp_rows
+from psop.spaces import TailUnbounded
 from psop.symbols import float_power_rows
 
 from test_operators import BENCH_HAT_SHAPES
@@ -83,14 +84,26 @@ def _sampled(draw, gapped):
     return sampled_symbol(values, GeometricEnvelope(scale, ratio), support_len=support)
 
 
-@given(st.sampled_from(["finite", "infinite"]), st.data(), st.booleans(),
-       st.sampled_from([16, 64, 256]), st.integers(1, 8), st.sampled_from([1, 2, 5, 32]))
-@settings(max_examples=150, deadline=None)
-def test_pruned_sweep_equals_the_all_cells_sweep(space_type, data, corrected, n_max,
-                                                 p_max, k_max):
-    # the infinite type sweeps symbols whose powers carry no truncation window
+@st.composite
+def _sweep_cases(draw):
+    """(space type, k_max, thetas): the infinite type sweeps symbols whose
+    powers carry no truncation window."""
+    space_type = draw(st.sampled_from(["finite", "infinite"]))
+    k_max = draw(st.sampled_from([1, 2, 5, 32]))
     kinds = [_finite, _geometric, _sampled(k_max == 1)] if space_type == "finite" else [_finite]
-    thetas = data.draw(st.lists(st.one_of(*kinds), min_size=1, max_size=2))
+    return space_type, k_max, draw(st.lists(st.one_of(*kinds), min_size=1, max_size=2))
+
+
+# a subnormal window: the sweep rescales it by 2^1032, itself past the float range
+_SUBNORMAL = sampled_symbol([1.1125369292535e-311], GeometricEnvelope(0.5, 0.25), support_len=1)
+
+
+@given(_sweep_cases(), st.booleans(), st.sampled_from([16, 64, 256]), st.integers(1, 8))
+@example(("finite", 1, [_SUBNORMAL]), False, 16, 1)
+@example(("finite", 2, [_SUBNORMAL]), False, 16, 1)
+@settings(max_examples=150, deadline=None)
+def test_pruned_sweep_equals_the_all_cells_sweep(case, corrected, n_max, p_max):
+    space_type, k_max, thetas = case
     space = FIN if space_type == "finite" else INF
     got = _sweep(space, thetas, n_max, p_max, k_max, corrected)
     want = _sweep(space, thetas, n_max, p_max, k_max, corrected, every_cell=True)
@@ -240,3 +253,35 @@ def test_far_scaled_symbols_sweep_as_their_unit_scaled_copies(space, theta, e, c
     unit = _sweep(space, [_times(theta, e)], 256, 8, 32, corrected)
     assert out.passed and unit.passed
     assert abs(out.min_slack - unit.min_slack) <= 1e-9 and out.detail == unit.detail
+
+
+@pytest.mark.parametrize("space", [FIN, INF], ids=["finite", "infinite"])
+@pytest.mark.parametrize("k_max", [1, 2])
+def test_a_subnormal_window_sweeps_as_its_finite_list(space, k_max):
+    """Rescaled by 2^1032, the window's envelope scale would pass the float
+    range; the sweep reads no envelope of the rescaled powers."""
+    want = _sweep(space, [finite_symbol(list(_SUBNORMAL.entries))], 16, 1, k_max, False)
+    assert _key(_sweep(space, [_SUBNORMAL], 16, 1, k_max, False)) == _key(want)
+
+
+def test_a_gapped_window_whose_envelope_scale_would_overflow_sweeps():
+    theta = sampled_symbol([1e-311], GeometricEnvelope(1.0, 1e-300))
+    out = _sweep(FIN, [theta], 16, 1, 1, False)
+    assert math.isfinite(out.min_slack)
+    assert _key(out) == _key(_sweep(FIN, [theta], 16, 1, 1, False, every_cell=True))
+
+
+def test_a_sum_past_the_float_range_is_tail_unbounded():
+    with pytest.raises(TailUnbounded, match="overflows a float"):
+        _sweep(FIN, [finite_symbol([1e308, 1e308])], 16, 2, 1, False)
+
+
+def test_an_unsweepable_input_raises_a_typed_error():
+    """A truncated power on the infinite type has no tail bound, where k_max
+    = 1 fails in the symbol norm; a root alpha is not alpha_n = n."""
+    theta = geometric_symbol(1, F(1, 2))
+    for k_max in (1, 4):
+        with pytest.raises(TailUnbounded):
+            _sweep(INF, [theta], 32, 4, k_max, False)
+    with pytest.raises(UnsupportedSpace):
+        _sweep(finite_type_space(root_alpha(2)), [finite_symbol([F(1, 2)])], 16, 1, 1, False)
