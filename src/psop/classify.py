@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -223,6 +223,14 @@ def _hat_grade_multiplier(space: SpaceSpec, grid: GridParams) -> int:
     return 2 if space.is_finite_type else stability_constant(space.alpha, grid.N).bound
 
 
+def _linear_hat_bound(space: SpaceSpec, norm_upper: Callable) -> tuple[int, Callable]:
+    """(q / p, C(q)) with ||T^k e_n||_p <= C^k ||e_n||_q for the hat on linear alpha:
+    q = 2p, C = e^{1/q} ||theta||_q on the finite type, q = p, C = ||theta||_q on the infinite."""
+    if space.is_finite_type:
+        return 2, lambda q: math.exp(1.0 / q) * norm_upper(q)
+    return 1, norm_upper
+
+
 def classify_hat_m_top(space: SpaceSpec, theta: Symbol,
                        grid: GridParams = GridParams()) -> Verdict:
     """Forward operators carry geometric power-norm envelopes
@@ -247,15 +255,13 @@ def classify_hat_m_top(space: SpaceSpec, theta: Symbol,
 
     # the route, q(p) = q_per_p * p, and C_p as a function of q(p)
     route, q_per_p, c_of = None, mult, sym_norm_upper
-    if space.is_finite_type and space.is_linear:
-        route = "same_grade_submultiplicative"
-        c_of = lambda q: math.exp(1.0 / q) * sym_norm_upper(q)
+    if space.is_linear:
+        route = "same_grade_submultiplicative" if space.is_finite_type else "tame_linear"
+        q_per_p, c_of = _linear_hat_bound(space, sym_norm_upper)
     elif space.is_finite_type:
         l1 = _abs_sum_or_none(theta)
         if l1 is not None and not l1.infinite:
             route, c_of = "sup_grade_abs_sum", lambda q: l1.upper
-    elif space.is_linear:
-        route, q_per_p = "tame_linear", 1
     elif _subadditive_alpha(space):
         route = "stable_subadditive"
     grades = range(1, grid.P + 1)
@@ -831,11 +837,9 @@ def strongly_tame_probe(op: OperatorSpec, grid: GridParams = GridParams()) -> Ta
     reason = "only grid constants available at this truncation"
     if op.kind is OperatorKind.HAT:
         if space.is_linear:
-            for p in range(1, P + 1):
-                q = 2 * p if space.is_finite_type else p
-                _, hi = symbol_log_norm_bounds(space, op.theta, q)
-                scale = math.exp(1.0 / (2 * p)) if space.is_finite_type else 1.0
-                closed[p] = scale * exp_guarded(hi)
+            q_per_p, c_of = _linear_hat_bound(space, lambda q: exp_guarded(
+                symbol_log_norm_bounds(space, op.theta, q)[1]))
+            closed = {p: c_of(q_per_p * p) for p in range(1, P + 1)}
             bound_kind = "hat_linear"
     elif not space.is_finite_type or space.is_linear:
         try:

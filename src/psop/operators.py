@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
+from itertools import zip_longest
 from numbers import Integral
 from typing import Optional, Sequence
 
@@ -41,6 +42,7 @@ from .spaces import (
     nuclearity_check,
     scale_envelope,
     seminorm,
+    seminorms,
     shift_envelope,
     tail_majorant,
 )
@@ -54,6 +56,7 @@ from .symbols import (
     abs_upper_prefix,
     coeff,
     ell1_norm,
+    float_prefix,
     is_rational,
     membership_check,
     prefix,
@@ -236,10 +239,11 @@ def _exact_values(vals: Sequence) -> bool:
 
 
 def _forward_conv_values(xs: Sequence, theta: Symbol, N: int) -> list:
-    th = prefix(theta, N)
-    if _exact_values(xs) and _exact_values(th):
-        return list(_exact_list_conv(xs, th, N))
-    return _float_conv(xs, th, N) or [0] * N
+    if _exact_values(xs):
+        th = prefix(theta, N)
+        if _exact_values(th):
+            return list(_exact_list_conv(xs, th, N))
+    return _float_conv(xs, float_prefix(theta, N), N) or [0] * N
 
 
 def _hat_output_tail(x: Element, theta: Symbol) -> TailCert:
@@ -288,14 +292,16 @@ def _exact_correlation(xs: Sequence, bs: Sequence) -> list:
     X, dx = scaled_ints(xs)
     B, db = scaled_ints(bs)
     d = dx * db
-    # rev[S - n] = c_n * d; b's trailing zeros add no term
-    rev = _int_conv(X[::-1], B[:trimmed_len(B)], S)
-    rev += [0] * (S - len(rev))
     last_x = max((j + 1 for j, v in enumerate(xs) if not isinstance(v, Integral)), default=0)
     first_b = next((i for i, v in enumerate(bs) if not isinstance(v, Integral)), S)
     cut = max(last_x, S - first_b)
-    return [Fraction(rev[S - n], d) if n <= cut else rev[S - n] // d
-            for n in range(1, S + 1)]
+    return [Fraction(c, d) if n < cut else c // d for n, c in enumerate(_int_correlation(X, B))]
+
+
+def _int_correlation(X: list, B: list) -> list:
+    """sum_{j>=n} X_j B_{j-n} for n = 1..len(X), in integers (X_j = X[j - 1])."""
+    rev = _int_conv(X[::-1], B[:trimmed_len(B)], len(X))
+    return [0] * (len(X) - len(rev)) + rev[::-1]
 
 
 def _float_sum(terms: list):
@@ -324,12 +330,13 @@ def check_apply(beta: Symbol, x: Element) -> Element:
         xs = x.values[:S]
         bs = prefix(beta, S) if S else []
         if _exact_values(xs) and _exact_values(bs):
-            vals = _exact_correlation(xs, bs) + [0] * (N - S)
+            vals = _exact_correlation(xs, bs)
         else:
             vals = []
-            for n in range(1, N + 1):
+            for n in range(1, S + 1):
                 terms = [xs[j - 1] * bs[j - n] for j in range(n, S + 1)]
                 vals.append(sum(terms) if _exact_values(terms) else _float_sum(terms))
+        vals += [0] * (N - S)
         residual = x.residual
         if residual > 0:
             residual *= math.fsum(abs(b) for b in bs) if bs else 0.0
@@ -367,9 +374,25 @@ def apply_operator(op: OperatorSpec, x: Element) -> Element:
 
 
 def cesaro_mean(op: OperatorSpec, k: int, x: Element) -> Element:
-    """(1/k) sum_{m<=k} T^m x, reusing the orbit prefix."""
+    """(1/k) sum_{m<=k} T^m x, reusing the orbit prefix.  An exact finitely
+    supported x under exact finitely supported symbols steps in integers over
+    one denominator d, as the exact applications do, summed over the current d."""
     if k < 1:
         raise ValueError("need k >= 1")
+    used = (None if op.kind is OperatorKind.CHECK else op.theta,
+            None if op.kind is OperatorKind.HAT else op.beta)
+    if x.is_finitely_supported and x.is_exact and all(
+            s is None or (s.is_exact and s.bounded_support() is not None) for s in used):
+        (T, dt), (B, db) = [scaled_ints(prefix(s, s.bounded_support()) if s else []) for s in used]
+        X, d = scaled_ints(x.values[:trimmed_len(x.values)])
+        N, acc, m = x.truncation, [], dt * db
+        for _ in range(k):
+            X = [h * db + c * dt for h, c in zip_longest(
+                _int_conv(X, T, N), _int_correlation(X, B), fillvalue=0)]
+            acc = [a * m + v for a, v in zip_longest(acc, X, fillvalue=0)]
+            d *= m
+        vals = [Fraction(a, d * k) for a in acc] + [Fraction(0)] * (N - len(acc))
+        return Element(tuple(vals), FINITE_TAIL, x.space, x.residual)
     cur = x
     acc: Optional[Element] = None
     for _ in range(k):
@@ -493,11 +516,15 @@ def compute_orbit(op: OperatorSpec, x: Element, K: int,
         cur = apply_operator(op, cur)
         acc = cur if acc is None else add_elements(acc, cur)
         mean = scale_element(acc, 1.0 / k)
-        for j, p in enumerate(ps):
-            tv = seminorm(space, cur, p)
-            log_norms[k - 1, j] = tv.log_upper
-            tails[k - 1, j] = tv.tail
-            log_ces[k - 1, j] = seminorm(space, mean, p).log_upper
+        try:
+            tvs, means = seminorms(space, cur, ps), seminorms(space, mean, ps)
+        except (ValueError, ArithmeticError):
+            for p in ps:    # raise what the per-grade order raises first
+                seminorm(space, cur, p), seminorm(space, mean, p)
+            raise
+        log_norms[k - 1] = [tv.log_upper for tv in tvs]
+        tails[k - 1] = [tv.tail for tv in tvs]
+        log_ces[k - 1] = [tv.log_upper for tv in means]
     return OrbitRecord(op, x0, K, ps, log_norms, log_ces, tails)
 
 

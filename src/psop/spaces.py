@@ -30,11 +30,12 @@ import functools
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from itertools import compress
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 import numpy as np
 
-from .numerics import NEG_INF, exp_guarded, log_abs, logaddexp, sum_exp
+from .numerics import NEG_INF, exp_guarded, log_abs, logaddexp, sum_exp_rows
 
 if TYPE_CHECKING:  # pragma: no cover
     from .operators import Element
@@ -521,28 +522,35 @@ class TailedValue:
         return f"TailedValue(value={self.value!r}, tail={self.tail!r})"
 
 
-def seminorm(space: SpaceSpec, x: "Element", k: int) -> TailedValue:
-    """Grade-k seminorm of a truncated element: weighted absolute sum over the
-    stored prefix plus a certified tail majorant (zero for finite support)."""
-    if k < 1:
+def seminorms(space: SpaceSpec, x: "Element", ks: Sequence[int]) -> list[TailedValue]:
+    """Grade-k seminorm of a truncated element for each k in ks: the weighted
+    absolute sum of the stored prefix (one log_abs per nonzero entry, one
+    sum_exp_rows row per grade) plus a certified tail majorant, taken in ks order."""
+    if ks and min(ks) < 1:
         raise ValueError("grades start at 1")
-    vals = x.values
-    n_entries = len(vals)
+    n_entries = len(x.values)
+    log_values = [NEG_INF] * len(ks)
     if n_entries:
-        logw = space.log_weights(1, n_entries, k)
-        log_terms = [log_abs(v) + logw[i] for i, v in enumerate(vals) if v != 0]
-        value, log_value = sum_exp(log_terms)
-    else:
-        logw = np.zeros(0)
-        value, log_value = 0.0, NEG_INF
-    tail, log_tail = tail_majorant(space, x.tail, n_entries + 1, k)
+        logw = np.array([space.log_weights(1, n_entries, k) for k in ks],
+                        dtype=float).reshape(len(ks), n_entries)
+        nz = list(compress(range(n_entries), x.values))   # a nonzero number is true
+        log_values = sum_exp_rows(np.array([log_abs(x.values[i]) for i in nz]) + logw[:, nz])
     residual = getattr(x, "residual", 0.0)
-    if residual and n_entries:
-        # stored entries are only residual-accurate; charge the weighted mass
-        _, log_wsum = sum_exp(logw)
-        log_tail = logaddexp(log_tail, math.log(residual) + log_wsum)
-        tail = exp_guarded(log_tail)
-    return TailedValue(value, log_value, tail, log_tail)
+    # stored entries are only residual-accurate; charge the weighted mass
+    log_wsums = sum_exp_rows(logw) if residual and n_entries else None
+    out = []
+    for j, k in enumerate(ks):
+        tail, log_tail = tail_majorant(space, x.tail, n_entries + 1, k)
+        if log_wsums is not None:
+            log_tail = logaddexp(log_tail, math.log(residual) + log_wsums[j])
+            tail = exp_guarded(log_tail)
+        out.append(TailedValue(exp_guarded(log_values[j]), log_values[j], tail, log_tail))
+    return out
+
+
+def seminorm(space: SpaceSpec, x: "Element", k: int) -> TailedValue:
+    """Grade-k seminorm of a truncated element: seminorms at the one grade k."""
+    return seminorms(space, x, [k])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -512,10 +512,10 @@ def _exact_list_conv(xs: Sequence[Rational], ys: Sequence[Rational], N: int) -> 
     return [Fraction(v, d) for v in _int_conv(ax, ay, N)]
 
 
-def _float_conv(xs: Sequence[Number], ys: Sequence[Number], N: int) -> list:
+def _float_conv(xs: Sequence[Number], ys: np.ndarray, N: int) -> list:
     if len(xs) == 0 or len(ys) == 0:
         return []
-    return list(np.convolve(_to_block(xs), _to_block(ys))[:N])
+    return list(np.convolve(_to_block(xs), ys)[:N])
 
 
 def convolve_envelopes(ea: TailCert, eb: TailCert, a: Symbol, b: Symbol) -> TailCert:

@@ -1,10 +1,12 @@
 import math
 import random
-from dataclasses import fields
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psop import (
     Element,
@@ -38,11 +40,13 @@ from psop import (
     toeplitz_matrix,
     zero_symbol,
 )
+from psop import operators
 from psop.operators import (
     OperatorContractError,
     OperatorKind,
     OperatorSpec,
     add_elements,
+    apply_operator,
     check_column_log_norms,
     hat_column_log_norms,
     matrix_csv,
@@ -50,6 +54,7 @@ from psop.operators import (
     symbol_log_norm_bounds,
 )
 from psop.oracle import dense_matmul
+from psop.spaces import FINITE_TAIL
 from psop.symbols import conv_power, convolve, prefix, trimmed_len
 
 
@@ -143,6 +148,77 @@ def test_cesaro_examples(fin):
     op = make_hat_operator(fin, finite_symbol([0, 1]))
     got = cesaro_mean(op, 3, e(1, 5, fin))
     assert got.values == (0, Fraction(1, 3), Fraction(1, 3), Fraction(1, 3), 0)
+
+
+def _chain_cesaro(op, k, x):
+    """The Cesaro mean as the Element chain computes it: k applications
+    summed by add_elements, each exact entry then divided by k."""
+    cur, acc = x, None
+    for _ in range(k):
+        cur = apply_operator(op, cur)
+        acc = cur if acc is None else add_elements(acc, cur)
+    return replace(acc, values=tuple(Fraction(v) / k for v in acc.values))
+
+
+_EXACT = st.one_of(st.integers(-3, 3), st.fractions(min_value=-2, max_value=2,
+                                                    max_denominator=12))
+# leading and trailing zeros around a drawn core (int-only ones among
+# them), or a geometric symbol with ratio 0, whose support is one entry
+_SYMBOL = st.one_of(
+    st.builds(lambda lead, core, trail: finite_symbol([0] * lead + core + [0] * trail),
+              st.integers(0, 2), st.lists(_EXACT, max_size=4), st.integers(0, 2)),
+    st.builds(geometric_symbol, _EXACT, st.sampled_from([0, Fraction(0)])))
+
+
+@st.composite
+def _exact_start(draw):
+    """A start of N <= 10 entries whose support may reach the last one, so
+    that hat orbits pass N and drop their spill."""
+    N = draw(st.integers(1, 10))
+    vals = draw(st.lists(_EXACT, min_size=N, max_size=N))
+    cut = draw(st.integers(0, N))
+    return tuple(vals[:cut]) + (0,) * (N - cut)
+
+
+@given(st.sampled_from(list(OperatorKind)), st.booleans(), _SYMBOL, _SYMBOL,
+       _exact_start(), st.integers(1, 16), st.sampled_from([0.0, 0, -0.0]))
+@settings(max_examples=80, deadline=None)
+def test_integer_cesaro_mean_is_the_element_chain(kind, infinite, theta, beta, start, K,
+                                                  residual):
+    space = infinite_type_space() if infinite else finite_type_space()
+    op = OperatorSpec(kind, space, theta=None if kind is OperatorKind.CHECK else theta,
+                      beta=None if kind is OperatorKind.HAT else beta)
+    x = Element(start, FINITE_TAIL, space, residual)
+    got, want = cesaro_mean(op, K, x), _chain_cesaro(op, K, x)
+    assert _typed(got.values) == _typed(want.values)
+    assert (got.tail, got.space) == (want.tail, want.space)
+    assert repr(got.residual) == repr(want.residual)
+
+
+@pytest.mark.parametrize("op, x, chain", [
+    (OperatorSpec(OperatorKind.TOEPLITZ, finite_type_space(),
+                  finite_symbol([Fraction(1, 2), 0, 3]), finite_symbol([0, Fraction(-1, 3)])),
+     e(2, 6), False),
+    (OperatorSpec(OperatorKind.HAT, finite_type_space(), finite_symbol([0.5, 0.25])),
+     e(1, 6), True),
+    (OperatorSpec(OperatorKind.HAT, finite_type_space(), finite_symbol([1, 2])),
+     Element((0.5, 0.0, 0.0)), True),
+    (OperatorSpec(OperatorKind.CHECK, finite_type_space(),
+                  beta=geometric_symbol(Fraction(1, 2), Fraction(1, 3))), e(3, 6), True),
+], ids=["exact-finite", "float-symbol", "float-start", "geometric-symbol"])
+def test_exact_cesaro_mean_adds_no_elements(monkeypatch, op, x, chain):
+    """An exact finite input makes no add_elements call; float and geometric
+    inputs take the Element chain, which makes K - 1."""
+    calls = []
+
+    def counted(a, b):
+        calls.append(1)
+        return add_elements(a, b)
+
+    monkeypatch.setattr(operators, "add_elements", counted)
+    K = 5
+    cesaro_mean(op, K, x)
+    assert len(calls) == (K - 1 if chain else 0)
 
 
 def test_toeplitz_matrix_examples():
@@ -316,6 +392,26 @@ def test_orbit_record_tables(fin):
             assert rec.log_cesaro[k - 1, j] <= running + 1e-9
     ratios = rec.ratios()
     assert ratios.shape == (11, 3)
+
+
+@pytest.mark.parametrize("p_grid, grade", [([1, 2, 4], 2), ([1, 1, 3, 2], 3)])
+def test_orbit_raises_the_first_unbounded_grade(inf, p_grid, grade):
+    """A start whose tail ratio e^-1.5 is bounded at grade 1 only: the orbit
+    raises the message of the first grade in p_grid order that diverges, as
+    the per-grade loop did (messages recorded from it)."""
+    op = make_hat_operator(inf, finite_symbol([Fraction(1, 2), Fraction(1, 4)]))
+    x = Element((0.5, 0.25, 0.125), GeometricEnvelope(1.0, math.exp(-1.5)), inf)
+    want = ("geometric tail with ratio 0.22313016014842982 cannot dominate "
+            f"grade-{grade} growth")
+    with pytest.raises(TailUnbounded) as got:
+        compute_orbit(op, x, 3, p_grid)
+    assert str(got.value) == want
+
+
+def test_orbit_on_no_grades_records_empty_tables(fin):
+    op = make_hat_operator(fin, finite_symbol([Fraction(1, 2), Fraction(1, 4)]))
+    rec = compute_orbit(op, e(1, 8, fin), 3, [])
+    assert rec.log_norms.shape == rec.log_cesaro.shape == rec.tail_bounds.shape == (3, 0)
 
 
 def test_csv_exports(fin):
@@ -748,6 +844,13 @@ def test_check_apply_numpy_integers_come_back_as_python_ints():
 _MIXED_X = Element((-1.25 + 0.5j, 0.3, F(1, 2), 2, F(-2, 3), 0))
 _ENVELOPED_X = Element((0.5, -0.25, 0.125j, 0.0625, -0.03125, 0.015625),
                        GeometricEnvelope(1.0, 0.5), infinite_type_space())
+# float x, finite (stored -0.0 entries and trailing zeros) and enveloped,
+# and a sampled symbol with an envelope, for the pins recorded before the
+# float steps stopped at the support of x and read theta's float_prefix
+_FLOAT_X = Element((-0.0, 0.5, -1.25, -0.0, 0.0, 0.0))
+_FLOAT_ENVELOPED_X = Element((0.5, -0.25, 0.125, -0.0, 0.03125, 0.015625),
+                             GeometricEnvelope(1.0, 0.5), finite_type_space())
+_SAMPLED = sampled_symbol([0.5, -0.25, 0.1, -0.0, 0.03, 0.01, 0.0], GeometricEnvelope(1.0, 0.5))
 CHECK_APPLY_FLOAT_PINS = [
     (finite_symbol([F(1, 3), 2, F(-1, 4)]), _MIXED_X,
      "((0.05833333333333335+0.16666666666666666j), 0.6, Fraction(13, 3), "
@@ -760,14 +863,78 @@ CHECK_APPLY_FLOAT_PINS = [
     (finite_symbol([1, F(1, 3), -2]), _ENVELOPED_X,
      "((0.4166666666666667-0.25j), (-0.375+0.041666666666666664j), "
      "(0.08333333333333333+0.125j), 0.020833333333333336, -0.026041666666666668, 0.015625)"),
+    (finite_symbol([0.5, -0.0, 0.25]), _FLOAT_X,
+     "(-0.3125, 0.25, -0.625, 0, 0, 0)"),
+    (finite_symbol([1, 0.5j, -0.25]), _FLOAT_X,
+     "((0.3125+0.25j), (0.5-0.625j), -1.25, 0, 0, 0)"),
+    (geometric_symbol(F(3, 4), F(-1, 3)), _FLOAT_X,
+     "(-0.22916666666666666, 0.6875, -0.9375, 0, 0, 0)"),
+    (geometric_symbol(0.75, -0.3), _FLOAT_X,
+     "(-0.196875, 0.65625, -0.9375, 0, 0, 0)"),
+    (geometric_symbol(-0.6, F(1, 2)), _FLOAT_X,
+     "(0.037500000000000006, 0.07500000000000001, 0.75, 0, 0, 0)"),
+    (_SAMPLED, _FLOAT_X,
+     "(-0.25, 0.5625, -0.625, 0, 0, 0)"),
+]
+HAT_APPLY_FLOAT_PINS = [
+    (finite_symbol([0.5, -0.0, 0.25]), _FLOAT_X,
+     "(np.float64(0.0), np.float64(0.25), np.float64(-0.625), np.float64(0.125),"
+     " np.float64(-0.3125), np.float64(0.0))"),
+    (finite_symbol([0.5, -0.0, 0.25]), _FLOAT_ENVELOPED_X,
+     "(np.float64(0.25), np.float64(-0.125), np.float64(0.1875), np.float64(-0.0625),"
+     " np.float64(0.046875), np.float64(0.0078125))"),
+    (finite_symbol([1, 0.5j, -0.25]), _FLOAT_X,
+     "(np.complex128(0j), np.complex128(0.5+0j), np.complex128(-1.25+0.25j),"
+     " np.complex128(-0.125-0.625j), np.complex128(0.3125+0j), np.complex128(0j))"),
+    (finite_symbol([1, 0.5j, -0.25]), _FLOAT_ENVELOPED_X,
+     "(np.complex128(0.5+0j), np.complex128(-0.25+0.25j), np.complex128(-0.125j),"
+     " np.complex128(0.0625+0.0625j), np.complex128(0j), np.complex128(0.015625+0.015625j))"),
+    (geometric_symbol(F(3, 4), F(-1, 3)), _FLOAT_X,
+     "(np.float64(0.0), np.float64(0.375), np.float64(-1.0625), np.float64(0.3541666666666667),"
+     " np.float64(-0.11805555555555555), np.float64(0.03935185185185185))"),
+    (geometric_symbol(F(3, 4), F(-1, 3)), _FLOAT_ENVELOPED_X,
+     "(np.float64(0.375), np.float64(-0.3125), np.float64(0.19791666666666666),"
+     " np.float64(-0.06597222222222222), np.float64(0.04542824074074074),"
+     " np.float64(-0.0034239969135802465))"),
+    (geometric_symbol(0.75, -0.3), _FLOAT_X,
+     "(np.float64(0.0), np.float64(0.375), np.float64(-1.05), np.float64(0.31499999999999995),"
+     " np.float64(-0.0945), np.float64(0.028349999999999993))"),
+    (geometric_symbol(0.75, -0.3), _FLOAT_ENVELOPED_X,
+     "(np.float64(0.375), np.float64(-0.3), np.float64(0.18375), np.float64(-0.05512499999999999),"
+     " np.float64(0.039975), np.float64(-0.0002737499999999997))"),
+    (geometric_symbol(-0.6, F(1, 2)), _FLOAT_X,
+     "(np.float64(0.0), np.float64(-0.3), np.float64(0.6), np.float64(0.3), np.float64(0.15),"
+     " np.float64(0.075))"),
+    (geometric_symbol(-0.6, F(1, 2)), _FLOAT_ENVELOPED_X,
+     "(np.float64(-0.3), np.float64(0.0), np.float64(-0.075), np.float64(-0.0375),"
+     " np.float64(-0.0375), np.float64(-0.028124999999999997))"),
+    (_SAMPLED, _FLOAT_X,
+     "(np.float64(0.0), np.float64(0.25), np.float64(-0.75), np.float64(0.3625),"
+     " np.float64(-0.125), np.float64(0.015))"),
+    (_SAMPLED, _FLOAT_ENVELOPED_X,
+     "(np.float64(0.25), np.float64(-0.25), np.float64(0.175), np.float64(-0.05625),"
+     " np.float64(0.043125), np.float64(-0.0024999999999999988))"),
 ]
 
 
 @pytest.mark.parametrize("beta, x, want", CHECK_APPLY_FLOAT_PINS,
                          ids=["finite-exact-beta", "finite-float-beta", "enveloped-geometric",
-                              "enveloped-finite"])
+                              "enveloped-finite"] + [
+                             "float-x-" + name for name in (
+                                 "finite-float", "complex", "geometric-exact",
+                                 "geometric-float", "geometric-float-c", "sampled")])
 def test_check_apply_float_sums_keep_their_bits(beta, x, want):
     assert repr(check_apply(beta, x).values) == want
+
+
+@pytest.mark.parametrize("theta, x, want", HAT_APPLY_FLOAT_PINS, ids=[
+    x + "-x-" + name for name in ("finite-float", "complex", "geometric-exact",
+                                  "geometric-float", "geometric-float-c", "sampled")
+    for x in ("float", "enveloped")])
+def test_hat_apply_float_steps_keep_their_bits(theta, x, want):
+    """numpy's convolution of x with theta's float_prefix: the values and
+    their numpy types as before it read float_prefix."""
+    assert repr(hat_apply(theta, x).values) == want
 
 
 # -- a geometric tail bounds every entry, so steps compose soundly ----------

@@ -5,6 +5,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,12 +22,15 @@ from psop import (
     infinite_type_space,
     nuclearity_check,
     seminorm,
+    seminorms,
     stability_constant,
     weight,
 )
-from psop.numerics import NEG_INF, exp_guarded, log_abs
+from psop.numerics import NEG_INF, exp_guarded, log_abs, logaddexp, sum_exp
 from psop.spaces import (
+    FINITE_TAIL,
     ExponentialEnvelope,
+    TailedValue,
     convolve_finite,
     correlate_envelope,
     decay_compensation_constant,
@@ -136,6 +140,68 @@ def test_seminorm_homogeneity_high_precision_spot(fin):
         assert abs(got - exact) < 1e-14 * exact
         got_scaled = seminorm(fin, Element(tuple(c * v for v in xs)), 2).value
         assert abs(got_scaled - abs(c) * exact) < 1e-13 * exact
+
+
+def _seminorm_per_grade(space, x, k):
+    """The grade-k seminorm as its own loop over the entries computed it
+    before the grades shared one reduction: the reference for seminorms."""
+    if k < 1:
+        raise ValueError("grades start at 1")
+    vals = x.values
+    n_entries = len(vals)
+    if n_entries:
+        logw = space.log_weights(1, n_entries, k)
+        log_terms = [log_abs(v) + logw[i] for i, v in enumerate(vals) if v != 0]
+        value, log_value = sum_exp(log_terms)
+    else:
+        logw = np.zeros(0)
+        value, log_value = 0.0, NEG_INF
+    tail, log_tail = tail_majorant(space, x.tail, n_entries + 1, k)
+    residual = getattr(x, "residual", 0.0)
+    if residual and n_entries:
+        _, log_wsum = sum_exp(logw)
+        log_tail = logaddexp(log_tail, math.log(residual) + log_wsum)
+        tail = exp_guarded(log_tail)
+    return TailedValue(value, log_value, tail, log_tail)
+
+
+def _fields(tv):
+    return [repr(getattr(tv, f)) for f in ("value", "log_value", "tail", "log_tail")]
+
+
+_ENTRY = st.one_of(
+    st.sampled_from([0, 0.0, -0.0, Fraction(0), 0j]),
+    st.integers(-10 ** 30, 10 ** 30),
+    st.fractions(min_value=-1000, max_value=1000, max_denominator=10 ** 6),
+    st.floats(min_value=-1e300, max_value=1e300),
+    st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False))
+_TAIL = st.one_of(
+    st.just(FINITE_TAIL),
+    st.builds(GeometricEnvelope, st.floats(0.0, 4.0), st.floats(0.0, 1.2)),
+    st.builds(ExponentialEnvelope, st.floats(0.0, 4.0), st.integers(1, 6),
+              st.sampled_from([-1, 1])))
+_SPACE = st.builds(lambda infinite, alpha: (infinite_type_space if infinite
+                                           else finite_type_space)(alpha),
+                   st.booleans(), st.sampled_from([linear_alpha(), root_alpha(2)]))
+
+
+@given(_SPACE, st.lists(_ENTRY, max_size=12), _TAIL,
+       st.one_of(st.just(0.0), st.floats(1e-12, 1.0)),
+       st.lists(st.integers(1, 6), min_size=1, max_size=6))
+@settings(max_examples=80, deadline=None)
+def test_seminorms_keep_the_per_grade_bits(space, entries, tail, residual, ks):
+    """Each grade of seminorms gives the per-grade loop's fields bit for
+    bit, and an unbounded tail raises the first grade's error in ks order."""
+    x = Element(tuple(entries), tail, space, residual)
+    try:
+        want = [_fields(_seminorm_per_grade(space, x, k)) for k in ks]
+    except TailUnbounded as exc:
+        with pytest.raises(TailUnbounded) as got:
+            seminorms(space, x, ks)
+        assert str(got.value) == str(exc)
+        return
+    assert [_fields(tv) for tv in seminorms(space, x, ks)] == want
+    assert [_fields(seminorm(space, x, k)) for k in ks] == want
 
 
 def test_stability_examples():
